@@ -7,7 +7,6 @@ then mixes without degenerating as the number of imputed points grows.
 
 from .errors import ExplosionError, NumericsError, ValidationError
 from .models import (
-    LatentTransform,
     ModelSpec,
     ParamVector,
     alpha_to_gamma,
@@ -24,14 +23,13 @@ from .paths import (
     TimeGrid,
     integrate_left_riemann,
     quadratic_variation,
-    sample_bridge_point,
     sample_brownian_motion,
 )
 from .timechange import (
     EtaProfile,
-    IntervalPaths,
     build_eta,
     refine_retrospective,
+    sample_bridge_point,
     u_time,
     u_to_x,
     u_to_z,

@@ -17,14 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import acf, iact, kde_export, summarize
+from .diagnostics import SummaryTable, acf, iact, kde_export, summarize
 from .errors import NumericsError, ValidationError
 from .mcmc import PriorSpec, SamplerConfig, Trace, run_chain
 from .models import ModelSpec, euler_simulate, get_model
 from .paths import RandomStream, TimeGrid
 
 WEEKLY_SPACING = 5.0 / 252.0  # years between successive weekly observations
-SummaryColumns = ("post_mean", "post_sd", "post_2.5", "post_median", "post_97.5")
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,28 @@ class RunConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: config must be a JSON object")
         unknown = set(doc) - set(cls._KEYS)
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "model" not in doc:
-            raise ValidationError(f"{path}: config needs a 'model' entry")
+        if not isinstance(doc.get("model"), str):
+            raise ValidationError(f"{path}: config needs a 'model' name")
         cfg = cls(**{k: doc[k] for k in doc})
-        cfg.fixed = tuple(cfg.fixed)
         get_model(cfg.model)  # validates the name
+        for key in ("params", "prior", "sampler", "simulate", "data_schema"):
+            if not isinstance(getattr(cfg, key), dict):
+                raise ValidationError(f"{path}: '{key}' must be a JSON object")
+        fixed = cfg.fixed
+        if not (isinstance(fixed, (list, tuple)) and all(isinstance(p, str) for p in fixed)):
+            raise ValidationError(f"{path}: 'fixed' must be a list of parameter names")
+        cfg.fixed = tuple(fixed)
+        for name, bounds in cfg.prior.items():
+            if not (isinstance(bounds, list) and len(bounds) == 2
+                    and all(isinstance(b, (int, float)) for b in bounds)):
+                raise ValidationError(
+                    f"{path}: prior for {name!r} must be [lo, hi], got {bounds!r}"
+                )
         if cfg.init not in ("config", "prior-midpoint"):
             raise ValidationError("init must be 'config' or 'prior-midpoint'")
         return cfg
@@ -290,7 +303,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
         summary_file = out / f"summary{suffix}.csv"
         with open(summary_file, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["parameter", *SummaryColumns])
+            writer.writerow(["parameter", *SummaryTable.columns])
             for row in table.as_rows():
                 writer.writerow([row[0]] + [f"{v:.12g}" for v in row[1:]])
 

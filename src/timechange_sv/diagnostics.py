@@ -15,6 +15,8 @@ from .mcmc import (
     PriorSpec,
     SamplerConfig,
     Trace,
+    _flat_knots,
+    _windows,
     state_from_skeleton,
     sweep,
 )
@@ -118,14 +120,7 @@ def simulate_discrete_skeleton(
     the latent increments. Sampling from exactly this joint makes prior
     recovery an exact test of the transition kernels.
     """
-    obs_times = np.asarray(obs_times, dtype=float)
-    n = obs_times.size - 1
-    knots = np.empty(n * (m + 1) + 1)
-    for k in range(n):
-        knots[k * (m + 1): (k + 1) * (m + 1)] = np.linspace(
-            obs_times[k], obs_times[k + 1], m + 2
-        )[:-1]
-    knots[-1] = obs_times[-1]
+    knots = _flat_knots(np.asarray(obs_times, dtype=float), m)
     dt = np.diff(knots)
     n_steps = dt.size
 
@@ -154,7 +149,7 @@ def simulate_discrete_skeleton(
             + lev_sd * sx * math.sqrt(dt[i]) * eps_x[i]
         )
 
-    x_values = np.lib.stride_tricks.sliding_window_view(x, m + 2)[:: m + 1].copy()
+    x_values = _windows(x, m).copy()
     return x_values, gamma
 
 

@@ -6,21 +6,26 @@ observation intervals never underflow.
 
 The per-interval quantities (warped times, leverage adjustment, path values
 on each scale, Girsanov and endpoint terms) are produced by one vectorised
-engine operating on (n_intervals, m+2) arrays; the public per-path
-operations wrap single rows of it.
+engine, ``interval_quantities``, operating on (n_intervals, m+2) arrays. Its
+density formulas (``girsanov_sum``, ``log_end_gaussian``,
+``unit_latent_drift``) and the warp formulas it takes from ``timechange``
+and ``models`` exist once; the public per-path operations check their
+inputs and apply the same functions to a single row. ``euler_loglik`` is
+the exception: an independent transition-product oracle for the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .models import ModelSpec, ParamVector
+from .models import ModelSpec, ParamVector, cumulative_leverage
 from .paths import Path
+from .timechange import centre_on_chord, first_warp, second_warp, uncentre_from_chord
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -67,12 +72,33 @@ class IntervalQuantities:
     log_f: np.ndarray  # per-interval endpoint Gaussian terms (no Jacobian)
     log_gamma: np.ndarray  # per-interval latent-marginal contributions
 
+    def select(self, rows) -> "IntervalQuantities":
+        """The quantities of ``rows`` only (any numpy row index)."""
+        return IntervalQuantities(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
     def finite(self) -> bool:
         return bool(
             np.all(np.isfinite(self.log_g))
             and np.all(np.isfinite(self.log_f))
             and np.all(np.isfinite(self.log_gamma))
         )
+
+
+def girsanov_sum(b, dv, dt):
+    """Left-point Girsanov log density of a unit-volatility path against
+    Brownian motion, sum b dv - 1/2 sum b^2 dt, over the last axis."""
+    return np.einsum("...j,...j->...", b, dv) - 0.5 * np.einsum("...j,...j->...", b * b, dt)
+
+
+def log_end_gaussian(y1, y0, total):
+    """Gaussian log density of the endpoint y1: mean y0, variance T."""
+    return -0.5 * (_LOG_2PI + np.log(total)) - (y1 - y0) ** 2 / (2.0 * total)
+
+
+def unit_latent_drift(model: ModelSpec, params: ParamVector, alpha) -> np.ndarray:
+    """Drift of the unit-diffusion latent path gamma = (alpha - alpha0) / scale:
+    the latent drift at alpha divided by the constant latent volatility."""
+    return np.asarray(model.drift_alpha(alpha, params), dtype=float) / model.latent_scale(params)
 
 
 def interval_quantities(
@@ -101,58 +127,46 @@ def interval_quantities(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if model.has_latent:
-            scale = model.latent_scale(params)
-            alpha = params["alpha0"] + scale * gamma
+            alpha = model.latent_values(gamma, params)
         else:
             alpha = np.zeros_like(x_knots)
         sx = np.asarray(model.vol_x(alpha, params), dtype=float)
         rho = model.rho(params)
-        lev_var = 1.0 - rho * rho
-        veff2 = lev_var * sx * sx
-
-        dx = np.diff(x_knots, axis=1)
-        u = np.zeros_like(x_knots)
-        np.cumsum(veff2[:, :-1] * dx, axis=1, out=u[:, 1:])
+        veff2, u = first_warp(x_knots, sx, rho)
         total = u[:, -1]
 
-        adj = np.zeros_like(x_knots)
         if rho != 0.0 and model.has_latent:
-            np.cumsum(rho * sx[:, :-1] * np.diff(gamma, axis=1), axis=1, out=adj[:, 1:])
+            adj = cumulative_leverage(rho, sx, gamma)
+        else:
+            adj = np.zeros_like(x_knots)
 
         u0 = np.asarray(y_left, dtype=float)
         u1 = np.asarray(y_right, dtype=float) - adj[:, -1]
 
         u_int = u[:, :-1]
         tcol = total[:, None]
-        z_times = u_int / (tcol * (tcol - u_int))
-
-        chord = u0[:, None] + (u_int / tcol) * (u1 - u0)[:, None]
+        z_times = second_warp(u_int, tcol)
         if z_values is not None:
             z = np.asarray(z_values, dtype=float)
             U = np.empty_like(x_knots)
-            U[:, :-1] = (tcol - u_int) * z + chord
+            U[:, :-1] = uncentre_from_chord(z, u_int, tcol, u0[:, None], u1[:, None])
             U[:, -1] = u1
             X = U + adj
         else:
             X = np.asarray(x_values, dtype=float)
             U = X - adj
-            z = (U[:, :-1] - chord) / (tcol - u_int)
+            z = centre_on_chord(U[:, :-1], u_int, tcol, u0[:, None], u1[:, None])
 
         drift = np.asarray(
             model.drift_x(x_knots[:, :-1], X[:, :-1], alpha[:, :-1], params), dtype=float
         )
-        b = drift / veff2[:, :-1]
-        du = np.diff(U, axis=1)
-        dt = np.diff(u, axis=1)
-        log_g = np.einsum("ij,ij->i", b, du) - 0.5 * np.einsum("ij,ij->i", b * b, dt)
-
-        log_f = -0.5 * (_LOG_2PI + np.log(total)) - (u1 - u0) ** 2 / (2.0 * total)
+        log_g = girsanov_sum(drift / veff2[:, :-1], np.diff(U, axis=1), np.diff(u, axis=1))
+        log_f = log_end_gaussian(u1, u0, total)
 
         if model.has_latent:
-            d = np.asarray(model.drift_alpha(alpha[:, :-1], params), dtype=float) / scale
-            dg = np.diff(gamma, axis=1)
-            log_gamma = np.einsum("ij,ij->i", d, dg) - 0.5 * np.einsum(
-                "ij,ij->i", d * d, dx
+            log_gamma = girsanov_sum(
+                unit_latent_drift(model, params, alpha[:, :-1]),
+                np.diff(gamma, axis=1), np.diff(x_knots, axis=1),
             )
         else:
             log_gamma = np.zeros(n)
@@ -182,7 +196,7 @@ def log_girsanov_U(u_path: Path, drift_on_U) -> float:
     b = np.asarray(drift_on_U(t[:-1], v[:-1]), dtype=float)
     if not np.all(np.isfinite(b)):
         raise NumericsError("drift evaluation is non-finite")
-    return float(b @ np.diff(v) - 0.5 * (b * b) @ np.diff(t))
+    return float(girsanov_sum(b, np.diff(v), np.diff(t)))
 
 
 def log_end_density(y1: float, y0: float, total: float) -> float:
@@ -193,7 +207,7 @@ def log_end_density(y1: float, y0: float, total: float) -> float:
     """
     if not total > 0.0:
         raise ValidationError("endpoint density needs a positive warped length")
-    return -0.5 * (_LOG_2PI + math.log(total)) - (y1 - y0) ** 2 / (2.0 * total)
+    return float(log_end_gaussian(y1, y0, total))
 
 
 def log_latent_marginal(gamma_path: Path, params: ParamVector, model: ModelSpec) -> float:
@@ -201,12 +215,11 @@ def log_latent_marginal(gamma_path: Path, params: ParamVector, model: ModelSpec)
     Brownian motion."""
     if abs(gamma_path.values[0]) > 1e-12:
         raise ValidationError("latent path must start at zero")
-    d = np.asarray(model.gamma_drift(gamma_path.values[:-1], params), dtype=float)
+    g = gamma_path.values
+    d = unit_latent_drift(model, params, model.latent_values(g[:-1], params))
     if not np.all(np.isfinite(d)):
         raise NumericsError("latent drift evaluation is non-finite")
-    return float(
-        d @ np.diff(gamma_path.values) - 0.5 * (d * d) @ np.diff(gamma_path.times)
-    )
+    return float(girsanov_sum(d, np.diff(g), np.diff(gamma_path.times)))
 
 
 def log_augmented_posterior(state, data, model: ModelSpec, prior) -> LogLikBreakdown:

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .likelihood import LogLikBreakdown, interval_quantities
 from .models import ModelSpec, ParamVector
-from .paths import Path, RandomStream
-from .timechange import IntervalPaths, refine_rows
+from .paths import RandomStream
+from .timechange import refine_rows
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,9 @@ class AugmentedState:
         self.log_jac = np.asarray(log_jac, dtype=float)
         self.m = int(m)
         self.fixed = frozenset(fixed)
+        unknown = sorted(self.fixed - set(model.param_names))
+        if unknown:
+            raise ValidationError(f"unknown fixed parameters for {model.name}: {unknown}")
         n = self.y.size - 1
         if n < 1:
             raise ValidationError("need at least two observations")
@@ -202,17 +205,23 @@ class AugmentedState:
     def free_names(self) -> tuple[str, ...]:
         return tuple(p for p in self.model.param_names if p not in self.fixed)
 
-    # -- cache management ---------------------------------------------------
+    # -- engine and cache management ----------------------------------------
 
-    def refresh(self, rows: Optional[np.ndarray] = None, q=None) -> None:
-        """Write engine outputs for ``rows`` (default: all) into the caches."""
-        if q is None:
-            q = interval_quantities(
-                self.model, self.params, self.x_knots, self.gamma_windows(),
-                self.y[:-1], self.y[1:], z_values=self.z,
-            )
-        if rows is None:
-            rows = slice(None)
+    def quantities(self, params=None, gamma=None, z=None, rows=slice(None)):
+        """Engine outputs for ``rows``; ``params``, the latent windows
+        ``gamma`` and the path values ``z`` default to the state's own."""
+        return interval_quantities(
+            self.model,
+            self.params if params is None else params,
+            self.x_knots[rows],
+            self.gamma_windows()[rows] if gamma is None else gamma,
+            self.y[:-1][rows],
+            self.y[1:][rows],
+            z_values=self.z[rows] if z is None else z,
+        )
+
+    def refresh(self, rows, q) -> None:
+        """Write the engine outputs ``q`` for ``rows`` into the caches."""
         self.u[rows] = q.u
         self.total[rows] = q.total
         self.z_times[rows] = q.z_times
@@ -225,48 +234,22 @@ class AugmentedState:
         self.log_f[rows] = q.log_f
         self.log_gamma[rows] = q.log_gamma
 
-    def breakdown(self) -> LogLikBreakdown:
+    def breakdown(self, q=None) -> LogLikBreakdown:
+        """Posterior pieces from the caches, or from engine outputs ``q``."""
+        src = self if q is None else q
         return LogLikBreakdown.assemble(
-            self.log_g, self.log_f + self.log_jac,
-            float(np.sum(self.log_gamma)), self.prior.log_density(self.params),
-        )
-
-    def recompute_breakdown(self) -> LogLikBreakdown:
-        q = interval_quantities(
-            self.model, self.params, self.x_knots, self.gamma_windows(),
-            self.y[:-1], self.y[1:], z_values=self.z,
-        )
-        return LogLikBreakdown.assemble(
-            q.log_g, q.log_f + self.log_jac,
-            float(np.sum(q.log_gamma)), self.prior.log_density(self.params),
+            src.log_g, src.log_f + self.log_jac,
+            float(np.sum(src.log_gamma)), self.prior.log_density(self.params),
         )
 
     def validate_cache(self, tol: float = 1e-8) -> None:
         cached = self.breakdown()
-        fresh = self.recompute_breakdown()
+        fresh = self.breakdown(self.quantities())
         scale = max(1.0, abs(fresh.total))
         if abs(cached.total - fresh.total) > tol * scale:
             raise NumericsError(
                 f"cached posterior {cached.total} drifted from recomputation {fresh.total}"
             )
-
-    def interval_paths(self, k: int) -> IntervalPaths:
-        u = Path.from_arrays(self.u[k], self.U[k])
-        z = Path.from_arrays(self.z_times[k], self.z[k])
-        return IntervalPaths(
-            y0=float(self.U[k, 0]), y1=float(self.U[k, -1]),
-            total=float(self.total[k]), u=u, z=z,
-        )
-
-    def clone(self) -> "AugmentedState":
-        out = AugmentedState(
-            self.model, self.params, self.prior, self.obs_times, self.y,
-            self.log_jac, self.m, self.fixed,
-        )
-        for name in ("gamma_flat", "z", "z_times", "u", "total", "U", "X",
-                     "adj", "alpha", "log_g", "log_f", "log_gamma"):
-            setattr(out, name, getattr(self, name).copy())
-        return out
 
 
 def _flat_knots(obs_times: np.ndarray, m: int) -> np.ndarray:
@@ -293,6 +276,24 @@ def _transform_observations(model: ModelSpec, raw_values: np.ndarray):
     return y, log_jac
 
 
+def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> AugmentedState:
+    """Fill the caches from an explicit (n, m+2) skeleton.
+
+    The doubly-warped coordinates are derived from the skeleton, then every
+    cache is re-derived from them, so that later engine passes reproduce the
+    caches bit for bit.
+    """
+    q = interval_quantities(
+        state.model, state.params, state.x_knots, state.gamma_windows(),
+        state.y[:-1], state.y[1:], x_values=x_values,
+    )
+    q = state.quantities(z=q.z)
+    if not q.finite():
+        raise ValidationError(f"{what} is non-finite")
+    state.refresh(slice(None), q)
+    return state
+
+
 def init_state(
     model: ModelSpec,
     params: ParamVector,
@@ -308,20 +309,7 @@ def init_state(
     state = AugmentedState(model, params, prior, obs_times, y, log_jac, m, tuple(fixed))
     frac = np.linspace(0.0, 1.0, m + 2)
     x_values = y[:-1, None] + frac[None, :] * (y[1:] - y[:-1])[:, None]
-    q = interval_quantities(
-        model, params, state.x_knots, state.gamma_windows(),
-        y[:-1], y[1:], x_values=x_values,
-    )
-    # canonical representation: re-derive everything from the doubly-warped
-    # coordinates so later engine passes reproduce the caches bit for bit
-    q = interval_quantities(
-        model, params, state.x_knots, state.gamma_windows(),
-        y[:-1], y[1:], z_values=q.z,
-    )
-    if not q.finite():
-        raise ValidationError("initial augmented posterior is non-finite")
-    state.refresh(q=q)
-    return state
+    return _canonicalise(state, x_values, "initial augmented posterior")
 
 
 def state_from_skeleton(
@@ -353,18 +341,7 @@ def state_from_skeleton(
         raise ValidationError("latent path length does not match the knot grid")
     if state.gamma_flat[0] != 0.0:
         raise ValidationError("latent path must start at zero")
-    q = interval_quantities(
-        model, params, state.x_knots, state.gamma_windows(),
-        y[:-1], y[1:], x_values=x_values,
-    )
-    q = interval_quantities(
-        model, params, state.x_knots, state.gamma_windows(),
-        y[:-1], y[1:], z_values=q.z,
-    )
-    if not q.finite():
-        raise ValidationError("augmented posterior is non-finite for this skeleton")
-    state.refresh(q=q)
-    return state
+    return _canonicalise(state, x_values, "augmented posterior of this skeleton")
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +376,10 @@ def _update_z_rows(state: AugmentedState, rows, rng: RandomStream, power: float)
     z_prop = np.zeros_like(z_times)
     np.cumsum(np.sqrt(steps) * rng.normal(steps.shape), axis=1, out=z_prop[:, 1:])
 
-    q = interval_quantities(
-        state.model, state.params, state.x_knots[rows],
-        state.gamma_windows()[rows], state.y[:-1][rows], state.y[1:][rows],
-        z_values=z_prop,
-    )
-    log_ratio = q.log_g - state.log_g[rows]
-    acc = _accept_mask(log_ratio, rng, power)
+    q = state.quantities(z=z_prop, rows=rows)
+    acc = _accept_mask(q.log_g - state.log_g[rows], rng, power)
     if acc.any():
-        idx = np.arange(state.n_intervals)[rows][acc]
-        state.z[idx] = z_prop[acc]
-        state.U[idx] = q.U[acc]
-        state.X[idx] = q.X[acc]
-        state.log_g[idx] = q.log_g[acc]
+        state.refresh(np.arange(state.n_intervals)[rows][acc], q.select(acc))
     return acc
 
 
@@ -453,25 +421,12 @@ def _update_param(
     if not state.prior.in_support(cand_params):
         return False
 
-    needs_refine = name in state.model.timescale_params
-    if needs_refine:
-        warp = interval_quantities(
-            state.model, cand_params, state.x_knots, state.gamma_windows(),
-            state.y[:-1], state.y[1:], z_values=state.z,
-        )
-        new_times = warp.z_times
-        if not np.all(np.isfinite(new_times)):
+    q = state.quantities(params=cand_params)
+    if name in state.model.timescale_params:
+        if not np.all(np.isfinite(q.z_times)):
             return False
-        z_new = refine_rows(state.z_times, state.z, new_times, rng)
-        q = interval_quantities(
-            state.model, cand_params, state.x_knots, state.gamma_windows(),
-            state.y[:-1], state.y[1:], z_values=z_new,
-        )
-    else:
-        q = interval_quantities(
-            state.model, cand_params, state.x_knots, state.gamma_windows(),
-            state.y[:-1], state.y[1:], z_values=state.z,
-        )
+        z_new = refine_rows(state.z_times, state.z, q.z_times, rng)
+        q = state.quantities(params=cand_params, z=z_new)
     if not q.finite():
         return False
 
@@ -484,7 +439,7 @@ def _update_param(
     if not _accept_scalar(log_ratio, rng, power):
         return False
     state.params = cand_params
-    state.refresh(q=q)
+    state.refresh(slice(None), q)
     return True
 
 
@@ -572,22 +527,12 @@ def _gamma_anchored_pass(
     gam_win = seg_prop[:, win_idx].reshape(nb * length, m + 2)
     rows_idx = (firsts[:, None] + np.arange(length)[None, :]).ravel()
 
-    y_left = state.y[:-1][rows_idx]
-    y_right = state.y[1:][rows_idx]
-    x_knots = state.x_knots[rows_idx]
-    warp = interval_quantities(
-        state.model, state.params, x_knots, gam_win, y_left, y_right,
-        z_values=state.z[rows_idx],
-    )
-    new_times = warp.z_times
+    new_times = state.quantities(gamma=gam_win, rows=rows_idx).z_times
     bad_rows = ~np.all(np.isfinite(new_times), axis=1)
     if bad_rows.any():
         new_times = np.where(bad_rows[:, None], state.z_times[rows_idx], new_times)
     z_new = refine_rows(state.z_times[rows_idx], state.z[rows_idx], new_times, rng)
-    q = interval_quantities(
-        state.model, state.params, x_knots, gam_win, y_left, y_right,
-        z_values=z_new,
-    )
+    q = state.quantities(gamma=gam_win, z=z_new, rows=rows_idx)
 
     delta = (
         (q.log_g - state.log_g[rows_idx])
@@ -601,18 +546,7 @@ def _gamma_anchored_pass(
     if acc.any():
         state.gamma_flat[seg_idx[acc]] = seg_prop[acc]
         keep = np.repeat(acc, length)
-        rows_sel = rows_idx[keep]
-        state.u[rows_sel] = q.u[keep]
-        state.total[rows_sel] = q.total[keep]
-        state.z_times[rows_sel] = q.z_times[keep]
-        state.z[rows_sel] = q.z[keep]
-        state.U[rows_sel] = q.U[keep]
-        state.X[rows_sel] = q.X[keep]
-        state.adj[rows_sel] = q.adj[keep]
-        state.alpha[rows_sel] = q.alpha[keep]
-        state.log_g[rows_sel] = q.log_g[keep]
-        state.log_f[rows_sel] = q.log_f[keep]
-        state.log_gamma[rows_sel] = q.log_gamma[keep]
+        state.refresh(rows_idx[keep], q.select(keep))
     return acc
 
 
@@ -650,18 +584,11 @@ def update_gamma_block(
 
     rows = slice(first, first + n_block)
     gam_win = _windows(seg_prop, m)
-    warp = interval_quantities(
-        state.model, state.params, state.x_knots[rows], gam_win,
-        state.y[:-1][rows], state.y[1:][rows], z_values=state.z[rows],
-    )
-    new_times = warp.z_times
+    new_times = state.quantities(gamma=gam_win, rows=rows).z_times
     if not np.all(np.isfinite(new_times)):
         return False
     z_new = refine_rows(state.z_times[rows], state.z[rows], new_times, rng)
-    q = interval_quantities(
-        state.model, state.params, state.x_knots[rows], gam_win,
-        state.y[:-1][rows], state.y[1:][rows], z_values=z_new,
-    )
+    q = state.quantities(gamma=gam_win, z=z_new, rows=rows)
     if not q.finite():
         return False
 
@@ -673,7 +600,7 @@ def update_gamma_block(
     if not _accept_scalar(log_ratio, rng, power):
         return False
     state.gamma_flat[lo: hi + 1] = seg_prop
-    state.refresh(rows=rows, q=q)
+    state.refresh(rows, q)
     return True
 
 
@@ -681,18 +608,12 @@ def update_gamma_block(
 # Sweep orchestration
 
 
-def _scalar_update_order(state: AugmentedState) -> tuple[list[str], list[str]]:
-    """Time-scale parameters (minus alpha0), then drift parameters; alpha0
-    runs last in the sweep."""
-    ts = [
-        p for p in state.model.timescale_params
-        if p in state.free_names and p != "alpha0"
-    ]
-    drift = [
-        p for p in state.free_names
-        if p not in state.model.timescale_params and p != "alpha0"
-    ]
-    return ts, drift
+def _scalar_update_order(state: AugmentedState) -> list[str]:
+    """Free time-scale parameters, then free drift parameters, then alpha0."""
+    ts = state.model.timescale_params
+    free = [p for p in state.free_names if p != "alpha0"]
+    last = ["alpha0"] if "alpha0" in state.free_names else []
+    return [p for p in ts if p in free] + [p for p in free if p not in ts] + last
 
 
 def sweep(
@@ -729,18 +650,9 @@ def sweep(
         tally("gamma", int(acc_t))
 
     flags: dict[str, bool] = {}
-    ts_names, drift_names = _scalar_update_order(state)
-    for name in ts_names:
+    for name in _scalar_update_order(state):
         flags[name] = _update_param(state, name, rng, scales.get(name, 0.25), power)
         tally(name, int(flags[name]))
-    for name in drift_names:
-        flags[name] = _update_param(state, name, rng, scales.get(name, 0.25), power)
-        tally(name, int(flags[name]))
-    if "alpha0" in state.free_names and "alpha0" in state.model.param_names:
-        flags["alpha0"] = _update_param(
-            state, "alpha0", rng, scales.get("alpha0", 0.25), power
-        )
-        tally("alpha0", int(flags["alpha0"]))
     return flags
 
 

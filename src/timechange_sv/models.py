@@ -2,9 +2,9 @@
 
 A model bundles the drift/volatility functions of the observed diffusion and
 of its latent volatility diffusion, together with the hooks needed by the
-samplers: which parameters deform the warped time scales, which enter the
-latent drift, and how raw observations map onto the coordinate in which the
-volatility is state-free (the unit-state-volatility transform).
+samplers: which parameters deform the warped time scales, and how raw
+observations map onto the coordinate in which the volatility is state-free
+(the unit-state-volatility transform).
 
 All coefficient functions are vectorised over numpy arrays.
 """
@@ -12,7 +12,7 @@ All coefficient functions are vectorised over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,27 +114,6 @@ class ParamVector:
 
 
 @dataclass(frozen=True)
-class LatentTransform:
-    """Maps the latent diffusion to its unit-diffusion, zero-start version.
-
-    ``h`` integrates the reciprocal latent volatility, so the transformed
-    process has unit diffusion coefficient; centering at the starting value
-    makes the transformed path start at zero.
-    """
-
-    h: Callable[[np.ndarray, ParamVector], np.ndarray]
-    h_inv: Callable[[np.ndarray, ParamVector], np.ndarray]
-
-
-def scale_transform(scale_param: str) -> LatentTransform:
-    """Transform for a latent diffusion with constant volatility parameter."""
-    return LatentTransform(
-        h=lambda a, p: np.asarray(a, dtype=float) / p[scale_param],
-        h_inv=lambda b, p: np.asarray(b, dtype=float) * p[scale_param],
-    )
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Drift/volatility bundle plus transform hooks for one model.
 
@@ -161,7 +140,6 @@ class ModelSpec:
     obs_transform_inv: Optional[Callable] = None
     obs_log_jacobian: Optional[Callable] = None  # log|d transform / d y|
     timescale_params: tuple[str, ...] = ()
-    param_roles: dict[str, frozenset] = field(default_factory=dict)
 
     def make_params(self, values: Optional[dict[str, float]] = None) -> ParamVector:
         vals = dict(self.defaults)
@@ -172,36 +150,19 @@ class ModelSpec:
             vals.update(values)
         return ParamVector({k: vals[k] for k in self.param_names}, self.supports)
 
-    def latent_transform(self) -> LatentTransform:
-        if not self.has_latent:
-            raise ValidationError(f"model {self.name} has no latent diffusion")
-        return LatentTransform(
-            h=lambda a, p: np.asarray(a, dtype=float) / self.vol_alpha(p),
-            h_inv=lambda b, p: np.asarray(b, dtype=float) * self.vol_alpha(p),
-        )
-
     def latent_scale(self, params: ParamVector) -> float:
         """Constant volatility of the latent diffusion."""
         if not self.has_latent:
             raise ValidationError(f"model {self.name} has no latent diffusion")
         return float(self.vol_alpha(params))
 
-    def gamma_drift(self, gamma: np.ndarray, params: ParamVector) -> np.ndarray:
-        """Drift of the unit-diffusion latent path.
-
-        The latent path alpha is recovered from gamma through
-        alpha = alpha0 + scale * gamma, and the transformed drift is the
-        original latent drift divided by the constant latent volatility.
-        """
-        scale = self.latent_scale(params)
-        alpha = params["alpha0"] + scale * np.asarray(gamma, dtype=float)
-        return self.drift_alpha(alpha, params) / scale
+    def latent_values(self, gamma, params: ParamVector) -> np.ndarray:
+        """Latent path alpha = alpha0 + scale * gamma from its unit-diffusion,
+        zero-start version gamma."""
+        return params["alpha0"] + self.latent_scale(params) * np.asarray(gamma, dtype=float)
 
     def rho(self, params: ParamVector) -> float:
         return float(params[self.leverage]) if self.leverage else 0.0
-
-    def roles(self, name: str) -> frozenset:
-        return self.param_roles.get(name, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +180,6 @@ def _make_const_vol_scalar() -> ModelSpec:
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
         has_latent=False,
         timescale_params=("sigma",),
-        param_roles={
-            "theta": frozenset({"x_drift"}),
-            "sigma": frozenset({"timescale"}),
-        },
     )
 
 
@@ -257,15 +214,6 @@ def _make_ou_sv_leverage() -> ModelSpec:
         vol_alpha=lambda p: p["sigma"],
         leverage="rho",
         timescale_params=("sigma", "rho", "alpha0"),
-        param_roles={
-            "kappa_x": frozenset({"x_drift"}),
-            "mu_x": frozenset({"x_drift"}),
-            "kappa_alpha": frozenset({"latent_drift"}),
-            "mu_alpha": frozenset({"latent_drift"}),
-            "sigma": frozenset({"timescale", "latent_drift"}),
-            "rho": frozenset({"timescale"}),
-            "alpha0": frozenset({"timescale", "latent_drift"}),
-        },
     )
 
 
@@ -307,14 +255,6 @@ def _make_tbill_logsv() -> ModelSpec:
         obs_transform_inv=np.exp,
         obs_log_jacobian=lambda y: -np.log(np.asarray(y, dtype=float)),
         timescale_params=("sigma", "alpha0"),
-        param_roles={
-            "theta0": frozenset({"x_drift"}),
-            "theta1": frozenset({"x_drift"}),
-            "kappa": frozenset({"latent_drift"}),
-            "mu": frozenset({"latent_drift"}),
-            "sigma": frozenset({"timescale", "latent_drift"}),
-            "alpha0": frozenset({"timescale", "latent_drift"}),
-        },
     )
 
 
@@ -427,9 +367,9 @@ def euler_simulate(
 # Latent-path and leverage transforms
 
 
-def alpha_to_gamma(alpha_path: Path, params: ParamVector, transform: LatentTransform) -> Path:
+def alpha_to_gamma(alpha_path: Path, params: ParamVector, model: ModelSpec) -> Path:
     """Map a latent path to its unit-diffusion, zero-start representation."""
-    beta = transform.h(alpha_path.values, params)
+    beta = alpha_path.values / model.latent_scale(params)
     return Path(alpha_path.grid, beta - beta[0])
 
 
@@ -461,6 +401,14 @@ def _gamma_on_grid(x_times: np.ndarray, gamma_path: Path) -> np.ndarray:
     return np.interp(x_times, gt, gv)
 
 
+def cumulative_leverage(rho: float, sx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Cumulative sum of rho * sx * d(gamma) with left-point ``sx``, zero at
+    the first knot; batched over rows (last axis is time)."""
+    out = np.zeros_like(gamma)
+    np.cumsum(rho * sx[..., :-1] * np.diff(gamma, axis=-1), axis=-1, out=out[..., 1:])
+    return out
+
+
 def leverage_adjustment(
     x_times: np.ndarray, gamma_path: Path, params: ParamVector, model: ModelSpec
 ) -> np.ndarray:
@@ -477,13 +425,8 @@ def leverage_adjustment(
     gamma = _gamma_on_grid(np.asarray(x_times, dtype=float), gamma_path)
     if rho == 0.0:
         return np.zeros_like(gamma)
-    scale = model.latent_scale(params)
-    alpha = params["alpha0"] + scale * gamma
-    sx = model.vol_x(alpha, params)
-    inc = rho * sx[:-1] * np.diff(gamma)
-    out = np.zeros_like(gamma)
-    out[1:] = np.cumsum(inc)
-    return out
+    sx = np.asarray(model.vol_x(model.latent_values(gamma, params), params), dtype=float)
+    return cumulative_leverage(rho, sx, gamma)
 
 
 def leverage_adjust(

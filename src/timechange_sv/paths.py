@@ -37,9 +37,6 @@ class RandomStream:
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
 
-    def spawn(self, stream: int) -> "RandomStream":
-        return RandomStream(self.seed, stream)
-
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
@@ -117,39 +114,6 @@ def sample_brownian_motion(grid: TimeGrid, start: float, rng: RandomStream) -> P
         steps = grid.steps
         values[1:] = start + np.cumsum(np.sqrt(steps) * rng.normal(n - 1))
     return Path(grid, values)
-
-
-def bridge_moments(t_a: float, z_a: float, t_c: float, z_c: float, t_b: float):
-    """Mean and variance of a Brownian path at ``t_b`` given its values at
-    the flanking times ``t_a <= t_b <= t_c``."""
-    if not (t_a <= t_b <= t_c):
-        raise ValidationError(f"bridge time {t_b} outside [{t_a}, {t_c}]")
-    if t_c == t_a:
-        if z_a != z_c:
-            raise ValidationError("degenerate bridge with conflicting endpoint values")
-        return z_a, 0.0
-    span = t_c - t_a
-    mean = ((t_b - t_a) * z_c + (t_c - t_b) * z_a) / span
-    var = (t_b - t_a) * (t_c - t_b) / span
-    return mean, var
-
-
-def sample_bridge_point(
-    t_a: float, z_a: float, t_c: float, z_c: float, t_b: float, rng: RandomStream
-) -> float:
-    """Draw the value at ``t_b`` of a Brownian path pinned at the two
-    flanking knots.
-
-    The degenerate cases t_b == t_a and t_b == t_c return the corresponding
-    endpoint deterministically, without consuming randomness; this keeps
-    retrospective refinement deterministic at shared knots.
-    """
-    if t_b == t_a:
-        return float(z_a)
-    if t_b == t_c:
-        return float(z_c)
-    mean, var = bridge_moments(t_a, z_a, t_c, z_c, t_b)
-    return float(mean + np.sqrt(var) * rng.normal())
 
 
 def quadratic_variation(p: Path) -> float:

@@ -13,6 +13,14 @@ conditioning on the stored ones. Because the second warp rounds, distinct
 knots closer together than rounding (adjacent doubles, say) can merge onto
 one doubly-warped time, and ``TimeGrid`` then rejects the repeated time with
 ``ValidationError``.
+
+The warp formulas (``first_warp``, ``second_warp``, ``centre_on_chord``,
+``uncentre_from_chord``) and the Brownian-bridge draws of ``refine_rows``
+are batched over rows and never raise; the batched engine in
+``likelihood.interval_quantities`` and the sampler run them directly. The
+per-path operations (``build_eta``, ``z_time``, ``u_to_z``, ``z_to_u``,
+``sample_bridge_point``, ``refine_retrospective``) check their inputs and
+then apply the same functions to one row.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .models import ModelSpec, ParamVector
-from .paths import Path, RandomStream, TimeGrid, cumulative_left_riemann
+from .paths import Path, RandomStream, cumulative_left_riemann
 
 # Relative margin below T at which the second warp is still evaluated; closer
 # to T the warped time overflows.
@@ -78,26 +86,15 @@ class EtaProfile:
         return np.interp(u, self.u_knots, self.x_knots)
 
 
-@dataclass(frozen=True)
-class IntervalPaths:
-    """Warped-path bundle for one observation interval.
+def first_warp(times: np.ndarray, sx: np.ndarray, rho: float):
+    """Integrated squared leverage-reduced volatility, batched over rows.
 
-    ``u`` runs on [0, T] and carries the data endpoints; ``z`` holds the
-    finite-time knots of the doubly-warped path (its endpoint at +inf has
-    value 0 and is implicit).
+    Returns ``(veff2, u)``: the squared volatility (1 - rho^2) sx^2 at every
+    knot, and its left-point cumulative integral over ``times`` (zero at the
+    first knot), i.e. the warped knot times.
     """
-
-    y0: float
-    y1: float
-    total: float
-    u: Path
-    z: Path
-
-    def __post_init__(self):
-        if self.u.values[0] != self.y0 or self.u.values[-1] != self.y1:
-            raise ValidationError("warped path endpoints disagree with the data")
-        if abs(self.u.times[-1] - self.total) > 1e-12 * max(1.0, self.total):
-            raise ValidationError("warped path must end at time T")
+    veff2 = (1.0 - rho * rho) * sx * sx
+    return veff2, cumulative_left_riemann(times, veff2)
 
 
 def build_eta(
@@ -118,27 +115,20 @@ def build_eta(
         raise ValidationError("interval endpoints must be increasing")
 
     if not model.has_latent:
-        vol = float(model.vol_x(0.0, params))
-        if not vol > 0.0:
-            raise NumericsError("volatility must be strictly positive")
         x = np.array([t_a, t_b])
-        return EtaProfile(x, vol * vol * (x - t_a))
-
-    if gamma is None:
-        raise ValidationError("stochastic-volatility models need a latent path")
-    mask = (gamma.times >= t_a - 1e-12) & (gamma.times <= t_b + 1e-12)
-    x = gamma.times[mask]
-    if x.size < 2 or abs(x[0] - t_a) > 1e-9 or abs(x[-1] - t_b) > 1e-9:
-        raise ValidationError("latent path must have knots at both interval endpoints")
-    g = gamma.values[mask]
-    scale = model.latent_scale(params)
-    alpha = params["alpha0"] + scale * g
+        alpha = np.zeros(2)
+    else:
+        if gamma is None:
+            raise ValidationError("stochastic-volatility models need a latent path")
+        mask = (gamma.times >= t_a - 1e-12) & (gamma.times <= t_b + 1e-12)
+        x = gamma.times[mask]
+        if x.size < 2 or abs(x[0] - t_a) > 1e-9 or abs(x[-1] - t_b) > 1e-9:
+            raise ValidationError("latent path must have knots at both interval endpoints")
+        alpha = model.latent_values(gamma.values[mask], params)
     sx = np.asarray(model.vol_x(alpha, params), dtype=float)
     if np.any(sx <= 0.0) or not np.all(np.isfinite(sx)):
         raise NumericsError("volatility evaluation non-positive or non-finite")
-    rho = model.rho(params)
-    veff2 = (1.0 - rho * rho) * sx * sx
-    u = cumulative_left_riemann(x, veff2)
+    _veff2, u = first_warp(x, sx, model.rho(params))
     return EtaProfile(x, u)
 
 
@@ -152,6 +142,25 @@ def u_to_x(u_path: Path, eta: EtaProfile) -> Path:
     return Path.from_arrays(eta.x_of_u(u_path.times), u_path.values)
 
 
+def second_warp(t, total):
+    """Second warp of the time axis, t -> t / (T (T - t)); batched, unchecked."""
+    return t / (total * (total - t))
+
+
+def _chord(u_times, total, y0, y1):
+    return y0 + (u_times / total) * (y1 - y0)
+
+
+def centre_on_chord(values, u_times, total, y0, y1):
+    """Doubly-warped values of a path on [0, T) pinned at y0 and y1."""
+    return (values - _chord(u_times, total, y0, y1)) / (total - u_times)
+
+
+def uncentre_from_chord(z, u_times, total, y0, y1):
+    """Inverse of ``centre_on_chord``: path values at the warped times."""
+    return (total - u_times) * z + _chord(u_times, total, y0, y1)
+
+
 def z_time(t, total: float):
     """Second warp of the time axis: t -> t / (T (T - t)) on [0, T).
 
@@ -163,7 +172,7 @@ def z_time(t, total: float):
         raise ValidationError("warped time must be nonnegative")
     if np.any(t >= total * (1.0 - _ENDPOINT_EPS)):
         raise NumericsError("time too close to the interval end for the second warp")
-    out = t / (total * (total - t))
+    out = second_warp(t, total)
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,10 +183,6 @@ def u_time(s, total: float):
         raise ValidationError("doubly-warped time must be nonnegative")
     out = total * total * s / (1.0 + total * s)
     return float(out) if out.ndim == 0 else out
-
-
-def _chord(u_times: np.ndarray, total: float, y0: float, y1: float) -> np.ndarray:
-    return y0 + (u_times / total) * (y1 - y0)
 
 
 def u_to_z(u_path: Path, total: float) -> Path:
@@ -194,16 +199,16 @@ def u_to_z(u_path: Path, total: float) -> Path:
         raise ValidationError("input path must end exactly at time T")
     y0, y1 = float(u_path.values[0]), float(u_path.values[-1])
     interior_t = t[:-1]
-    centered = u_path.values[:-1] - _chord(interior_t, total, y0, y1)
     s = z_time(interior_t, total)
-    return Path.from_arrays(np.atleast_1d(s), centered / (total - interior_t))
+    z = centre_on_chord(u_path.values[:-1], interior_t, total, y0, y1)
+    return Path.from_arrays(np.atleast_1d(s), z)
 
 
 def z_to_u(z_path: Path, total: float, y0: float, y1: float) -> Path:
     """Inverse of ``u_to_z``; appends the endpoints (0, y0) and (T, y1)."""
     s = z_path.times
     t = u_time(s, total)
-    vals = (total - t) * z_path.values + _chord(t, total, y0, y1)
+    vals = uncentre_from_chord(z_path.values, t, total, y0, y1)
     if s[0] != 0.0:
         t = np.concatenate(([0.0], t))
         vals = np.concatenate(([y0], vals))
@@ -294,6 +299,23 @@ def refine_rows(
         prev_v[ri, ci] = draw
 
     return out if stored_times.ndim > 1 else out[0]
+
+
+def sample_bridge_point(
+    t_a: float, z_a: float, t_c: float, z_c: float, t_b: float, rng: RandomStream
+) -> float:
+    """Draw the value at ``t_b`` of a Brownian path pinned at the two
+    flanking knots.
+
+    The degenerate cases t_b == t_a and t_b == t_c return the corresponding
+    endpoint deterministically, without consuming randomness; this keeps
+    retrospective refinement deterministic at shared knots.
+    """
+    if not (t_a <= t_b <= t_c):
+        raise ValidationError(f"bridge time {t_b} outside [{t_a}, {t_c}]")
+    if t_c == t_a and z_a != z_c:
+        raise ValidationError("degenerate bridge with conflicting endpoint values")
+    return float(refine_rows(np.array([t_a, t_c]), np.array([z_a, z_c]), np.array([t_b]), rng)[0])
 
 
 def refine_retrospective(z_path: Path, new_times, rng: RandomStream) -> Path:

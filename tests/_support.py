@@ -17,11 +17,6 @@ def scalar_ou_model(kappa=1.5, mu=0.3, sigma=0.8) -> ModelSpec:
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
         has_latent=False,
         timescale_params=("sigma",),
-        param_roles={
-            "kappa": frozenset({"x_drift"}),
-            "mu": frozenset({"x_drift"}),
-            "sigma": frozenset({"timescale"}),
-        },
     )
 
 
@@ -45,14 +40,6 @@ def decoupled_sv_model() -> ModelSpec:
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - np.asarray(a, dtype=float)),
         vol_alpha=lambda p: p["sigma"],
         timescale_params=("sigma", "alpha0"),
-        param_roles={
-            "kappa_x": frozenset({"x_drift"}),
-            "mu_x": frozenset({"x_drift"}),
-            "kappa_alpha": frozenset({"latent_drift"}),
-            "mu_alpha": frozenset({"latent_drift"}),
-            "sigma": frozenset({"timescale", "latent_drift"}),
-            "alpha0": frozenset({"timescale", "latent_drift"}),
-        },
     )
 
 

@@ -1,0 +1,114 @@
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from timechange_sv.cli import main
+from timechange_sv.diagnostics import SummaryTable
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def tiny_data(path):
+    path.write_text("time,value\n0,0.1\n1,0.3\n2,-0.2\n3,0.0\n")
+    return str(path)
+
+
+OU_CONFIG = {
+    "model": "ou-sv-leverage",
+    "simulate": {"delta": 0.01, "n_steps": 2000, "thin_stride": 100, "seed": 3, "x0": 0.1},
+    "sampler": {"m": 2, "n_iter": 150, "n_burn": 30, "chains": 2, "seed": 5},
+}
+
+
+class TestRoundTrip:
+    def test_simulate_fit_diagnose(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json", OU_CONFIG)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        for name in ("obs.csv", "truth.csv", "truth_params.json"):
+            assert (sim / name).is_file()
+        with open(sim / "obs.csv") as fh:
+            assert len(fh.readlines()) == 1 + 21
+
+        fits = [tmp_path / "fit_a", tmp_path / "fit_b"]
+        for out in fits:
+            argv = ["fit", "--config", cfg, "--data", str(sim / "obs.csv"), "--out", str(out)]
+            assert main(argv) == 0
+        for chain in (0, 1):
+            for stem in ("trace", "summary"):
+                assert (fits[0] / f"{stem}_chain{chain}.csv").is_file()
+            assert (fits[0] / f"acceptance_chain{chain}.json").is_file()
+            same_seed = [(out / f"trace_chain{chain}.csv").read_bytes() for out in fits]
+            assert same_seed[0] == same_seed[1]
+        with open(fits[0] / "summary_chain0.csv", newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == ("parameter", *SummaryTable.columns)
+        with open(fits[0] / "trace_chain0.csv") as fh:
+            assert len(fh.readlines()) == 1 + 120
+
+        diag = tmp_path / "diag"
+        argv = ["diagnose", "--trace", str(fits[0] / "trace_chain0.csv"),
+                "--max-lag", "20", "--out", str(diag)]
+        assert main(argv) == 0
+        for name in ("acf.csv", "iact.csv", "kde.csv"):
+            assert (diag / name).is_file()
+
+
+class TestExitCodes:
+    def test_missing_data_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", OU_CONFIG)
+        argv = ["fit", "--config", cfg, "--data", str(tmp_path / "absent.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "data file not found" in capsys.readouterr().err
+
+    def test_unparseable_csv_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", OU_CONFIG)
+        data = tmp_path / "obs.csv"
+        data.write_text("time,value\n0,0.1\n1,abc\n2,0.3\n")
+        argv = ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{data}:3:" in err and "unparseable" in err
+
+    def test_exploding_simulation(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "params": {"theta": 1e308},
+            "simulate": {"delta": 10, "n_steps": 50},
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_unknown_fixed_parameter(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "fixed": ["sigmaa"],
+            "sampler": {"m": 2, "n_iter": 10, "n_burn": 2},
+        })
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "sigmaa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        {"model": "const-vol-scalar", "prior": {"sigma": 5}},
+        {"model": "const-vol-scalar", "prior": {"sigma": [1, 2, 3]}},
+        {"model": "const-vol-scalar", "prior": [[1, 2]]},
+        {"model": "const-vol-scalar", "fixed": "sigma"},
+    ])
+    def test_malformed_config(self, tmp_path, capsys, doc):
+        if isinstance(doc, dict):
+            doc = {**doc, "sampler": {"m": 2, "n_iter": 10, "n_burn": 2}}
+        cfg = write_config(tmp_path / "config.json", doc)
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")

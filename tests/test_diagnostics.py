@@ -1,0 +1,55 @@
+import numpy as np
+import pytest
+from scipy import integrate, signal
+
+from timechange_sv.diagnostics import acf, iact, kde_export, summarize
+from timechange_sv.errors import ValidationError
+from timechange_sv.mcmc import SamplerConfig, Trace
+from timechange_sv.paths import RandomStream
+
+PHI = 0.5
+
+
+def ar1(n, seed=1):
+    """Stationary AR(1) series x_t = PHI x_{t-1} + e_t with unit innovations."""
+    e = RandomStream(seed).normal(n)
+    e[0] /= np.sqrt(1.0 - PHI**2)
+    return signal.lfilter([1.0], [1.0, -PHI], e)
+
+
+class TestAutocorrelation:
+    def test_ar1_closed_form(self):
+        # sample acf sd at n = 2e5 is at most sqrt((1+phi^2)/(1-phi^2)/n) ~ 0.003
+        rho = acf(ar1(200_000), 5)
+        assert rho[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(rho[1:], PHI ** np.arange(1, 6), atol=0.02)
+
+    def test_ar1_iact(self):
+        assert iact(ar1(200_000)) == pytest.approx((1 + PHI) / (1 - PHI), rel=0.1)
+
+    def test_iact_needs_100_points(self):
+        with pytest.raises(ValidationError):
+            iact(ar1(99))
+
+
+class TestKde:
+    def test_integrates_to_one(self):
+        grid = kde_export(RandomStream(4).normal(5000))
+        assert integrate.trapezoid(grid[:, 1], grid[:, 0]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_constant_series_rejected(self):
+        with pytest.raises(ValidationError):
+            kde_export(np.full(50, 2.0))
+
+
+def test_summarize_matches_numpy():
+    draws = RandomStream(8).normal((500, 2)) * [1.0, 3.0] + [0.0, 5.0]
+    trace = Trace(
+        param_names=("a", "b"), draws=draws, logliks=np.zeros(500),
+        iters=np.arange(500), acceptance={}, config=SamplerConfig(m=1, n_iter=2, n_burn=0),
+    )
+    table = summarize(trace)
+    for j, name in enumerate(("a", "b")):
+        col = draws[:, j]
+        expected = (np.mean(col), np.std(col, ddof=1), *np.percentile(col, [2.5, 50.0, 97.5]))
+        assert table[name] == pytest.approx(expected, rel=1e-12)

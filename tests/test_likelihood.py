@@ -308,7 +308,7 @@ class TestAugmentedPosterior:
         params = model.make_params()
         state, _ = self._state(model, params)
         before = state.breakdown().total
-        zp = state.interval_paths(0).z
+        zp = Path.from_arrays(state.z_times[0], state.z[0])
         from timechange_sv.timechange import refine_retrospective
 
         extended = refine_retrospective(

@@ -341,6 +341,14 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             run_chain(cfg, data, get_model("ou-sv-leverage"))
 
+    def test_unknown_fixed_name_rejected(self):
+        data = self._data(3)
+        cfg = SamplerConfig(m=3, n_iter=5, n_burn=1, seed=1, fixed=("sigmaa",))
+        with pytest.raises(ValidationError, match="sigmaa"):
+            run_chain(cfg, data, get_model("ou-sv-leverage"))
+        with pytest.raises(ValidationError, match="sigmaa"):
+            sv_state(fixed=("sigmaa",))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
             SamplerConfig(m=0, n_iter=10, n_burn=1)
@@ -385,7 +393,7 @@ class TestRefinementInvariance:
             for it in range(4200):
                 sweep(state, rng, scales, block_len=1)
                 if refine:
-                    zp = state.interval_paths(0).z
+                    zp = Path.from_arrays(state.z_times[0], state.z[0])
                     refine_retrospective(
                         zp, zp.times[-1] * np.array([1.1, 2.0]), rng
                     )

@@ -125,14 +125,14 @@ class TestLatentTransforms:
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         a = Path.from_arrays([0.0, 1.0, 2.0], [-0.2, -0.2, -0.2])
-        g = alpha_to_gamma(a, params, model.latent_transform())
+        g = alpha_to_gamma(a, params, model)
         assert np.all(g.values == 0.0)
 
     def test_hand_values(self):
         model = get_model("ou-sv-leverage")
         params = model.make_params({"sigma": 0.4})
         a = Path.from_arrays([0.0, 1.0, 2.0], [0.0, 0.4, 0.8])
-        g = alpha_to_gamma(a, params, model.latent_transform())
+        g = alpha_to_gamma(a, params, model)
         assert np.allclose(g.values, [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_inverse_hand_values(self):
@@ -156,7 +156,7 @@ class TestLatentTransforms:
         params = model.make_params({"sigma": sigma})
         times = np.arange(len(alphas), dtype=float)
         a = Path.from_arrays(times, np.array([alpha0] + alphas[1:]))
-        g = alpha_to_gamma(a, params, model.latent_transform())
+        g = alpha_to_gamma(a, params, model)
         back = gamma_to_alpha(g, sigma, alpha0)
         assert np.allclose(back.values, a.values, rtol=1e-12, atol=1e-12)
 

@@ -9,12 +9,11 @@ from timechange_sv.paths import (
     Path,
     RandomStream,
     TimeGrid,
-    bridge_moments,
     integrate_left_riemann,
     quadratic_variation,
-    sample_bridge_point,
     sample_brownian_motion,
 )
+from timechange_sv.timechange import sample_bridge_point
 
 
 class TestTimeGrid:
@@ -85,6 +84,16 @@ class TestBrownianMotion:
         assert stats.ks_2samp(ends_fine, ends_coarse).pvalue > 0.01
 
 
+class ConstantNormals:
+    """Random stream whose every standard normal draw is ``c``."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def normal(self, size=None):
+        return np.full(size, self.c)
+
+
 class TestBridgePoint:
     def test_centered_moments(self):
         rng = RandomStream(11)
@@ -95,13 +104,14 @@ class TestBridgePoint:
         assert abs(draws.var(ddof=1) - 0.25) < 4.0 * 0.25 * np.sqrt(2.0 / draws.size)
 
     def test_constant_endpoint_mean_exact(self):
-        mean, var = bridge_moments(0.0, 3.0, 2.0, 3.0, 1.3)
-        assert mean == 3.0
+        assert sample_bridge_point(0.0, 3.0, 2.0, 3.0, 1.3, ConstantNormals(0.0)) == 3.0
 
     def test_closed_form_moments(self):
-        mean, var = bridge_moments(0.0, 1.0, 4.0, 5.0, 1.0)
-        assert mean == pytest.approx(2.0, abs=1e-15)
-        assert var == pytest.approx(0.75, abs=1e-15)
+        # a draw is mean + c * sd when every normal is c: mean 2, variance 0.75
+        at_mean = sample_bridge_point(0.0, 1.0, 4.0, 5.0, 1.0, ConstantNormals(0.0))
+        one_sd = sample_bridge_point(0.0, 1.0, 4.0, 5.0, 1.0, ConstantNormals(1.0))
+        assert at_mean == pytest.approx(2.0, abs=1e-15)
+        assert (one_sd - at_mean) ** 2 == pytest.approx(0.75, abs=1e-15)
 
     def test_degenerate_times_return_endpoints(self):
         rng = RandomStream(0)
@@ -112,11 +122,11 @@ class TestBridgePoint:
 
     def test_conflicting_degenerate_bracket(self):
         with pytest.raises(ValidationError):
-            bridge_moments(1.0, 0.0, 1.0, 2.0, 1.0)
+            sample_bridge_point(1.0, 0.0, 1.0, 2.0, 1.0, RandomStream(0))
 
     def test_time_outside_bracket(self):
         with pytest.raises(ValidationError):
-            bridge_moments(0.0, 0.0, 1.0, 1.0, 2.0)
+            sample_bridge_point(0.0, 0.0, 1.0, 1.0, 2.0, RandomStream(0))
 
 
 class TestQuadraticVariation:
