@@ -113,6 +113,12 @@ def ingest_csv(
     return Observations(np.asarray(times), np.asarray(values))
 
 
+def _reject_unknown(section: str, doc: dict, allowed: tuple) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown keys in '{section}': {unknown}")
+
+
 @dataclass
 class RunConfig:
     """One JSON document drives every command; unknown keys are rejected."""
@@ -172,6 +178,8 @@ class RunConfig:
         s = dict(self.sampler)
         if "m" not in s or "n_iter" not in s:
             raise ValidationError("sampler config needs at least 'm' and 'n_iter'")
+        if "fixed" in s:
+            raise ValidationError("'fixed' belongs at the top level of the config, not in 'sampler'")
         s.setdefault("n_burn", s["n_iter"] // 5)
         s["fixed"] = self.fixed
         try:
@@ -229,6 +237,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     the raw observation scale.
     """
     sim = dict(config.simulate)
+    _reject_unknown("simulate", sim, ("delta", "n_steps", "thin_stride", "seed", "x0"))
     model = config.model_spec()
     delta = float(sim.get("delta", 0.001))
     n_steps = int(sim.get("n_steps", 500_000))
@@ -277,6 +286,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     """Fit the configured model; writes trace/summary CSVs and an
     acceptance-rate JSON per chain."""
     model = config.model_spec()
+    _reject_unknown("data_schema", config.data_schema, ("spacing",))
     spacing = config.data_schema.get("spacing")
     data = ingest_csv(
         data_path,

@@ -4,20 +4,33 @@ Everything is computed and stored in log space; acceptance ratios downstream
 are formed as exp of log differences so that products over hundreds of
 observation intervals never underflow.
 
-The per-interval quantities (warped times, leverage adjustment, path values
-on each scale, Girsanov and endpoint terms) are produced by one vectorised
-engine, ``interval_quantities``, operating on (n_intervals, m+2) arrays. Its
-density formulas (``girsanov_sum``, ``log_end_gaussian``,
-``unit_latent_drift``) and the warp formulas it takes from ``timechange``
-and ``models`` exist once; the public per-path operations check their
-inputs and apply the same functions to a single row. ``euler_loglik`` is
-the exception: an independent transition-product oracle for the tests.
+The per-interval quantities are produced by one vectorised engine on
+(n_intervals, m+2) arrays, in three stages that ``interval_quantities``
+composes:
+
+* ``warp_stage`` maps (params, gamma) to the latent values, the squared
+  volatility, the warped times and lengths, the leverage adjustment and the
+  doubly-warped times;
+* ``path_stage`` maps the doubly-warped path values z, on those warps, to
+  the path on the warped and observation scales;
+* ``density_stage`` evaluates the Girsanov, endpoint and latent terms.
+
+The sampler runs only the stages whose inputs a move changes: a path move
+runs path and density on the cached warps; a drift-parameter move runs the
+density stage on the cached warps and paths; time-scale moves and latent
+blocks run the warp stage for the new doubly-warped times, refine, then the
+whole engine once. The density formulas (``girsanov_sum``,
+``log_end_gaussian``, ``unit_latent_drift``) and the warp formulas taken
+from ``timechange`` and ``models`` exist once; the public per-path
+operations check their inputs and apply the same functions to a single row.
+``euler_loglik`` is the exception: an independent transition-product
+oracle for the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +38,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .models import ModelSpec, ParamVector, cumulative_leverage
 from .paths import Path
-from .timechange import centre_on_chord, first_warp, second_warp, uncentre_from_chord
+from .timechange import first_warp, second_warp, uncentre_from_chord
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -57,20 +70,23 @@ class IntervalQuantities:
     """Vectorised per-interval state derived from (Z, gamma, params, data).
 
     Shapes: (n, m+2) for knot-level arrays, (n, m+1) for the finite
-    doubly-warped knots, (n,) for per-interval scalars.
+    doubly-warped knots, (n,) for per-interval scalars. The warp stage fills
+    the first six fields, the path stage the next three, the density stage
+    the last three.
     """
 
+    alpha: np.ndarray  # latent values at the knots
+    veff2: np.ndarray  # squared leverage-reduced volatility at the knots
     u: np.ndarray  # warped knot times, u[:, 0] = 0
     total: np.ndarray  # warped interval lengths T
-    z_times: np.ndarray  # finite doubly-warped times of the knots
-    z: np.ndarray  # path values on the doubly-warped scale
-    U: np.ndarray  # path values on the warped scale (leverage removed)
-    X: np.ndarray  # path values on the observation coordinate
     adj: np.ndarray  # cumulative leverage adjustment
-    alpha: np.ndarray  # latent values at the knots
-    log_g: np.ndarray  # per-interval Girsanov sums
-    log_f: np.ndarray  # per-interval endpoint Gaussian terms (no Jacobian)
-    log_gamma: np.ndarray  # per-interval latent-marginal contributions
+    z_times: np.ndarray  # finite doubly-warped times of the knots
+    z: Optional[np.ndarray] = None  # path values on the doubly-warped scale
+    U: Optional[np.ndarray] = None  # path values on the warped scale (leverage removed)
+    X: Optional[np.ndarray] = None  # path values on the observation coordinate
+    log_g: Optional[np.ndarray] = None  # per-interval Girsanov sums
+    log_f: Optional[np.ndarray] = None  # per-interval endpoint Gaussian terms (no Jacobian)
+    log_gamma: Optional[np.ndarray] = None  # per-interval latent-marginal contributions
 
     def select(self, rows) -> "IntervalQuantities":
         """The quantities of ``rows`` only (any numpy row index)."""
@@ -101,6 +117,62 @@ def unit_latent_drift(model: ModelSpec, params: ParamVector, alpha) -> np.ndarra
     return np.asarray(model.drift_alpha(alpha, params), dtype=float) / model.latent_scale(params)
 
 
+def warp_stage(model: ModelSpec, params: ParamVector, x_knots, gamma) -> IntervalQuantities:
+    """Warps of a batch of intervals: depends on (params, gamma) only."""
+    x_knots = np.asarray(x_knots, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(all="ignore"):
+        alpha = model.latent_values(gamma, params) if model.has_latent else np.zeros_like(x_knots)
+        sx = np.asarray(model.vol_x(alpha, params), dtype=float)
+        rho = model.rho(params)
+        veff2, u = first_warp(x_knots, sx, rho)
+        total = u[:, -1]
+        if rho != 0.0 and model.has_latent:
+            adj = cumulative_leverage(rho, sx, gamma)
+        else:
+            adj = np.zeros_like(x_knots)
+        z_times = second_warp(u[:, :-1], total[:, None])
+    return IntervalQuantities(alpha, veff2, u, total, adj, z_times)
+
+
+def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
+    """Path values of ``z`` (n, m+1) on the warped and observation scales,
+    on the warps of ``w``; returns ``w`` with the path fields filled."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        u1 = np.asarray(y_right, dtype=float) - w.adj[:, -1]
+        U = np.empty_like(w.u)
+        U[:, :-1] = uncentre_from_chord(
+            z, w.u[:, :-1], w.total[:, None], np.asarray(y_left, dtype=float)[:, None],
+            u1[:, None],
+        )
+        U[:, -1] = u1
+    return replace(w, z=z, U=U, X=U + w.adj)
+
+
+def density_stage(
+    q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots, gamma, y_left
+) -> IntervalQuantities:
+    """Log densities of the warps and paths of ``q`` under ``params``;
+    returns ``q`` with the density fields filled."""
+    x_knots = np.asarray(x_knots, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(all="ignore"):
+        drift = np.asarray(
+            model.drift_x(x_knots[:, :-1], q.X[:, :-1], q.alpha[:, :-1], params), dtype=float
+        )
+        log_g = girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
+        log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.total)
+        if model.has_latent:
+            log_gamma = girsanov_sum(
+                unit_latent_drift(model, params, q.alpha[:, :-1]),
+                np.diff(gamma, axis=1), np.diff(x_knots, axis=1),
+            )
+        else:
+            log_gamma = np.zeros(x_knots.shape[0])
+    return replace(q, log_g=log_g, log_f=log_f, log_gamma=log_gamma)
+
+
 def interval_quantities(
     model: ModelSpec,
     params: ParamVector,
@@ -108,73 +180,15 @@ def interval_quantities(
     gamma: np.ndarray,
     y_left: np.ndarray,
     y_right: np.ndarray,
-    z_values: Optional[np.ndarray] = None,
-    x_values: Optional[np.ndarray] = None,
+    z_values: np.ndarray,
 ) -> IntervalQuantities:
-    """Evaluate all warped-scale quantities for a batch of intervals.
-
-    Exactly one of ``z_values`` (n, m+1) or ``x_values`` (n, m+2) must be
-    given: the former reconstructs the path from its doubly-warped
-    coordinates, the latter derives those coordinates from an explicit
-    skeleton (used at initialisation). Non-finite results are not raised
-    here; callers inspect ``finite()`` and treat failures as zero-density.
+    """Evaluate all warped-scale quantities for a batch of intervals: the
+    three stages composed. The path is given by its doubly-warped values
+    ``z_values`` (n, m+1). Non-finite results are not raised here; callers
+    inspect ``finite()`` and treat failures as zero-density.
     """
-    if (z_values is None) == (x_values is None):
-        raise ValidationError("provide exactly one of z_values or x_values")
-    x_knots = np.asarray(x_knots, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    n, cols = x_knots.shape
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if model.has_latent:
-            alpha = model.latent_values(gamma, params)
-        else:
-            alpha = np.zeros_like(x_knots)
-        sx = np.asarray(model.vol_x(alpha, params), dtype=float)
-        rho = model.rho(params)
-        veff2, u = first_warp(x_knots, sx, rho)
-        total = u[:, -1]
-
-        if rho != 0.0 and model.has_latent:
-            adj = cumulative_leverage(rho, sx, gamma)
-        else:
-            adj = np.zeros_like(x_knots)
-
-        u0 = np.asarray(y_left, dtype=float)
-        u1 = np.asarray(y_right, dtype=float) - adj[:, -1]
-
-        u_int = u[:, :-1]
-        tcol = total[:, None]
-        z_times = second_warp(u_int, tcol)
-        if z_values is not None:
-            z = np.asarray(z_values, dtype=float)
-            U = np.empty_like(x_knots)
-            U[:, :-1] = uncentre_from_chord(z, u_int, tcol, u0[:, None], u1[:, None])
-            U[:, -1] = u1
-            X = U + adj
-        else:
-            X = np.asarray(x_values, dtype=float)
-            U = X - adj
-            z = centre_on_chord(U[:, :-1], u_int, tcol, u0[:, None], u1[:, None])
-
-        drift = np.asarray(
-            model.drift_x(x_knots[:, :-1], X[:, :-1], alpha[:, :-1], params), dtype=float
-        )
-        log_g = girsanov_sum(drift / veff2[:, :-1], np.diff(U, axis=1), np.diff(u, axis=1))
-        log_f = log_end_gaussian(u1, u0, total)
-
-        if model.has_latent:
-            log_gamma = girsanov_sum(
-                unit_latent_drift(model, params, alpha[:, :-1]),
-                np.diff(gamma, axis=1), np.diff(x_knots, axis=1),
-            )
-        else:
-            log_gamma = np.zeros(n)
-
-    return IntervalQuantities(
-        u=u, total=total, z_times=z_times, z=z, U=U, X=X, adj=adj, alpha=alpha,
-        log_g=log_g, log_f=log_f, log_gamma=log_gamma,
-    )
+    q = path_stage(warp_stage(model, params, x_knots, gamma), z_values, y_left, y_right)
+    return density_stage(q, model, params, x_knots, gamma, y_left)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,19 @@ interval are ever persisted; finer retrospective draws are transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .likelihood import LogLikBreakdown, interval_quantities
+from .likelihood import (
+    IntervalQuantities, LogLikBreakdown, density_stage, interval_quantities, path_stage,
+    warp_stage,
+)
 from .models import ModelSpec, ParamVector
 from .paths import RandomStream
-from .timechange import refine_rows
+from .timechange import centre_on_chord, refine_rows
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ class AugmentedState:
     Array shapes (n = #intervals, m = imputed points per interval):
         x_flat, gamma_flat : (n (m+1) + 1,)
         z, z_times         : (n, m+1)
-        u, U, X, adj, alpha: (n, m+2)
+        u, U, X, adj, alpha, veff2: (n, m+2)
         log_g, log_f, log_gamma, log_jac, total: (n,)
     """
 
@@ -192,6 +195,7 @@ class AugmentedState:
         self.X = np.zeros((n, self.m + 2))
         self.adj = np.zeros((n, self.m + 2))
         self.alpha = np.zeros((n, self.m + 2))
+        self.veff2 = np.zeros((n, self.m + 2))
         self.log_g = np.zeros(n)
         self.log_f = np.zeros(n)
         self.log_gamma = np.zeros(n)
@@ -220,19 +224,32 @@ class AugmentedState:
             z_values=self.z[rows] if z is None else z,
         )
 
+    def warps(self, params=None, gamma=None, rows=slice(None)) -> IntervalQuantities:
+        """The warp stage alone, for the doubly-warped times of a proposal."""
+        return warp_stage(
+            self.model,
+            self.params if params is None else params,
+            self.x_knots[rows],
+            self.gamma_windows()[rows] if gamma is None else gamma,
+        )
+
+    def densities(self, q, params=None, rows=slice(None)) -> IntervalQuantities:
+        """The density stage on the warps and paths of ``q``."""
+        return density_stage(
+            q, self.model, self.params if params is None else params,
+            self.x_knots[rows], self.gamma_windows()[rows], self.y[:-1][rows],
+        )
+
+    def cached(self, rows=slice(None)) -> IntervalQuantities:
+        """The cached engine outputs of ``rows``."""
+        return IntervalQuantities(
+            **{f.name: getattr(self, f.name)[rows] for f in fields(IntervalQuantities)}
+        )
+
     def refresh(self, rows, q) -> None:
         """Write the engine outputs ``q`` for ``rows`` into the caches."""
-        self.u[rows] = q.u
-        self.total[rows] = q.total
-        self.z_times[rows] = q.z_times
-        self.z[rows] = q.z
-        self.U[rows] = q.U
-        self.X[rows] = q.X
-        self.adj[rows] = q.adj
-        self.alpha[rows] = q.alpha
-        self.log_g[rows] = q.log_g
-        self.log_f[rows] = q.log_f
-        self.log_gamma[rows] = q.log_gamma
+        for f in fields(q):
+            getattr(self, f.name)[rows] = getattr(q, f.name)
 
     def breakdown(self, q=None) -> LogLikBreakdown:
         """Posterior pieces from the caches, or from engine outputs ``q``."""
@@ -283,11 +300,12 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
     cache is re-derived from them, so that later engine passes reproduce the
     caches bit for bit.
     """
-    q = interval_quantities(
-        state.model, state.params, state.x_knots, state.gamma_windows(),
-        state.y[:-1], state.y[1:], x_values=x_values,
-    )
-    q = state.quantities(z=q.z)
+    w = state.warps()
+    with np.errstate(all="ignore"):
+        u1 = (state.y[1:] - w.adj[:, -1])[:, None]
+        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.total[:, None],
+                            state.y[:-1, None], u1)
+    q = state.quantities(z=z)
     if not q.finite():
         raise ValidationError(f"{what} is non-finite")
     state.refresh(slice(None), q)
@@ -376,7 +394,8 @@ def _update_z_rows(state: AugmentedState, rows, rng: RandomStream, power: float)
     z_prop = np.zeros_like(z_times)
     np.cumsum(np.sqrt(steps) * rng.normal(steps.shape), axis=1, out=z_prop[:, 1:])
 
-    q = state.quantities(z=z_prop, rows=rows)
+    q = path_stage(state.cached(rows), z_prop, state.y[:-1][rows], state.y[1:][rows])
+    q = state.densities(q, rows=rows)
     acc = _accept_mask(q.log_g - state.log_g[rows], rng, power)
     if acc.any():
         state.refresh(np.arange(state.n_intervals)[rows][acc], q.select(acc))
@@ -412,7 +431,8 @@ def _update_param(
 
     Parameters deforming the warped time scales trigger retrospective draws
     of the path values at the newly required times; drift parameters reuse
-    the stored values. The accept/reject decision is joint across intervals.
+    the cached warps and paths and rerun only the density stage. The
+    accept/reject decision is joint across intervals.
     """
     cand, log_jac = _propose_param(state, name, scale, rng)
     if cand is None:
@@ -421,12 +441,14 @@ def _update_param(
     if not state.prior.in_support(cand_params):
         return False
 
-    q = state.quantities(params=cand_params)
     if name in state.model.timescale_params:
-        if not np.all(np.isfinite(q.z_times)):
+        new_times = state.warps(params=cand_params).z_times
+        if not np.all(np.isfinite(new_times)):
             return False
-        z_new = refine_rows(state.z_times, state.z, q.z_times, rng)
+        z_new = refine_rows(state.z_times, state.z, new_times, rng)
         q = state.quantities(params=cand_params, z=z_new)
+    else:
+        q = state.densities(state.cached(), params=cand_params)
     if not q.finite():
         return False
 
@@ -527,7 +549,7 @@ def _gamma_anchored_pass(
     gam_win = seg_prop[:, win_idx].reshape(nb * length, m + 2)
     rows_idx = (firsts[:, None] + np.arange(length)[None, :]).ravel()
 
-    new_times = state.quantities(gamma=gam_win, rows=rows_idx).z_times
+    new_times = state.warps(gamma=gam_win, rows=rows_idx).z_times
     bad_rows = ~np.all(np.isfinite(new_times), axis=1)
     if bad_rows.any():
         new_times = np.where(bad_rows[:, None], state.z_times[rows_idx], new_times)
@@ -584,7 +606,7 @@ def update_gamma_block(
 
     rows = slice(first, first + n_block)
     gam_win = _windows(seg_prop, m)
-    new_times = state.quantities(gamma=gam_win, rows=rows).z_times
+    new_times = state.warps(gamma=gam_win, rows=rows).z_times
     if not np.all(np.isfinite(new_times)):
         return False
     z_new = refine_rows(state.z_times[rows], state.z[rows], new_times, rng)

@@ -323,26 +323,28 @@ def _euler_paths(
 
     xi = x[:, 0].copy()
     ai = a[:, 0].copy()
-    for i in range(n - 1):
-        dt = steps[i]
-        sq = math.sqrt(dt)
-        sx = model.vol_x(ai, params)
-        mx = model.drift_x(times[i], xi, ai, params)
-        if model.has_latent:
-            dw = sq * noise_w[i]
-            db = rho * dw + lev * sq * noise_b[i]
-            sa = model.vol_alpha(params)
-            ma = model.drift_alpha(ai, params)
-            ai = ai + ma * dt + sa * dw
-        else:
-            db = sq * noise_b[i]
-        xi = xi + mx * dt + sx * db
-        if (i % check_every == 0 or i == n - 2) and not (
-            np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))
-        ):
-            raise ExplosionError(times[i + 1])
-        x[:, i + 1] = xi
-        a[:, i + 1] = ai
+    # overflow is caught by the finiteness check below, not reported twice
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            dt = steps[i]
+            sq = math.sqrt(dt)
+            sx = model.vol_x(ai, params)
+            mx = model.drift_x(times[i], xi, ai, params)
+            if model.has_latent:
+                dw = sq * noise_w[i]
+                db = rho * dw + lev * sq * noise_b[i]
+                sa = model.vol_alpha(params)
+                ma = model.drift_alpha(ai, params)
+                ai = ai + ma * dt + sa * dw
+            else:
+                db = sq * noise_b[i]
+            xi = xi + mx * dt + sx * db
+            if (i % check_every == 0 or i == n - 2) and not (
+                np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))
+            ):
+                raise ExplosionError(times[i + 1])
+            x[:, i + 1] = xi
+            a[:, i + 1] = ai
     return x, a
 
 

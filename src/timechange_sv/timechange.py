@@ -230,75 +230,63 @@ def refine_rows(
     """Values of Brownian paths at ``new_times``, conditional on stored knots.
 
     Batched over rows: all inputs are (n, .) arrays with each row sorted
-    increasing. Times that exactly match a stored knot reuse its value and
-    consume no randomness. A new time between two stored knots is drawn from
-    the conditional bridge; beyond the last stored knot it is an
-    unconditioned Brownian increment from its left neighbour. Multiple new
-    times sharing a bracket are filled left to right, each conditioning on
-    the previously drawn one.
+    increasing (stored times strictly). Times that exactly match a stored
+    knot reuse its value and consume no randomness. A new time between two
+    stored knots is drawn from the conditional bridge; beyond the last
+    stored knot it is an unconditioned Brownian increment from its left
+    neighbour. Multiple new times sharing a bracket are filled left to
+    right, each conditioning on the previously drawn one. A new time that is
+    not finite, or precedes the first stored knot, raises ``ValidationError``.
+
+    Brackets come from one stable sort per row of the stored and new times
+    together, stored first among ties, so a search costs O(m log m) per row
+    and is exact. The standard normals are drawn in one call, in the order
+    rank-major then row-major, where the rank of a new time counts the new
+    times drawn before it in its bracket.
     """
-    S = np.asarray(stored_times, dtype=float)
-    V = np.asarray(stored_values, dtype=float)
-    Tn = np.asarray(new_times, dtype=float)
-    if S.ndim == 1:
-        S, V, Tn = S[None, :], V[None, :], Tn[None, :]
+    one_row = np.ndim(stored_times) == 1
+    S, V, Tn = (np.atleast_2d(np.asarray(a, dtype=float))
+                for a in (stored_times, stored_values, new_times))
     n, k = S.shape
     j = Tn.shape[1]
-
-    out = np.empty((n, j))
-    # Exact-hit detection against stored knots (bitwise equality; identical
-    # warp parameters reproduce identical times).
-    eq = Tn[:, :, None] == S[:, None, :]
-    hit = eq.any(axis=2)
-    hit_idx = eq.argmax(axis=2)
-    rows = np.arange(n)[:, None]
-    out[hit] = V[rows, hit_idx][hit]
-
-    todo = ~hit
+    cols = np.arange(j)
+    # left knot of each new time: merged position - column - 1
+    order = np.argsort(np.concatenate((S, Tn), axis=1), axis=1, kind="stable")
+    left = (np.flatnonzero(order >= k) % (k + j)).reshape(n, j) - cols - 1
+    at = left + (np.arange(n) * k)[:, None]  # flat index of the left knot
+    Sf, Vf, Tf = S.ravel(), V.ravel(), Tn.ravel()
+    out = Vf[at]
+    todo = (left < 0) | (Sf[at] != Tn)
     if not todo.any():
-        return out if stored_times.ndim > 1 else out[0]
+        return out[0] if one_row else out
+    if np.any(left[todo] < 0) or not np.all(np.isfinite(Tn[todo])):
+        raise ValidationError("new times must be finite and not precede the first stored knot")
+    run = np.zeros((n, j), dtype=bool)
+    run[:, 1:] = (left[:, 1:] == left[:, :-1]) & todo[:, 1:] & todo[:, :-1]
+    rank = (cols - np.maximum.accumulate(np.where(run, 0, cols), axis=1)).ravel()
 
-    # Left stored bracket index for every new time (greatest stored <= t).
-    left = (Tn[:, :, None] >= S[:, None, :]).sum(axis=2) - 1
-    if np.any(left[todo] < 0):
-        raise ValidationError("new time precedes the first stored knot")
-    # Rank of each pending time among pending times sharing (row, bracket):
-    # new times are sorted per row, so the rank is a running count.
-    rank = np.zeros((n, j), dtype=int)
-    for col in range(1, j):
-        same = (left[:, col] == left[:, col - 1]) & todo[:, col] & todo[:, col - 1]
-        rank[:, col] = np.where(same, rank[:, col - 1] + 1, 0)
-
-    has_right = left < k - 1
-    right = np.minimum(left + 1, k - 1)
-
-    max_rank = int(rank[todo].max()) if todo.any() else 0
-    prev_t = np.empty((n, j))
-    prev_v = np.empty((n, j))
-    for r in range(max_rank + 1):
-        sel = todo & (rank == r)
-        if not sel.any():
-            continue
-        ri, ci = np.nonzero(sel)
-        if r == 0:
-            t_a = S[ri, left[ri, ci]]
-            v_a = V[ri, left[ri, ci]]
-        else:
-            t_a = prev_t[ri, ci - 1]
-            v_a = prev_v[ri, ci - 1]
-        t_b = Tn[ri, ci]
-        hr = has_right[ri, ci]
-        t_c = S[ri, right[ri, ci]]
-        v_c = V[ri, right[ri, ci]]
-        span = np.where(hr, t_c - t_a, 1.0)
-        mean = np.where(hr, ((t_b - t_a) * v_c + (t_c - t_b) * v_a) / span, v_a)
-        var = np.where(hr, (t_b - t_a) * (t_c - t_b) / span, t_b - t_a)
-        draw = mean + np.sqrt(var) * rng.normal(ri.size)
-        out[ri, ci] = draw
-        prev_t[ri, ci] = t_b
-        prev_v[ri, ci] = draw
-
-    return out if stored_times.ndim > 1 else out[0]
+    # pending times, rank-major then row-major: the order of the draws
+    fi = np.flatnonzero(todo)
+    fi = fi[np.argsort(rank[fi].astype(np.min_scalar_type(j)), kind="stable")]
+    rk = rank[fi]
+    ai = at.ravel()[fi]
+    hr = left.ravel()[fi] < k - 1
+    ci = np.where(hr, ai + 1, ai)
+    t_a = np.where(rk == 0, Sf[ai], Tf[fi - 1])
+    t_b, t_c, v_c = Tf[fi], Sf[ci], Vf[ci]
+    span = np.where(hr, t_c - t_a, 1.0)
+    var = np.where(hr, (t_b - t_a) * (t_c - t_b) / span, t_b - t_a)
+    noise = np.sqrt(var) * rng.normal(fi.size)
+    v_a = Vf[ai]
+    flat = out.ravel()
+    bounds = np.searchsorted(rk, np.arange(rk[-1] + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s = slice(lo, hi)
+        if lo:  # rank >= 1 conditions on the draw to its left
+            v_a[s] = flat[fi[s] - 1]
+        mean = ((t_b[s] - t_a[s]) * v_c[s] + (t_c[s] - t_b[s]) * v_a[s]) / span[s]
+        flat[fi[s]] = np.where(hr[s], mean, v_a[s]) + noise[s]
+    return out[0] if one_row else out
 
 
 def sample_bridge_point(

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from timechange_sv.errors import ValidationError
 from timechange_sv.models import ModelSpec, ParamSupport, POSITIVE, REAL
-from timechange_sv.paths import Path, TimeGrid
+from timechange_sv.paths import Path, RandomStream, TimeGrid
 
 
 def scalar_ou_model(kappa=1.5, mu=0.3, sigma=0.8) -> ModelSpec:
@@ -75,3 +76,86 @@ def reflected_path(path: Path) -> Path:
         path.times, [path.times[0], path.times[-1]], [path.values[0], path.values[-1]]
     )
     return Path(path.grid, 2.0 * chord - path.values)
+
+
+# The O(m^2) retrospective refinement that timechange.refine_rows replaced,
+# kept verbatim as its oracle: the rewrite must match it bit for bit, in its
+# outputs and in the random numbers it consumes.
+def refine_rows_reference(
+    stored_times: np.ndarray,
+    stored_values: np.ndarray,
+    new_times: np.ndarray,
+    rng: RandomStream,
+) -> np.ndarray:
+    """Values of Brownian paths at ``new_times``, conditional on stored knots.
+
+    Batched over rows: all inputs are (n, .) arrays with each row sorted
+    increasing. Times that exactly match a stored knot reuse its value and
+    consume no randomness. A new time between two stored knots is drawn from
+    the conditional bridge; beyond the last stored knot it is an
+    unconditioned Brownian increment from its left neighbour. Multiple new
+    times sharing a bracket are filled left to right, each conditioning on
+    the previously drawn one.
+    """
+    S = np.asarray(stored_times, dtype=float)
+    V = np.asarray(stored_values, dtype=float)
+    Tn = np.asarray(new_times, dtype=float)
+    if S.ndim == 1:
+        S, V, Tn = S[None, :], V[None, :], Tn[None, :]
+    n, k = S.shape
+    j = Tn.shape[1]
+
+    out = np.empty((n, j))
+    # Exact-hit detection against stored knots (bitwise equality; identical
+    # warp parameters reproduce identical times).
+    eq = Tn[:, :, None] == S[:, None, :]
+    hit = eq.any(axis=2)
+    hit_idx = eq.argmax(axis=2)
+    rows = np.arange(n)[:, None]
+    out[hit] = V[rows, hit_idx][hit]
+
+    todo = ~hit
+    if not todo.any():
+        return out if stored_times.ndim > 1 else out[0]
+
+    # Left stored bracket index for every new time (greatest stored <= t).
+    left = (Tn[:, :, None] >= S[:, None, :]).sum(axis=2) - 1
+    if np.any(left[todo] < 0):
+        raise ValidationError("new time precedes the first stored knot")
+    # Rank of each pending time among pending times sharing (row, bracket):
+    # new times are sorted per row, so the rank is a running count.
+    rank = np.zeros((n, j), dtype=int)
+    for col in range(1, j):
+        same = (left[:, col] == left[:, col - 1]) & todo[:, col] & todo[:, col - 1]
+        rank[:, col] = np.where(same, rank[:, col - 1] + 1, 0)
+
+    has_right = left < k - 1
+    right = np.minimum(left + 1, k - 1)
+
+    max_rank = int(rank[todo].max()) if todo.any() else 0
+    prev_t = np.empty((n, j))
+    prev_v = np.empty((n, j))
+    for r in range(max_rank + 1):
+        sel = todo & (rank == r)
+        if not sel.any():
+            continue
+        ri, ci = np.nonzero(sel)
+        if r == 0:
+            t_a = S[ri, left[ri, ci]]
+            v_a = V[ri, left[ri, ci]]
+        else:
+            t_a = prev_t[ri, ci - 1]
+            v_a = prev_v[ri, ci - 1]
+        t_b = Tn[ri, ci]
+        hr = has_right[ri, ci]
+        t_c = S[ri, right[ri, ci]]
+        v_c = V[ri, right[ri, ci]]
+        span = np.where(hr, t_c - t_a, 1.0)
+        mean = np.where(hr, ((t_b - t_a) * v_c + (t_c - t_b) * v_a) / span, v_a)
+        var = np.where(hr, (t_b - t_a) * (t_c - t_b) / span, t_b - t_a)
+        draw = mean + np.sqrt(var) * rng.normal(ri.size)
+        out[ri, ci] = draw
+        prev_t[ri, ci] = t_b
+        prev_v[ri, ci] = draw
+
+    return out if stored_times.ndim > 1 else out[0]

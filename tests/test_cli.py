@@ -1,9 +1,10 @@
 import csv
 import json
+import warnings
 
-import numpy as np
 import pytest
 
+from timechange_sv import cli
 from timechange_sv.cli import main
 from timechange_sv.diagnostics import SummaryTable
 
@@ -81,10 +82,13 @@ class TestExitCodes:
             "params": {"theta": 1e308},
             "simulate": {"delta": 10, "n_steps": 50},
         })
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_unknown_fixed_parameter(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
@@ -96,6 +100,42 @@ class TestExitCodes:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "sigmaa" in capsys.readouterr().err
+
+    def test_fixed_inside_sampler_rejected(self, tmp_path, capsys):
+        # recorded config: it used to fit with exit 0 and sample sigma anyway
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "fixed": ["sigma"]},
+        })
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "top level" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_simulate_key_rejected_before_any_step(self, tmp_path, capsys, monkeypatch):
+        # recorded typo of n_steps: it used to run the default 500 000 steps
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the simulator ran")
+
+        monkeypatch.setattr(cli, "euler_simulate", no_steps)
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "simulate": {"n_step": 20, "delta": 0.01, "thin_stride": 5},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        assert "n_step" in capsys.readouterr().err
+
+    def test_unknown_data_schema_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "data_schema": {"spacin": 0.02},
+            "sampler": {"m": 2, "n_iter": 10, "n_burn": 2},
+        })
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "spacin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         5,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ from scipy import integrate, stats
 
 from timechange_sv.errors import NumericsError, ValidationError
 from timechange_sv.likelihood import (
+    density_stage,
     euler_loglik,
     interval_quantities,
     log_augmented_posterior,
     log_end_density,
     log_girsanov_U,
     log_latent_marginal,
+    path_stage,
+    warp_stage,
 )
 from timechange_sv.mcmc import PriorSpec, state_from_skeleton
-from timechange_sv.models import get_model, euler_simulate
+from timechange_sv.models import get_model, euler_simulate, model_names
 from timechange_sv.paths import Path, RandomStream, TimeGrid
 from timechange_sv.timechange import build_eta, x_to_u
 from timechange_sv.diagnostics import simulate_discrete_skeleton
@@ -358,3 +362,41 @@ class TestReparametrisationInvariance:
         y2, jac2 = _transform_observations(model, raw)
         assert np.allclose(y2, state_a.y, rtol=1e-12, atol=1e-12)
         assert np.allclose(jac2, jac, rtol=1e-12, atol=1e-12)
+
+
+WARP_FIELDS = ("alpha", "veff2", "u", "total", "adj", "z_times")
+
+
+def _skeleton_state(name, seed=8):
+    """A state of model ``name`` on a simulated skeleton (nonzero latent path)."""
+    model = get_model(name)
+    params = model.make_params()
+    obs_times = (5.0 / 252.0) * np.arange(7)
+    x0 = math.log(10.0) if model.obs_transform is not None else 0.0
+    xv, gam = simulate_discrete_skeleton(model, params, obs_times, 4, x0, RandomStream(seed))
+    prior = PriorSpec.from_model(model)
+    return model, params, state_from_skeleton(model, params, obs_times, xv, gam, prior)
+
+
+@pytest.mark.parametrize("name", model_names())
+class TestEngineStages:
+    def test_stages_compose_to_the_engine(self, name):
+        model, params, state = _skeleton_state(name)
+        knots, gamma, y0, y1 = state.x_knots, state.gamma_windows(), state.y[:-1], state.y[1:]
+        w = warp_stage(model, params, knots, gamma)
+        q = density_stage(path_stage(w, state.z, y0, y1), model, params, knots, gamma, y0)
+        full = interval_quantities(model, params, knots, gamma, y0, y1, z_values=state.z)
+        for f in fields(full):
+            assert np.array_equal(getattr(q, f.name), getattr(full, f.name)), f.name
+
+    def test_only_timescale_parameters_move_the_warps(self, name):
+        # drift moves reuse the cached warps: a parameter that moves them
+        # must be listed in timescale_params
+        model, params, state = _skeleton_state(name)
+        before = warp_stage(model, params, state.x_knots, state.gamma_windows())
+        for p in model.param_names:
+            sup = model.supports[p]
+            moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
+            after = warp_stage(model, moved, state.x_knots, state.gamma_windows())
+            same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
+            assert same == (p not in model.timescale_params), p

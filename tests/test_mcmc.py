@@ -28,7 +28,7 @@ from _support import decoupled_sv_model, scalar_ou_model
 
 
 STATE_ARRAYS = (
-    "gamma_flat", "z", "z_times", "u", "total", "U", "X", "adj", "alpha",
+    "gamma_flat", "z", "z_times", "u", "total", "U", "X", "adj", "alpha", "veff2",
     "log_g", "log_f", "log_gamma",
 )
 
@@ -327,6 +327,21 @@ class TestRunChain:
         data = self._data(8)
         cfg = SamplerConfig(m=4, n_iter=60, n_burn=10, seed=6, validate_every=5)
         run_chain(cfg, data, get_model("ou-sv-leverage"))  # raises on drift
+
+    @pytest.mark.parametrize("name", ["tbill-logsv", "ou-sv-leverage", "const-vol-scalar"])
+    def test_stage_caches_coherent_every_sweep(self, name):
+        # z and drift moves reuse cached warps and paths; every sweep checks
+        # the caches against a fresh engine pass and raises on drift
+        model = get_model(name)
+        params = model.make_params()
+        obs_times = (5.0 / 252.0) * np.arange(9)
+        x0 = math.log(10.0) if model.obs_transform is not None else 0.0
+        xv, _ = simulate_discrete_skeleton(model, params, obs_times, 1, x0, RandomStream(4))
+        y = np.append(xv[:, 0], xv[-1, -1])
+        values = model.obs_transform_inv(y) if model.obs_transform_inv is not None else y
+        data = type("D", (), {"times": obs_times, "values": values})()
+        cfg = SamplerConfig(m=3, n_iter=40, n_burn=10, seed=9, validate_every=1)
+        run_chain(cfg, data, model)
 
     def test_nonfinite_initial_posterior_rejected(self):
         data = type("D", (), {"times": np.array([0.0, 1.0, 2.0]),

@@ -19,7 +19,7 @@ from timechange_sv.timechange import (
     z_to_u,
 )
 
-from _support import scalar_ou_model
+from _support import refine_rows_reference, scalar_ou_model
 
 
 class TestBuildEta:
@@ -355,3 +355,58 @@ def test_second_warp_round_trip_at_min_gap():
 def test_time_warp_scalar_round_trip_property(total, fracs):
     t = np.sort(np.array(fracs)) * total
     assert np.allclose(u_time(z_time(t, total), total), t, rtol=1e-12, atol=1e-14)
+
+
+# -- refine_rows against the O(m^2) reference ----------------------------------
+
+
+@st.composite
+def refine_cases(draw):
+    """Sorted rows of stored and new times on a grid of eighths, scaled.
+
+    Stored knots sit on quarters, so new times often hit one exactly, fall
+    several to a bracket, repeat, or lie past the last stored knot.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    j = draw(st.integers(0, 12))
+    steps = draw(st.lists(st.integers(1, 4), min_size=n * k, max_size=n * k))
+    steps = np.reshape(steps, (n, k))
+    stored = (np.cumsum(steps, axis=1) - steps[:, :1]) * 2  # from 0, in eighths
+    new = np.sort(np.reshape(
+        draw(st.lists(st.integers(0, 8 * k + 4), min_size=n * j, max_size=n * j)), (n, j)
+    ), axis=1)
+    scale = draw(st.floats(1e-3, 1e3))
+    values = draw(st.lists(finite_vals, min_size=n * k, max_size=n * k))
+    S, Tn = stored * 0.125 * scale, new * 0.125 * scale
+    V = np.reshape(values, (n, k))
+    if n == 1 and draw(st.booleans()):
+        return S[0], V[0], Tn[0]
+    return S, V, Tn
+
+
+@given(refine_cases(), st.integers(0, 2**32 - 1))
+@example(  # four new times in one bracket, the first after an exact hit
+    (np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, -1.0]),
+     np.array([1.0, 1.25, 1.5, 1.5, 2.75, 3.0, 4.0, 5.0])), 3)
+@example(  # a hit between pending times, several rows
+    (np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, -1.0]]),
+     np.array([[0.5, 2.0, 2.5], [0.25, 0.5, 1.0]])), 4)
+@settings(max_examples=300, deadline=None)
+def test_refine_rows_matches_reference(case, seed):
+    S, V, Tn = case
+    ours, theirs = RandomStream(seed), RandomStream(seed)
+    got = refine_rows(S, V, Tn, ours)
+    want = refine_rows_reference(S, V, Tn, theirs)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert ours._gen.bit_generator.state == theirs._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+def test_refine_rows_rejects_early_or_nonfinite_times(bad):
+    S = np.array([[0.0, 1.0, 2.0]])
+    V = np.array([[0.0, 1.0, -1.0]])
+    for Tn in (np.array([[bad]]), np.sort(np.array([[0.5, bad]]), axis=1)):
+        with pytest.raises(ValidationError):
+            refine_rows(S, V, Tn, RandomStream(0))
