@@ -6,45 +6,9 @@ then mixes without degenerating as the number of imputed points grows.
 """
 
 from .errors import ExplosionError, NumericsError, ValidationError
-from .models import (
-    ModelSpec,
-    ParamVector,
-    alpha_to_gamma,
-    euler_simulate,
-    gamma_to_alpha,
-    get_model,
-    lamperti,
-    leverage_adjust,
-    model_names,
-)
-from .paths import (
-    Path,
-    RandomStream,
-    TimeGrid,
-    integrate_left_riemann,
-    quadratic_variation,
-    sample_brownian_motion,
-)
-from .timechange import (
-    EtaProfile,
-    build_eta,
-    refine_retrospective,
-    sample_bridge_point,
-    u_time,
-    u_to_x,
-    u_to_z,
-    x_to_u,
-    z_time,
-    z_to_u,
-)
-from .likelihood import (
-    LogLikBreakdown,
-    euler_loglik,
-    log_augmented_posterior,
-    log_end_density,
-    log_girsanov_U,
-    log_latent_marginal,
-)
+from .models import ModelSpec, ParamVector, euler_simulate, get_model, model_names
+from .paths import Path, RandomStream, TimeGrid
+from .likelihood import LogLikBreakdown, euler_loglik
 from .mcmc import (
     AugmentedState,
     PriorSpec,

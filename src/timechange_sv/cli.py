@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import SummaryTable, acf, iact, kde_export, summarize
 from .errors import NumericsError, ValidationError
-from .mcmc import PriorSpec, SamplerConfig, Trace, run_chain
+from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain
 from .models import ModelSpec, euler_simulate, get_model
 from .paths import RandomStream, TimeGrid
 
@@ -157,13 +157,21 @@ class RunConfig:
         for key in ("params", "prior", "sampler", "simulate", "data_schema"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ValidationError(f"{path}: '{key}' must be a JSON object")
+        for key in ("params", "simulate"):
+            for name, value in getattr(cfg, key).items():
+                whole = key == "simulate" and name in ("n_steps", "thin_stride", "seed")
+                if not is_number(value) or (whole and not isinstance(value, int)):
+                    kind = "an integer" if whole else "a number"
+                    raise ValidationError(
+                        f"{path}: '{key}' value for {name!r} must be {kind}, got {value!r}"
+                    )
         fixed = cfg.fixed
         if not (isinstance(fixed, (list, tuple)) and all(isinstance(p, str) for p in fixed)):
             raise ValidationError(f"{path}: 'fixed' must be a list of parameter names")
         cfg.fixed = tuple(fixed)
         for name, bounds in cfg.prior.items():
             if not (isinstance(bounds, list) and len(bounds) == 2
-                    and all(isinstance(b, (int, float)) for b in bounds)):
+                    and all(is_number(b) for b in bounds)):
                 raise ValidationError(
                     f"{path}: prior for {name!r} must be [lo, hi], got {bounds!r}"
                 )
@@ -180,9 +188,9 @@ class RunConfig:
             raise ValidationError("sampler config needs at least 'm' and 'n_iter'")
         if "fixed" in s:
             raise ValidationError("'fixed' belongs at the top level of the config, not in 'sampler'")
-        s.setdefault("n_burn", s["n_iter"] // 5)
         s["fixed"] = self.fixed
         try:
+            s.setdefault("n_burn", s["n_iter"] // 5)
             return SamplerConfig(**s)
         except TypeError as exc:
             raise ValidationError(f"bad sampler config: {exc}") from None

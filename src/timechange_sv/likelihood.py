@@ -21,8 +21,7 @@ density stage on the cached warps and paths; time-scale moves and latent
 blocks run the warp stage for the new doubly-warped times, refine, then the
 whole engine once. The density formulas (``girsanov_sum``,
 ``log_end_gaussian``, ``unit_latent_drift``) and the warp formulas taken
-from ``timechange`` and ``models`` exist once; the public per-path
-operations check their inputs and apply the same functions to a single row.
+from ``timechange`` and ``models`` exist once, in the code the engine runs.
 ``euler_loglik`` is the exception: an independent transition-product
 oracle for the tests.
 """
@@ -189,80 +188,6 @@ def interval_quantities(
     """
     q = path_stage(warp_stage(model, params, x_knots, gamma), z_values, y_left, y_right)
     return density_stage(q, model, params, x_knots, gamma, y_left)
-
-
-# ---------------------------------------------------------------------------
-# Public per-path operations
-
-
-def log_girsanov_U(u_path: Path, drift_on_U) -> float:
-    """Girsanov log density of a unit-volatility path against Brownian
-    motion, with drift ``b(t, u)``.
-
-    Left-point discretisation throughout: the stochastic integral includes
-    the final step onto the path's last knot. ``drift_on_U`` must accept
-    arrays.
-    """
-    if len(u_path) < 2:
-        raise ValidationError("path needs at least two knots")
-    t = u_path.times
-    v = u_path.values
-    b = np.asarray(drift_on_U(t[:-1], v[:-1]), dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise NumericsError("drift evaluation is non-finite")
-    return float(girsanov_sum(b, np.diff(v), np.diff(t)))
-
-
-def log_end_density(y1: float, y0: float, total: float) -> float:
-    """Gaussian log density of the interval endpoint: mean y0, variance T.
-
-    When the observations were mapped through a unit-state-volatility
-    transform, the caller adds the transform's log-Jacobian separately.
-    """
-    if not total > 0.0:
-        raise ValidationError("endpoint density needs a positive warped length")
-    return float(log_end_gaussian(y1, y0, total))
-
-
-def log_latent_marginal(gamma_path: Path, params: ParamVector, model: ModelSpec) -> float:
-    """Girsanov log density of the unit-diffusion latent path against
-    Brownian motion."""
-    if abs(gamma_path.values[0]) > 1e-12:
-        raise ValidationError("latent path must start at zero")
-    g = gamma_path.values
-    d = unit_latent_drift(model, params, model.latent_values(g[:-1], params))
-    if not np.all(np.isfinite(d)):
-        raise NumericsError("latent drift evaluation is non-finite")
-    return float(girsanov_sum(d, np.diff(g), np.diff(gamma_path.times)))
-
-
-def log_augmented_posterior(state, data, model: ModelSpec, prior) -> LogLikBreakdown:
-    """Full breakdown of the augmented posterior for an MCMC state.
-
-    Recomputes every term from the state's raw coordinates (doubly-warped
-    path values, latent path, parameters); the state's caches are not
-    consulted, which makes this the reference for cache-coherence checks.
-    """
-    y_raw = np.asarray(data.values, dtype=float)
-    if y_raw.size != state.y.size:
-        raise ValidationError("observation count disagrees with the state")
-    q = interval_quantities(
-        model,
-        state.params,
-        state.x_knots,
-        state.gamma_windows(),
-        state.y[:-1],
-        state.y[1:],
-        z_values=state.z,
-    )
-    if not q.finite():
-        raise NumericsError("augmented posterior is non-finite")
-    return LogLikBreakdown.assemble(
-        q.log_g,
-        q.log_f + state.log_jac,
-        float(np.sum(q.log_gamma)),
-        prior.log_density(state.params),
-    )
 
 
 def euler_loglik(x_path: Path, alpha_path: Path, params: ParamVector, model: ModelSpec) -> float:

@@ -20,6 +20,7 @@ interval are ever persisted; finer retrospective draws are transient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
@@ -103,6 +104,11 @@ class PriorSpec:
         return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
+def is_number(value) -> bool:
+    """A real number that is not a bool (JSON ``true`` loads as a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SamplerConfig:
     """Tuning knobs of one chain.
@@ -125,7 +131,19 @@ class SamplerConfig:
     validate_every: int = 0
     chains: int = 1
 
+    _INTEGERS = ("m", "n_iter", "n_burn", "block_len", "thin", "seed", "validate_every", "chains")
+
     def __post_init__(self):
+        for name in self._INTEGERS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not (isinstance(self.rw_scales, dict)
+                and all(is_number(v) for v in self.rw_scales.values())):
+            raise ValidationError("rw_scales must map parameter names to numbers")
+        if not (is_number(self.target_accept) and is_number(self.ratio_power)
+                and isinstance(self.adapt, bool)):
+            raise ValidationError("target_accept and ratio_power must be numbers, adapt a bool")
         if self.m < 1:
             raise ValidationError("need at least one imputed point per interval")
         if self.n_iter <= 0 or self.n_burn < 0 or self.n_burn >= self.n_iter:

@@ -135,7 +135,6 @@ class ModelSpec:
     drift_alpha: Optional[Callable] = None
     vol_alpha: Optional[Callable] = None  # (params) -> float, constant in alpha
     leverage: Optional[str] = None  # name of the correlation parameter
-    state_vol: Optional[Callable] = None  # sigma2(x, params) on the raw scale
     obs_transform: Optional[Callable] = None  # raw y -> working coordinate
     obs_transform_inv: Optional[Callable] = None
     obs_log_jacobian: Optional[Callable] = None  # log|d transform / d y|
@@ -250,7 +249,6 @@ def _make_tbill_logsv() -> ModelSpec:
         has_latent=True,
         drift_alpha=lambda a, p: p["kappa"] * (p["mu"] - np.asarray(a, dtype=float)),
         vol_alpha=lambda p: p["sigma"],
-        state_vol=lambda x, p: np.asarray(x, dtype=float),
         obs_transform=np.log,
         obs_transform_inv=np.exp,
         obs_log_jacobian=lambda y: -np.log(np.asarray(y, dtype=float)),
@@ -290,7 +288,6 @@ def _euler_paths(
     alpha0: np.ndarray,
     grid: TimeGrid,
     rng: RandomStream,
-    check_every: int = 1,
 ):
     """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
     shaped (n_paths, n_points).
@@ -339,9 +336,7 @@ def _euler_paths(
             else:
                 db = sq * noise_b[i]
             xi = xi + mx * dt + sx * db
-            if (i % check_every == 0 or i == n - 2) and not (
-                np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))
-            ):
+            if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))):
                 raise ExplosionError(times[i + 1])
             x[:, i + 1] = xi
             a[:, i + 1] = ai
@@ -366,41 +361,7 @@ def euler_simulate(
 
 
 # ---------------------------------------------------------------------------
-# Latent-path and leverage transforms
-
-
-def alpha_to_gamma(alpha_path: Path, params: ParamVector, model: ModelSpec) -> Path:
-    """Map a latent path to its unit-diffusion, zero-start representation."""
-    beta = alpha_path.values / model.latent_scale(params)
-    return Path(alpha_path.grid, beta - beta[0])
-
-
-def gamma_to_alpha(gamma_path: Path, sigma: float, alpha0: float) -> Path:
-    """Recover the latent path: alpha = alpha0 + sigma * gamma."""
-    return Path(gamma_path.grid, alpha0 + sigma * gamma_path.values)
-
-
-def lamperti(x: float, params: ParamVector, model: ModelSpec) -> tuple[float, float]:
-    """Unit-state-volatility transform of one observation.
-
-    Returns (transformed value, log-Jacobian of the transform at x). The
-    Jacobian is log(1/state_vol(x)); the transformed value comes from the
-    model's observation transform. Models without state-dependent volatility
-    get the identity map with zero Jacobian.
-    """
-    if model.state_vol is None:
-        return float(x), 0.0
-    s2 = float(model.state_vol(x, params))
-    if not (s2 > 0.0 and math.isfinite(s2)):
-        raise ValidationError(f"state volatility non-positive at x={x}")
-    return float(model.obs_transform(x)), -math.log(s2)
-
-
-def _gamma_on_grid(x_times: np.ndarray, gamma_path: Path) -> np.ndarray:
-    gt, gv = gamma_path.times, gamma_path.values
-    if x_times[0] < gt[0] - 1e-12 or x_times[-1] > gt[-1] + 1e-12:
-        raise ValidationError("latent path grid does not cover the observed path grid")
-    return np.interp(x_times, gt, gv)
+# Leverage adjustment
 
 
 def cumulative_leverage(rho: float, sx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -409,42 +370,3 @@ def cumulative_leverage(rho: float, sx: np.ndarray, gamma: np.ndarray) -> np.nda
     out = np.zeros_like(gamma)
     np.cumsum(rho * sx[..., :-1] * np.diff(gamma, axis=-1), axis=-1, out=out[..., 1:])
     return out
-
-
-def leverage_adjustment(
-    x_times: np.ndarray, gamma_path: Path, params: ParamVector, model: ModelSpec
-) -> np.ndarray:
-    """Cumulative correlated-noise drift removed from the observed path.
-
-    The driving noise increments of the latent diffusion are taken as the
-    increments of the unit-diffusion latent path on each subinterval, and the
-    volatility factor uses left-point evaluation; the adjustment starts at
-    zero at the first knot of ``x_times``.
-    """
-    rho = model.rho(params)
-    if abs(rho) >= 1.0:
-        raise ValidationError("leverage correlation must satisfy |rho| < 1")
-    gamma = _gamma_on_grid(np.asarray(x_times, dtype=float), gamma_path)
-    if rho == 0.0:
-        return np.zeros_like(gamma)
-    sx = np.asarray(model.vol_x(model.latent_values(gamma, params), params), dtype=float)
-    return cumulative_leverage(rho, sx, gamma)
-
-
-def leverage_adjust(
-    x_path: Path,
-    gamma_path: Path,
-    params: ParamVector,
-    model: ModelSpec,
-    direction: str = "forward",
-) -> Path:
-    """Remove (forward) or restore (inverse) the leverage component.
-
-    Forward maps the observed path X to H = X - adjustment, whose driving
-    noise is independent of the latent path; inverse maps H back to X.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValidationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    adj = leverage_adjustment(x_path.times, gamma_path, params, model)
-    sign = -1.0 if direction == "forward" else 1.0
-    return Path(x_path.grid, x_path.values + sign * adj)

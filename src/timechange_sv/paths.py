@@ -1,4 +1,4 @@
-"""Core path numerics: time grids, Brownian sampling, quadrature.
+"""Core path numerics: random streams, time grids, quadrature.
 
 Paths are stored as explicit (times, values) pairs because the time-change
 maps act on the times directly; increments are always recomputed on demand.
@@ -100,38 +100,6 @@ class Path:
     @classmethod
     def from_arrays(cls, times, values) -> "Path":
         return cls(TimeGrid(np.asarray(times, dtype=float)), values)
-
-
-def sample_brownian_motion(grid: TimeGrid, start: float, rng: RandomStream) -> Path:
-    """Sample a Brownian path on ``grid`` started at ``start``.
-
-    Increments are independent Gaussians with variance equal to the time step.
-    """
-    n = len(grid)
-    values = np.empty(n)
-    values[0] = start
-    if n > 1:
-        steps = grid.steps
-        values[1:] = start + np.cumsum(np.sqrt(steps) * rng.normal(n - 1))
-    return Path(grid, values)
-
-
-def quadratic_variation(p: Path) -> float:
-    """Sum of squared increments of the path values."""
-    if len(p) < 2:
-        raise ValidationError("quadratic variation needs at least two knots")
-    dv = np.diff(p.values)
-    return float(np.dot(dv, dv))
-
-
-def integrate_left_riemann(grid: TimeGrid, integrand_values) -> float:
-    """Left-point Riemann sum of tabulated integrand values over the grid."""
-    f = np.asarray(integrand_values, dtype=float)
-    if f.shape != (len(grid),):
-        raise ValidationError("integrand length does not match grid")
-    if len(grid) < 2:
-        return 0.0
-    return float(np.dot(f[:-1], grid.steps))
 
 
 def cumulative_left_riemann(times: np.ndarray, integrand_values: np.ndarray) -> np.ndarray:

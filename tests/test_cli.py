@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import timechange_sv
 from timechange_sv import cli
 from timechange_sv.cli import main
 from timechange_sv.diagnostics import SummaryTable
@@ -143,12 +147,37 @@ class TestExitCodes:
         {"model": "const-vol-scalar", "prior": {"sigma": [1, 2, 3]}},
         {"model": "const-vol-scalar", "prior": [[1, 2]]},
         {"model": "const-vol-scalar", "fixed": "sigma"},
+        {"model": "const-vol-scalar", "params": {"sigma": "abc"}},
+        {"model": "const-vol-scalar", "params": {"sigma": None}},
+        {"model": "const-vol-scalar", "params": {"sigma": True}},
+        {"model": "const-vol-scalar", "simulate": {"delta": None}},
+        {"model": "const-vol-scalar", "simulate": {"n_steps": 20.7}},
+        {"model": "const-vol-scalar", "sampler": {"m": 2.5, "n_iter": 10, "n_burn": 2}},
+        {"model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10.5}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"theta": "x"}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": "x"}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "ratio_power": None}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "adapt": "no"}},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
         if isinstance(doc, dict):
-            doc = {**doc, "sampler": {"m": 2, "n_iter": 10, "n_burn": 2}}
+            doc = {"sampler": {"m": 2, "n_iter": 10, "n_burn": 2}, **doc}
         cfg = write_config(tmp_path / "config.json", doc)
         argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of the CLI's start-up; only prior recovery needs it
+    src = str(Path(timechange_sv.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import timechange_sv.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, signal
+from scipy import integrate, signal, stats
 
 from timechange_sv.diagnostics import acf, iact, kde_export, summarize
 from timechange_sv.errors import ValidationError
@@ -36,6 +36,16 @@ class TestKde:
     def test_integrates_to_one(self):
         grid = kde_export(RandomStream(4).normal(5000))
         assert integrate.trapezoid(grid[:, 1], grid[:, 0]) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("n, seed, scale", [(3, 1, 1.0), (300, 2, 1e-3), (5000, 4, 50.0)])
+    def test_matches_scipy_silverman(self, n, seed, scale):
+        x = scale * RandomStream(seed).normal(n) ** 2
+        grid = kde_export(x)
+        kde = stats.gaussian_kde(x, bw_method="silverman")
+        bw = np.sqrt(kde.covariance[0, 0])
+        expected = np.linspace(x.min() - 5.0 * bw, x.max() + 5.0 * bw, 256)
+        assert np.allclose(grid[:, 0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        assert np.allclose(grid[:, 1], kde(grid[:, 0]), rtol=1e-12, atol=0.0)
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValidationError):

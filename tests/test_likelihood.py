@@ -7,20 +7,19 @@ from scipy import integrate, stats
 
 from timechange_sv.errors import NumericsError, ValidationError
 from timechange_sv.likelihood import (
+    IntervalQuantities,
     density_stage,
     euler_loglik,
+    girsanov_sum,
     interval_quantities,
-    log_augmented_posterior,
-    log_end_density,
-    log_girsanov_U,
-    log_latent_marginal,
+    log_end_gaussian,
     path_stage,
     warp_stage,
 )
 from timechange_sv.mcmc import PriorSpec, state_from_skeleton
 from timechange_sv.models import get_model, euler_simulate, model_names
 from timechange_sv.paths import Path, RandomStream, TimeGrid
-from timechange_sv.timechange import build_eta, x_to_u
+from timechange_sv.timechange import refine_rows
 from timechange_sv.diagnostics import simulate_discrete_skeleton
 
 from _support import (
@@ -32,10 +31,28 @@ from _support import (
 )
 
 
+def engine_log_g(model, params, path):
+    """The engine's Girsanov term for one interval whose observed skeleton
+    is ``path`` (evenly spaced knots, a model without a latent path)."""
+    state = state_from_skeleton(
+        model, params, path.times[[0, -1]], path.values[None, :], np.zeros(len(path)),
+        PriorSpec.from_model(model),
+    )
+    return float(state.log_g[0])
+
+
+def engine_log_gamma(model, params, times, gamma):
+    """The engine's latent-marginal term for one interval with knots ``times``."""
+    q = interval_quantities(
+        model, params, times[None, :], gamma[None, :], [0.0], [0.0], np.zeros((1, times.size - 1))
+    )
+    return float(q.log_gamma[0])
+
+
 class TestGirsanov:
     def test_driftless_is_zero(self):
-        u = Path.from_arrays([0.0, 0.3, 1.0], [0.0, 0.4, -0.2])
-        assert log_girsanov_U(u, lambda t, v: np.zeros_like(v)) == 0.0
+        t, v = np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.4, -0.2])
+        assert girsanov_sum(np.zeros(2), np.diff(v), np.diff(t)) == 0.0
 
     @pytest.mark.parametrize("n_knots", [2, 5, 40])
     def test_constant_drift_closed_form(self, n_knots):
@@ -43,8 +60,7 @@ class TestGirsanov:
         times = np.linspace(0.0, 1.0, n_knots)
         vals = np.linspace(0.0, 1.0, n_knots) ** 2  # any interior shape
         vals[0], vals[-1] = 0.0, 1.0
-        u = Path.from_arrays(times, vals)
-        got = log_girsanov_U(u, lambda t, v: np.ones_like(v))
+        got = girsanov_sum(np.ones(n_knots - 1), np.diff(vals), np.diff(times))
         assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_drift_matches_gaussian_ratio(self):
@@ -54,11 +70,6 @@ class TestGirsanov:
             y1, y0, math.sqrt(T)
         )
         assert expected == pytest.approx(0.5, abs=1e-12)
-
-    def test_nonfinite_drift_raises(self):
-        u = Path.from_arrays([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(NumericsError):
-            log_girsanov_U(u, lambda t, v: np.full_like(v, np.nan))
 
     def test_ou_gap_to_fine_oracle_shrinks(self):
         # ratio functional at m knots vs the fine-grid transition-product
@@ -71,14 +82,11 @@ class TestGirsanov:
         grid = TimeGrid(np.linspace(0.0, 1.0, fine + 1))
         x, a = euler_simulate(model, params, 0.2, 0.0, grid, RandomStream(5))
         x2 = reflected_path(x)
-        eta = build_eta((0.0, 1.0), None, params, model)
-        drift = lambda t, v: params["kappa"] * (params["mu"] - v) / sig**2
 
         def ratio_at(m):
             d = 0.0
             for sign, path in ((1.0, x), (-1.0, x2)):
-                sub = subsample_path(path, fine // m)
-                d += sign * log_girsanov_U(x_to_u(sub, eta), drift)
+                d += sign * engine_log_g(model, params, subsample_path(path, fine // m))
             return d
 
         def oracle(path):
@@ -93,25 +101,21 @@ class TestGirsanov:
 
 class TestEndDensity:
     def test_standard_normal_at_zero(self):
-        assert log_end_density(0.0, 0.0, 1.0) == pytest.approx(-0.9189385, abs=1e-6)
+        assert log_end_gaussian(0.0, 0.0, 1.0) == pytest.approx(-0.9189385, abs=1e-6)
 
     def test_one_sigma(self):
         T = 2.7
-        got = log_end_density(1.0 + math.sqrt(T), 1.0, T)
+        got = log_end_gaussian(1.0 + math.sqrt(T), 1.0, T)
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi * T) - 0.5, abs=1e-13)
 
     def test_doubling_scale(self):
-        a = log_end_density(0.3, 0.3, 1.0)
-        b = log_end_density(0.3, 0.3, 2.0)
+        a = log_end_gaussian(0.3, 0.3, 1.0)
+        b = log_end_gaussian(0.3, 0.3, 2.0)
         assert a - b == pytest.approx(0.5 * math.log(2.0), abs=1e-13)
-
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValidationError):
-            log_end_density(0.0, 0.0, 0.0)
 
     def test_normalizes(self):
         val, _err = integrate.quad(
-            lambda y: math.exp(log_end_density(y, 0.7, 1.9)), -np.inf, np.inf
+            lambda y: math.exp(log_end_gaussian(y, 0.7, 1.9)), -np.inf, np.inf
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -120,14 +124,15 @@ class TestLatentMarginal:
     def test_driftless_latent_zero(self):
         model = get_model("ou-sv-leverage")
         params = model.make_params({"kappa_alpha": 1e-300})
-        g = Path.from_arrays([0.0, 1.0, 2.0], [0.0, 0.7, -0.4])
-        assert log_latent_marginal(g, params, model) == pytest.approx(0.0, abs=1e-290)
+        t, g = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.7, -0.4])
+        assert engine_log_gamma(model, params, t, g) == pytest.approx(0.0, abs=1e-290)
 
     def test_must_start_at_zero(self):
         model = get_model("ou-sv-leverage")
-        g = Path.from_arrays([0.0, 1.0], [0.5, 0.7])
-        with pytest.raises(ValidationError):
-            log_latent_marginal(g, model.make_params(), model)
+        x_values = np.array([[0.0, 0.2, 0.1]])
+        with pytest.raises(ValidationError, match="start at zero"):
+            state_from_skeleton(model, model.make_params(), [0.0, 1.0], x_values,
+                                np.array([0.5, 0.7, 0.6]), PriorSpec.from_model(model))
 
     def test_euler_oracle_identity(self):
         # exp(latent marginal) * BM density of the unit-diffusion path equals
@@ -140,10 +145,9 @@ class TestLatentMarginal:
         times = np.linspace(0.0, 5.0, 41)
         steps = np.diff(times)
         gam = np.concatenate(([0.0], np.cumsum(np.sqrt(steps) * rng.normal(40))))
-        g = Path.from_arrays(times, gam)
         alpha = params["alpha0"] + sig * gam
 
-        lhs = log_latent_marginal(g, params, model) + log_bm_fdd(times, gam)
+        lhs = engine_log_gamma(model, params, times, gam) + log_bm_fdd(times, gam)
         drift_a = params["kappa_alpha"] * (params["mu_alpha"] - alpha[:-1])
         res = np.diff(alpha) - drift_a * steps
         euler_alpha = np.sum(
@@ -160,16 +164,14 @@ class TestLatentMarginal:
         times = np.linspace(0.0, 1.0, 201)
         steps = np.diff(times)
         gam = np.concatenate(([0.0], np.cumsum(np.sqrt(steps) * rng.normal(200))))
-        g = Path.from_arrays(times, gam)
         mid_t = 0.5 * (times[:-1] + times[1:])
         mid_v = 0.5 * (gam[:-1] + gam[1:]) + np.sqrt(steps / 4.0) * rng.normal(200)
         all_t = np.sort(np.concatenate((times, mid_t)))
         all_v = np.empty_like(all_t)
         all_v[0::2] = gam
         all_v[1::2] = mid_v
-        g2 = Path.from_arrays(all_t, all_v)
-        a = log_latent_marginal(g, params, model)
-        b = log_latent_marginal(g2, params, model)
+        a = engine_log_gamma(model, params, times, gam)
+        b = engine_log_gamma(model, params, all_t, all_v)
         assert abs(a - b) < 1e-2
 
 
@@ -243,8 +245,6 @@ class TestRatioConsistency:
         grid = TimeGrid(np.linspace(0.0, 1.0, fine + 1))
         x, _a = euler_simulate(model, params, 0.2, 0.0, grid, RandomStream(5))
         x2 = reflected_path(x)
-        eta = build_eta((0.0, 1.0), None, params, model)
-        drift = lambda t, v: params["kappa"] * (params["mu"] - v) / sig**2
         az = Path(grid, np.zeros(fine + 1))
 
         target = (
@@ -255,8 +255,8 @@ class TestRatioConsistency:
         )
         gaps = []
         for m in (50, 200, 800):
-            d = log_girsanov_U(x_to_u(subsample_path(x, fine // m), eta), drift) \
-                - log_girsanov_U(x_to_u(subsample_path(x2, fine // m), eta), drift)
+            d = engine_log_g(model, params, subsample_path(x, fine // m)) \
+                - engine_log_g(model, params, subsample_path(x2, fine // m))
             gaps.append(abs(d - target))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-10 * max(1.0, abs(target))
@@ -276,9 +276,8 @@ class TestAugmentedPosterior:
         params = model.make_params(
             {"kappa_x": 1e-300, "kappa_alpha": 1e-300, "rho": 0.0}
         )
-        state, obs_times = self._state(model, params)
-        data = type("D", (), {"times": obs_times, "values": state.y})()
-        bd = log_augmented_posterior(state, data, model, state.prior)
+        state, _ = self._state(model, params)
+        bd = state.breakdown(state.quantities())
         assert bd.total == pytest.approx(float(np.sum(bd.log_f)), abs=1e-12)
 
     def test_additive_over_intervals(self):
@@ -307,28 +306,20 @@ class TestAugmentedPosterior:
         assert np.isfinite(state.breakdown().total)
 
     def test_total_ignores_path_beyond_last_knot(self):
-        # appending far-out doubly-warped knots must not change any term
+        # drawing doubly-warped knots past the last stored one, from the
+        # state's own arrays, leaves every cached array bit-identical
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         state, _ = self._state(model, params)
-        before = state.breakdown().total
-        zp = Path.from_arrays(state.z_times[0], state.z[0])
-        from timechange_sv.timechange import refine_retrospective
-
-        extended = refine_retrospective(
-            zp, zp.times[-1] + np.array([1.0, 10.0]), RandomStream(50)
-        )
-        assert extended.times.size == zp.times.size + 2
-        after = state.breakdown().total
-        assert after == before  # bit-for-bit
-
-    def test_mismatched_data_rejected(self):
-        model = get_model("ou-sv-leverage")
-        params = model.make_params()
-        state, obs_times = self._state(model, params)
-        data = type("D", (), {"times": obs_times[:-1], "values": state.y[:-1]})()
-        with pytest.raises(ValidationError):
-            log_augmented_posterior(state, data, model, state.prior)
+        cached = ["gamma_flat", *(f.name for f in fields(IntervalQuantities))]
+        before = {name: getattr(state, name).copy() for name in cached}
+        total = state.breakdown().total
+        new_times = state.z_times[:, -1:] + np.array([1.0, 10.0])
+        drawn = refine_rows(state.z_times, state.z, new_times, RandomStream(50))
+        assert drawn.shape == new_times.shape and np.all(np.isfinite(drawn))
+        for name in cached:
+            assert np.array_equal(getattr(state, name), before[name]), name
+        assert state.breakdown().total == total  # bit-for-bit
 
 
 class TestReparametrisationInvariance:

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from timechange_sv.errors import ValidationError
-from timechange_sv.likelihood import log_end_density
+from timechange_sv.likelihood import log_end_gaussian
 from timechange_sv.mcmc import (
     PriorSpec,
     SamplerConfig,
@@ -20,8 +20,8 @@ from timechange_sv.mcmc import (
     update_z_path,
 )
 from timechange_sv.models import euler_simulate, get_model
-from timechange_sv.paths import Path, RandomStream, TimeGrid
-from timechange_sv.timechange import refine_retrospective
+from timechange_sv.paths import RandomStream, TimeGrid
+from timechange_sv.timechange import refine_rows
 from timechange_sv.diagnostics import simulate_discrete_skeleton
 
 from _support import decoupled_sv_model, scalar_ou_model
@@ -135,7 +135,7 @@ class TestTimescaleUpdate:
         sig = state.params["sigma"]
         assert np.all(state.log_g == 0.0)
         expected_f = [
-            log_end_density(x_values[k, 1], x_values[k, 0], sig**2 * 1.0)
+            log_end_gaussian(x_values[k, 1], x_values[k, 0], sig**2 * 1.0)
             for k in range(2)
         ]
         assert np.allclose(state.log_f, expected_f, rtol=1e-12)
@@ -408,10 +408,8 @@ class TestRefinementInvariance:
             for it in range(4200):
                 sweep(state, rng, scales, block_len=1)
                 if refine:
-                    zp = Path.from_arrays(state.z_times[0], state.z[0])
-                    refine_retrospective(
-                        zp, zp.times[-1] * np.array([1.1, 2.0]), rng
-                    )
+                    new_times = state.z_times[0, -1] * np.array([1.1, 2.0])
+                    refine_rows(state.z_times[0], state.z[0], new_times, rng)
                 if it >= 200 and it % 40 == 0:
                     out.append(state.params["sigma"])
             return np.asarray(out)

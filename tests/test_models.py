@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timechange_sv.cli import ingest_csv
 from timechange_sv.errors import ExplosionError, ValidationError
+from timechange_sv.likelihood import path_stage, warp_stage
+from timechange_sv.mcmc import _transform_observations
 from timechange_sv.models import (
     ModelSpec,
     POSITIVE,
     REAL,
     _euler_paths,
-    alpha_to_gamma,
     euler_simulate,
-    gamma_to_alpha,
     get_model,
-    lamperti,
-    leverage_adjust,
     model_names,
 )
-from timechange_sv.paths import Path, RandomStream, TimeGrid, quadratic_variation
+from timechange_sv.paths import RandomStream, TimeGrid
+from timechange_sv.timechange import centre_on_chord
 
 from _support import scalar_ou_model
 
@@ -54,7 +54,7 @@ class TestEulerSimulate:
         )
         grid = TimeGrid(np.linspace(0.0, 10.0, 20_001))
         x, a = euler_simulate(model, params, 0.0, 0.0, grid, RandomStream(3))
-        assert quadratic_variation(x) == pytest.approx(10.0, rel=0.1)
+        assert np.sum(np.diff(x.values) ** 2) == pytest.approx(10.0, rel=0.1)
         assert np.allclose(a.values, 0.0, atol=1e-9)
 
     def test_simulation_study_shape(self):
@@ -115,35 +115,34 @@ class TestEulerSimulate:
         params = model.make_params()
         grid = TimeGrid(1e-4 * np.arange(1_000_001))  # T = 100
         x, a = euler_simulate(model, params, 0.1, -0.2, grid, RandomStream(44))
-        qv = quadratic_variation(x)
+        qv = np.sum(np.diff(x.values) ** 2)
         integral = float(np.sum(np.exp(a.values[:-1]) * np.diff(grid.times)))
         assert qv == pytest.approx(integral, rel=0.05)
 
 
 class TestLatentTransforms:
+    """alpha = alpha0 + scale * gamma (``ModelSpec.latent_values``)."""
+
     def test_constant_latent_maps_to_zero(self):
         model = get_model("ou-sv-leverage")
         params = model.make_params()
-        a = Path.from_arrays([0.0, 1.0, 2.0], [-0.2, -0.2, -0.2])
-        g = alpha_to_gamma(a, params, model)
-        assert np.all(g.values == 0.0)
+        assert np.all(model.latent_values(np.zeros(3), params) == params["alpha0"])
 
     def test_hand_values(self):
         model = get_model("ou-sv-leverage")
-        params = model.make_params({"sigma": 0.4})
-        a = Path.from_arrays([0.0, 1.0, 2.0], [0.0, 0.4, 0.8])
-        g = alpha_to_gamma(a, params, model)
-        assert np.allclose(g.values, [0.0, 1.0, 2.0], atol=1e-14)
+        params = model.make_params({"sigma": 0.4, "alpha0": 0.0})
+        alpha = model.latent_values([0.0, 1.0, 2.0], params)
+        assert np.allclose(alpha, [0.0, 0.4, 0.8], atol=1e-14)
 
     def test_inverse_hand_values(self):
-        g = Path.from_arrays([0.0, 1.0], [0.0, 1.0])
-        a = gamma_to_alpha(g, 0.4, -0.2)
-        assert np.allclose(a.values, [-0.2, 0.2], atol=1e-15)
+        model = get_model("ou-sv-leverage")
+        params = model.make_params({"sigma": 0.4, "alpha0": -0.2})
+        assert np.allclose(model.latent_values([0.0, 1.0], params), [-0.2, 0.2], atol=1e-15)
 
     def test_zero_scale_collapses(self):
-        g = Path.from_arrays([0.0, 1.0, 2.0], [0.0, 3.0, -1.0])
-        a = gamma_to_alpha(g, 0.0, 0.7)
-        assert np.all(a.values == 0.7)
+        model = get_model("ou-sv-leverage")
+        params = model.make_params({"sigma": 0.0, "alpha0": 0.7})
+        assert np.all(model.latent_values([0.0, 3.0, -1.0], params) == 0.7)
 
     @given(
         st.lists(st.floats(-3, 3), min_size=2, max_size=12),
@@ -152,64 +151,83 @@ class TestLatentTransforms:
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, alphas, sigma, alpha0):
+        # gamma = (alpha - alpha0) / scale, then back through latent_values
         model = get_model("ou-sv-leverage")
-        params = model.make_params({"sigma": sigma})
-        times = np.arange(len(alphas), dtype=float)
-        a = Path.from_arrays(times, np.array([alpha0] + alphas[1:]))
-        g = alpha_to_gamma(a, params, model)
-        back = gamma_to_alpha(g, sigma, alpha0)
-        assert np.allclose(back.values, a.values, rtol=1e-12, atol=1e-12)
+        params = model.make_params({"sigma": sigma, "alpha0": alpha0})
+        a = np.array([alpha0] + alphas[1:])
+        back = model.latent_values((a - alpha0) / sigma, params)
+        assert np.allclose(back, a, rtol=1e-12, atol=1e-12)
 
 
 class TestLamperti:
-    def test_identity_when_no_state_vol(self):
+    """The unit-state-volatility transform of the observations."""
+
+    def test_identity_without_obs_transform(self):
         model = get_model("ou-sv-leverage")
-        x, jac = lamperti(1.7, model.make_params(), model)
-        assert (x, jac) == (1.7, 0.0)
+        y, jac = _transform_observations(model, np.array([1.7, -0.4]))
+        assert y.tolist() == [1.7, -0.4] and jac.tolist() == [0.0]
 
     def test_log_transform_at_e(self):
         model = get_model("tbill-logsv")
-        x, jac = lamperti(np.e, model.make_params(), model)
-        assert x == pytest.approx(1.0, abs=1e-15)
-        assert jac == pytest.approx(-1.0, abs=1e-15)
+        y, jac = _transform_observations(model, np.array([1.0, np.e]))
+        assert y[1] == pytest.approx(1.0, abs=1e-15)
+        assert jac[0] == pytest.approx(-1.0, abs=1e-15)
 
-    def test_derivative_matches_reciprocal_state_vol(self):
-        # d transform / dx == 1 / state_vol by central differences
-        model = get_model("tbill-logsv")
-        params = model.make_params()
-        for r in (0.1, 0.5, 2.0, 8.0):
-            h = 1e-6 * r
-            up, _ = lamperti(r + h, params, model)
-            dn, _ = lamperti(r - h, params, model)
-            deriv = (up - dn) / (2.0 * h)
-            assert deriv == pytest.approx(1.0 / model.state_vol(r, params), rel=1e-6)
+    @pytest.mark.parametrize(
+        "name", [n for n in model_names() if get_model(n).obs_transform is not None]
+    )
+    def test_jacobian_matches_transform_derivative(self, name):
+        # exp(obs_log_jacobian) == d obs_transform / dy by central differences,
+        # and obs_transform_inv undoes obs_transform
+        model = get_model(name)
+        y = np.array([0.1, 0.5, 2.0, 8.0])
+        h = 1e-6 * y
+        deriv = (model.obs_transform(y + h) - model.obs_transform(y - h)) / (2.0 * h)
+        assert np.allclose(np.exp(model.obs_log_jacobian(y)), deriv, rtol=1e-6, atol=0.0)
+        assert np.allclose(model.obs_transform_inv(model.obs_transform(y)), y,
+                           rtol=1e-12, atol=0.0)
 
-    def test_nonpositive_state_rejected(self):
+    def test_nonpositive_state_rejected(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("time,value\n0,0.5\n1,-1.0\n")
         model = get_model("tbill-logsv")
-        with pytest.raises(ValidationError):
-            lamperti(-1.0, model.make_params(), model)
+        with pytest.raises(ValidationError, match="must be positive"):
+            ingest_csv(data, require_positive=model.obs_transform is not None)
+
+
+def leverage_round_trip(model, params, times, x, gamma):
+    """``x`` to the leverage-free path U = x - adjustment, then back through
+    the engine's path stage; returns (adjustment, path values)."""
+    w = warp_stage(model, params, times[None, :], gamma[None, :])
+    U = x - w.adj[0]
+    z = centre_on_chord(U[:-1], w.u[0, :-1], w.total[0], x[0], U[-1])
+    q = path_stage(w, z[None, :], x[:1], x[-1:])
+    return w.adj[0], q.X[0]
 
 
 class TestLeverageAdjust:
+    """The cumulative leverage adjustment of the engine's warp stage
+    (``cumulative_leverage``) and its inverse in the path stage."""
+
     def _setup(self, rho=-0.5):
         model = get_model("ou-sv-leverage")
         params = model.make_params({"rho": rho})
         rng = RandomStream(6)
         times = np.linspace(0.0, 2.0, 9)
-        gamma = Path.from_arrays(times, np.concatenate(([0.0], np.cumsum(rng.normal(8) * 0.5))))
-        x = Path.from_arrays(times, np.cumsum(rng.normal(9)))
-        return model, params, x, gamma
+        gamma = np.concatenate(([0.0], np.cumsum(rng.normal(8) * 0.5)))
+        x = np.cumsum(rng.normal(9))
+        return model, params, times, x, gamma
 
     def test_zero_correlation_identity(self):
-        model, params, x, gamma = self._setup(rho=0.0)
-        h = leverage_adjust(x, gamma, params, model, "forward")
-        assert np.array_equal(h.values, x.values)
+        model, params, times, x, gamma = self._setup(rho=0.0)
+        adj, _ = leverage_round_trip(model, params, times, x, gamma)
+        assert np.all(adj == 0.0)
 
     def test_round_trip_exact(self):
-        model, params, x, gamma = self._setup()
-        h = leverage_adjust(x, gamma, params, model, "forward")
-        back = leverage_adjust(h, gamma, params, model, "inverse")
-        assert np.allclose(back.values, x.values, rtol=1e-12, atol=1e-14)
+        model, params, times, x, gamma = self._setup()
+        adj, back = leverage_round_trip(model, params, times, x, gamma)
+        assert np.any(adj != 0.0)
+        assert np.allclose(back, x, rtol=1e-12, atol=1e-14)
 
     def test_constant_vol_closed_form(self):
         # constant vol c: adjustment at t is rho * c * gamma_t
@@ -217,21 +235,14 @@ class TestLeverageAdjust:
         c = 1.0  # exp(alpha/2) with alpha pinned at 0
         params = model.make_params({"rho": -0.4, "sigma": 1e-300, "alpha0": 0.0})
         times = np.linspace(0.0, 1.0, 6)
-        gamma = Path.from_arrays(times, np.array([0.0, 1.0, -0.5, 2.0, 0.3, 1.1]))
-        x = Path.from_arrays(times, np.zeros(6))
-        h = leverage_adjust(x, gamma, params, model, "forward")
-        assert np.allclose(h.values, -(-0.4) * c * gamma.values, atol=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        model, params, x, gamma = self._setup()
-        short = Path.from_arrays(gamma.times[2:], gamma.values[2:])
-        with pytest.raises(ValidationError):
-            leverage_adjust(x, short, params, model, "forward")
+        gamma = np.array([0.0, 1.0, -0.5, 2.0, 0.3, 1.1])
+        adj, _ = leverage_round_trip(model, params, times, np.zeros(6), gamma)
+        assert np.allclose(adj, -0.4 * c * gamma, atol=1e-12)
 
     def test_interpolates_finer_observed_grid(self):
-        model, params, _, gamma = self._setup()
+        # the latent path interpolated onto a finer grid of knots
+        model, params, times, _, gamma = self._setup()
         fine = np.linspace(0.0, 2.0, 33)
-        x = Path.from_arrays(fine, np.zeros(33))
-        h = leverage_adjust(x, gamma, params, model, "forward")
-        back = leverage_adjust(h, gamma, params, model, "inverse")
-        assert np.allclose(back.values, x.values, rtol=1e-12, atol=1e-14)
+        x = np.zeros(33)
+        _, back = leverage_round_trip(model, params, fine, x, np.interp(fine, times, gamma))
+        assert np.allclose(back, x, rtol=1e-12, atol=1e-14)
