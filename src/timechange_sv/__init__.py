@@ -8,18 +8,8 @@ then mixes without degenerating as the number of imputed points grows.
 from .errors import ExplosionError, NumericsError, ValidationError
 from .models import ModelSpec, ParamVector, euler_simulate, get_model, model_names
 from .paths import Path, RandomStream, TimeGrid
-from .likelihood import LogLikBreakdown, euler_loglik
-from .mcmc import (
-    AugmentedState,
-    PriorSpec,
-    SamplerConfig,
-    Trace,
-    run_chain,
-    update_drift_params,
-    update_gamma_block,
-    update_timescale_param,
-    update_z_path,
-)
+from .likelihood import euler_loglik
+from .mcmc import AugmentedState, PriorSpec, SamplerConfig, Trace, run_chain
 from .diagnostics import (
     SummaryTable,
     acf,

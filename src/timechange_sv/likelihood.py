@@ -42,28 +42,6 @@ from .timechange import first_warp, second_warp, uncentre_from_chord
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class LogLikBreakdown:
-    """Additive pieces of the augmented log posterior."""
-
-    log_g_x: np.ndarray  # per-interval Girsanov term of the observed path
-    log_f: np.ndarray  # per-interval endpoint density (incl. data Jacobian)
-    log_l_gamma: float  # latent-path marginal
-    log_prior: float
-    total: float
-
-    @classmethod
-    def assemble(cls, log_g_x, log_f, log_l_gamma, log_prior) -> "LogLikBreakdown":
-        total = float(np.sum(log_g_x) + np.sum(log_f) + log_l_gamma + log_prior)
-        return cls(np.asarray(log_g_x, dtype=float), np.asarray(log_f, dtype=float),
-                   float(log_l_gamma), float(log_prior), total)
-
-    @property
-    def log_likelihood(self) -> float:
-        """Augmented log likelihood (prior excluded); the trace column."""
-        return self.total - self.log_prior
-
-
 @dataclass
 class IntervalQuantities:
     """Vectorised per-interval state derived from (Z, gamma, params, data).
@@ -71,7 +49,8 @@ class IntervalQuantities:
     Shapes: (n, m+2) for knot-level arrays, (n, m+1) for the finite
     doubly-warped knots, (n,) for per-interval scalars. The warp stage fills
     the first six fields, the path stage the next three, the density stage
-    the last three.
+    the last three. A sampler state caches one instance with every field
+    filled.
     """
 
     alpha: np.ndarray  # latent values at the knots

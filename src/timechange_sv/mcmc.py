@@ -13,8 +13,11 @@ standard Brownian motion. Updates:
   times drawn retrospectively, conditional on the stored knots;
 * drift parameters: plain random walks (no time scales move).
 
-Rejected proposals leave the state bit-identical. Only the m+2 knots per
-interval are ever persisted; finer retrospective draws are transient.
+Each move is one batched kernel that ``sweep`` runs: ``_update_z_rows``,
+``_gamma_anchored_pass`` and ``update_gamma_block`` (the terminal block),
+and ``_update_param``. Rejected proposals leave the state bit-identical.
+Only the m+2 knots per interval are ever persisted; finer retrospective
+draws are transient.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .likelihood import (
-    IntervalQuantities, LogLikBreakdown, density_stage, interval_quantities, path_stage,
-    warp_stage,
+    IntervalQuantities, density_stage, interval_quantities, path_stage, warp_stage,
 )
 from .models import ModelSpec, ParamVector
 from .paths import RandomStream
@@ -76,21 +78,16 @@ class PriorSpec:
             for k in params.names
         ) and params.in_support()
 
-    def log_density(self, params: ParamVector) -> float:
-        """Zero inside the support, -inf outside; normalisation constants
-        are dropped (only ratios ever matter)."""
-        return 0.0 if self.in_support(params) else -math.inf
-
     def is_proper(self) -> bool:
         return all(math.isfinite(hi - lo) for lo, hi in self.bounds.values())
 
-    def sample(self, rng: RandomStream) -> dict[str, float]:
-        if not self.is_proper():
-            raise ValidationError("cannot sample from an improper prior")
-        return {
-            k: lo + (hi - lo) * float(rng.uniform())
-            for k, (lo, hi) in self.bounds.items()
-        }
+    def sample(self, rng: RandomStream, names: Iterable[str]) -> dict[str, float]:
+        """One prior draw of each of ``names``, one uniform each, in that order."""
+        bounds = {k: self.bounds[k] for k in names}
+        improper = [k for k, (lo, hi) in bounds.items() if not math.isfinite(hi - lo)]
+        if improper:
+            raise ValidationError(f"cannot sample from the improper prior of {improper}")
+        return {k: lo + (hi - lo) * float(rng.uniform()) for k, (lo, hi) in bounds.items()}
 
     def midpoint(self) -> dict[str, float]:
         if not self.is_proper():
@@ -113,8 +110,9 @@ def is_number(value) -> bool:
 class SamplerConfig:
     """Tuning knobs of one chain.
 
-    ``ratio_power`` exponentiates every Metropolis ratio and exists for the
-    sampler-validation harness (a correct chain uses 1.0).
+    ``block_len`` is the number of observation intervals per latent block;
+    it is at least 2, so that every interior observation knot lies inside
+    some block.
     """
 
     m: int
@@ -127,7 +125,6 @@ class SamplerConfig:
     adapt: bool = True
     target_accept: float = 0.3
     fixed: tuple[str, ...] = ()
-    ratio_power: float = 1.0
     validate_every: int = 0
     chains: int = 1
 
@@ -141,17 +138,16 @@ class SamplerConfig:
         if not (isinstance(self.rw_scales, dict)
                 and all(is_number(v) for v in self.rw_scales.values())):
             raise ValidationError("rw_scales must map parameter names to numbers")
-        if not (is_number(self.target_accept) and is_number(self.ratio_power)
-                and isinstance(self.adapt, bool)):
-            raise ValidationError("target_accept and ratio_power must be numbers, adapt a bool")
+        if not (is_number(self.target_accept) and isinstance(self.adapt, bool)):
+            raise ValidationError("target_accept must be a number, adapt a bool")
         if self.m < 1:
             raise ValidationError("need at least one imputed point per interval")
         if self.n_iter <= 0 or self.n_burn < 0 or self.n_burn >= self.n_iter:
             raise ValidationError("need 0 <= n_burn < n_iter")
         if self.thin < 1:
             raise ValidationError("thin must be >= 1")
-        if self.block_len < 1:
-            raise ValidationError("block_len must be >= 1")
+        if self.block_len < 2:
+            raise ValidationError("block_len must be >= 2")
         if self.chains < 1:
             raise ValidationError("chains must be >= 1")
 
@@ -178,11 +174,12 @@ class Trace:
 class AugmentedState:
     """Full MCMC state: per-interval warped paths, latent path, parameters.
 
-    Array shapes (n = #intervals, m = imputed points per interval):
+    ``cache`` holds the engine outputs of the current state, one
+    ``IntervalQuantities`` whose arrays the state owns; every move writes
+    its accepted rows there through ``refresh``. Other array shapes
+    (n = #intervals, m = imputed points per interval):
         x_flat, gamma_flat : (n (m+1) + 1,)
-        z, z_times         : (n, m+1)
-        u, U, X, adj, alpha, veff2: (n, m+2)
-        log_g, log_f, log_gamma, log_jac, total: (n,)
+        log_jac            : (n,)
     """
 
     def __init__(self, model, params, prior, obs_times, y, log_jac, m, fixed=()):
@@ -204,19 +201,7 @@ class AugmentedState:
         self.x_flat = _flat_knots(self.obs_times, self.m)
         self.x_knots = _windows(self.x_flat, self.m).copy()
         self.gamma_flat = np.zeros(n * (self.m + 1) + 1)
-        # filled by the builders below
-        self.z = np.zeros((n, self.m + 1))
-        self.z_times = np.zeros((n, self.m + 1))
-        self.u = np.zeros((n, self.m + 2))
-        self.total = np.zeros(n)
-        self.U = np.zeros((n, self.m + 2))
-        self.X = np.zeros((n, self.m + 2))
-        self.adj = np.zeros((n, self.m + 2))
-        self.alpha = np.zeros((n, self.m + 2))
-        self.veff2 = np.zeros((n, self.m + 2))
-        self.log_g = np.zeros(n)
-        self.log_f = np.zeros(n)
-        self.log_gamma = np.zeros(n)
+        self.cache: Optional[IntervalQuantities] = None  # set by _canonicalise
 
     # -- views ------------------------------------------------------------
 
@@ -239,7 +224,7 @@ class AugmentedState:
             self.gamma_windows()[rows] if gamma is None else gamma,
             self.y[:-1][rows],
             self.y[1:][rows],
-            z_values=self.z[rows] if z is None else z,
+            z_values=self.cache.z[rows] if z is None else z,
         )
 
     def warps(self, params=None, gamma=None, rows=slice(None)) -> IntervalQuantities:
@@ -258,32 +243,24 @@ class AugmentedState:
             self.x_knots[rows], self.gamma_windows()[rows], self.y[:-1][rows],
         )
 
-    def cached(self, rows=slice(None)) -> IntervalQuantities:
-        """The cached engine outputs of ``rows``."""
-        return IntervalQuantities(
-            **{f.name: getattr(self, f.name)[rows] for f in fields(IntervalQuantities)}
-        )
-
     def refresh(self, rows, q) -> None:
-        """Write the engine outputs ``q`` for ``rows`` into the caches."""
+        """Write the engine outputs ``q`` for ``rows`` into the cache."""
         for f in fields(q):
-            getattr(self, f.name)[rows] = getattr(q, f.name)
+            getattr(self.cache, f.name)[rows] = getattr(q, f.name)
 
-    def breakdown(self, q=None) -> LogLikBreakdown:
-        """Posterior pieces from the caches, or from engine outputs ``q``."""
-        src = self if q is None else q
-        return LogLikBreakdown.assemble(
-            src.log_g, src.log_f + self.log_jac,
-            float(np.sum(src.log_gamma)), self.prior.log_density(self.params),
-        )
+    def log_likelihood(self, q=None) -> float:
+        """Augmented log likelihood of the cache, or of engine outputs ``q``:
+        Girsanov, endpoint (with the data Jacobian) and latent terms; flat
+        prior constants excluded. The trace column."""
+        q = self.cache if q is None else q
+        return float(np.sum(q.log_g) + np.sum(q.log_f + self.log_jac) + np.sum(q.log_gamma))
 
     def validate_cache(self, tol: float = 1e-8) -> None:
-        cached = self.breakdown()
-        fresh = self.breakdown(self.quantities())
-        scale = max(1.0, abs(fresh.total))
-        if abs(cached.total - fresh.total) > tol * scale:
+        cached = self.log_likelihood()
+        fresh = self.log_likelihood(self.quantities())
+        if abs(cached - fresh) > tol * max(1.0, abs(fresh)):
             raise NumericsError(
-                f"cached posterior {cached.total} drifted from recomputation {fresh.total}"
+                f"cached log likelihood {cached} drifted from recomputation {fresh}"
             )
 
 
@@ -312,11 +289,11 @@ def _transform_observations(model: ModelSpec, raw_values: np.ndarray):
 
 
 def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> AugmentedState:
-    """Fill the caches from an explicit (n, m+2) skeleton.
+    """Fill the cache from an explicit (n, m+2) skeleton.
 
-    The doubly-warped coordinates are derived from the skeleton, then every
-    cache is re-derived from them, so that later engine passes reproduce the
-    caches bit for bit.
+    The doubly-warped coordinates are derived from the skeleton, then the
+    cache is re-derived from them, so that later engine passes reproduce it
+    bit for bit.
     """
     w = state.warps()
     with np.errstate(all="ignore"):
@@ -326,7 +303,9 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
     q = state.quantities(z=z)
     if not q.finite():
         raise ValidationError(f"{what} is non-finite")
-    state.refresh(slice(None), q)
+    state.cache = IntervalQuantities(
+        **{f.name: np.array(getattr(q, f.name), order="C") for f in fields(q)}
+    )
     return state
 
 
@@ -384,48 +363,38 @@ def state_from_skeleton(
 # Metropolis pieces
 
 
-def _accept_mask(log_ratio: np.ndarray, rng: RandomStream, power: float) -> np.ndarray:
+def _accept_mask(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
     log_ratio = np.where(np.isfinite(log_ratio), log_ratio, -np.inf)
     u = rng.uniform(log_ratio.shape)
-    return np.log(u) < power * log_ratio
+    return np.log(u) < log_ratio
 
 
-def _accept_scalar(log_ratio: float, rng: RandomStream, power: float) -> bool:
+def _accept_scalar(log_ratio: float, rng: RandomStream) -> bool:
     if not math.isfinite(log_ratio):
         return False
-    a = power * log_ratio
-    if a >= 0.0:
+    if log_ratio >= 0.0:
         return True
-    return math.log(float(rng.uniform())) < a
+    return math.log(float(rng.uniform())) < log_ratio
 
 
-def _update_z_rows(state: AugmentedState, rows, rng: RandomStream, power: float) -> np.ndarray:
+def _update_z_rows(state: AugmentedState, rows, rng: RandomStream) -> np.ndarray:
     """Independence update of the doubly-warped path values on ``rows``.
 
     Proposals are standard Brownian motions at the intervals' current warped
     times; endpoint densities cancel because the data endpoints do not move.
     Returns the per-row acceptance mask.
     """
-    z_times = state.z_times[rows]
-    n_rows = z_times.shape[0]
+    z_times = state.cache.z_times[rows]
     steps = np.diff(z_times, axis=1)
     z_prop = np.zeros_like(z_times)
     np.cumsum(np.sqrt(steps) * rng.normal(steps.shape), axis=1, out=z_prop[:, 1:])
 
-    q = path_stage(state.cached(rows), z_prop, state.y[:-1][rows], state.y[1:][rows])
+    q = path_stage(state.cache.select(rows), z_prop, state.y[:-1][rows], state.y[1:][rows])
     q = state.densities(q, rows=rows)
-    acc = _accept_mask(q.log_g - state.log_g[rows], rng, power)
+    acc = _accept_mask(q.log_g - state.cache.log_g[rows], rng)
     if acc.any():
         state.refresh(np.arange(state.n_intervals)[rows][acc], q.select(acc))
     return acc
-
-
-def update_z_path(state: AugmentedState, k: int, rng: RandomStream, power: float = 1.0) -> bool:
-    """Propose a fresh driftless path for one interval; accept on the
-    Girsanov ratio."""
-    rows = np.zeros(state.n_intervals, dtype=bool)
-    rows[k] = True
-    return bool(_update_z_rows(state, rows, rng, power)[0])
 
 
 def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomStream):
@@ -442,9 +411,7 @@ def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomSt
     return cand, log_jac
 
 
-def _update_param(
-    state: AugmentedState, name: str, rng: RandomStream, scale: float, power: float
-) -> bool:
+def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: float) -> bool:
     """Random-walk update of one scalar parameter.
 
     Parameters deforming the warped time scales trigger retrospective draws
@@ -459,53 +426,29 @@ def _update_param(
     if not state.prior.in_support(cand_params):
         return False
 
+    cache = state.cache
     if name in state.model.timescale_params:
         new_times = state.warps(params=cand_params).z_times
         if not np.all(np.isfinite(new_times)):
             return False
-        z_new = refine_rows(state.z_times, state.z, new_times, rng)
+        z_new = refine_rows(cache.z_times, cache.z, new_times, rng)
         q = state.quantities(params=cand_params, z=z_new)
     else:
-        q = state.densities(state.cached(), params=cand_params)
+        q = state.densities(cache, params=cand_params)
     if not q.finite():
         return False
 
     log_ratio = (
-        float(np.sum(q.log_g) - np.sum(state.log_g))
-        + float(np.sum(q.log_f) - np.sum(state.log_f))
-        + float(np.sum(q.log_gamma) - np.sum(state.log_gamma))
+        float(np.sum(q.log_g) - np.sum(cache.log_g))
+        + float(np.sum(q.log_f) - np.sum(cache.log_f))
+        + float(np.sum(q.log_gamma) - np.sum(cache.log_gamma))
         + log_jac
     )
-    if not _accept_scalar(log_ratio, rng, power):
+    if not _accept_scalar(log_ratio, rng):
         return False
     state.params = cand_params
     state.refresh(slice(None), q)
     return True
-
-
-def update_timescale_param(
-    state: AugmentedState, name: str, rng: RandomStream,
-    scale: float = 0.25, power: float = 1.0,
-) -> bool:
-    """Retrospective update of a parameter that deforms the warped times."""
-    if name not in state.model.timescale_params:
-        raise ValidationError(f"{name} does not deform any time scale")
-    return _update_param(state, name, rng, scale, power)
-
-
-def update_drift_params(
-    state: AugmentedState, rng: RandomStream,
-    scales: Optional[dict] = None, power: float = 1.0,
-) -> dict[str, bool]:
-    """Random-walk updates of every free parameter that leaves the time
-    scales alone."""
-    out = {}
-    for name in state.free_names:
-        if name in state.model.timescale_params:
-            continue
-        s = (scales or {}).get(name, 0.25)
-        out[name] = _update_param(state, name, rng, s, power)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +461,19 @@ def gamma_block_plan(n_intervals: int, block_len: int) -> list[tuple[int, int, b
     Anchored blocks slide by block_len - 1 intervals, so adjacent blocks
     share one observation knot region and every interior observation knot is
     interior to some block; a terminal block with a free Brownian end covers
-    the final stretch and resamples the last knot.
+    the final stretch and resamples the last knot. Blocks of one interval
+    would pin every interior observation knot, so they are allowed only when
+    there is a single interval.
     """
-    if block_len > n_intervals:
-        raise ValidationError("block length exceeds the number of intervals")
+    if not min(2, n_intervals) <= block_len <= n_intervals:
+        raise ValidationError(
+            f"block length must lie in [{min(2, n_intervals)}, {n_intervals}], got {block_len}"
+        )
     plan = []
-    step = max(1, block_len - 1)
     j = 0
     while j + block_len < n_intervals:
         plan.append((j, block_len, True))
-        j += step
+        j += block_len - 1
     plan.append((n_intervals - block_len, block_len, False))
     return plan
 
@@ -537,15 +483,19 @@ def _gamma_anchored_pass(
     firsts: np.ndarray,
     length: int,
     rng: RandomStream,
-    power: float,
 ) -> np.ndarray:
     """Batched bridge update of mutually disjoint anchored blocks.
 
-    Blocks in one pass share at most their fixed anchor knots, so their
-    updates are conditionally independent and one vectorised accept/reject
-    per block composes exactly like updating them one at a time.
+    Each block spans ``length`` consecutive observation intervals and its
+    flanking knots stay fixed. The proposal is the dominating-measure
+    conditional, so the ratio is the likelihood change over the block plus
+    the latent-marginal change. Blocks in one pass share at most their fixed
+    anchor knots, so their updates are conditionally independent and one
+    vectorised accept/reject per block composes exactly like updating them
+    one at a time.
     """
     m = state.m
+    cache = state.cache
     nb = firsts.size
     width = length * (m + 1) + 1
     lo = firsts * (m + 1)
@@ -570,19 +520,19 @@ def _gamma_anchored_pass(
     new_times = state.warps(gamma=gam_win, rows=rows_idx).z_times
     bad_rows = ~np.all(np.isfinite(new_times), axis=1)
     if bad_rows.any():
-        new_times = np.where(bad_rows[:, None], state.z_times[rows_idx], new_times)
-    z_new = refine_rows(state.z_times[rows_idx], state.z[rows_idx], new_times, rng)
+        new_times = np.where(bad_rows[:, None], cache.z_times[rows_idx], new_times)
+    z_new = refine_rows(cache.z_times[rows_idx], cache.z[rows_idx], new_times, rng)
     q = state.quantities(gamma=gam_win, z=z_new, rows=rows_idx)
 
     delta = (
-        (q.log_g - state.log_g[rows_idx])
-        + (q.log_f - state.log_f[rows_idx])
-        + (q.log_gamma - state.log_gamma[rows_idx])
+        (q.log_g - cache.log_g[rows_idx])
+        + (q.log_f - cache.log_f[rows_idx])
+        + (q.log_gamma - cache.log_gamma[rows_idx])
     ).reshape(nb, length)
     log_ratio = np.where(
         bad_rows.reshape(nb, length).any(axis=1), -np.inf, delta.sum(axis=1)
     )
-    acc = _accept_mask(log_ratio, rng, power)
+    acc = _accept_mask(log_ratio, rng)
     if acc.any():
         state.gamma_flat[seg_idx[acc]] = seg_prop[acc]
         keep = np.repeat(acc, length)
@@ -590,28 +540,17 @@ def _gamma_anchored_pass(
     return acc
 
 
-def update_gamma_block(
-    state: AugmentedState,
-    first: int,
-    n_block: int,
-    rng: RandomStream,
-    anchored_right: bool = True,
-    power: float = 1.0,
-) -> bool:
-    """Bridge proposal for one block of the latent path.
+def update_gamma_block(state: AugmentedState, first: int, n_block: int, rng: RandomStream) -> bool:
+    """Bridge proposal for the terminal block of the latent path.
 
-    The block spans ``n_block`` consecutive observation intervals; its
-    flanking knots stay fixed, except that the terminal block's right end is
-    a free Brownian extension. The proposal is the dominating-measure
-    conditional, so the ratio is the likelihood change over the block plus
-    the latent-marginal change.
+    The block spans the ``n_block`` observation intervals from ``first`` to
+    the end; its left knot stays fixed and its right end is a free Brownian
+    extension. The proposal is the dominating-measure conditional, so the
+    ratio is the likelihood change over the block plus the latent-marginal
+    change.
     """
-    if anchored_right:
-        return bool(
-            _gamma_anchored_pass(state, np.array([first]), n_block, rng, power)[0]
-        )
-
     m = state.m
+    cache = state.cache
     lo = first * (m + 1)
     hi = (first + n_block) * (m + 1)
     seg_t = state.x_flat[lo: hi + 1]
@@ -627,17 +566,17 @@ def update_gamma_block(
     new_times = state.warps(gamma=gam_win, rows=rows).z_times
     if not np.all(np.isfinite(new_times)):
         return False
-    z_new = refine_rows(state.z_times[rows], state.z[rows], new_times, rng)
+    z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
     q = state.quantities(gamma=gam_win, z=z_new, rows=rows)
     if not q.finite():
         return False
 
     log_ratio = float(
-        np.sum(q.log_g - state.log_g[rows])
-        + np.sum(q.log_f - state.log_f[rows])
-        + np.sum(q.log_gamma - state.log_gamma[rows])
+        np.sum(q.log_g - cache.log_g[rows])
+        + np.sum(q.log_f - cache.log_f[rows])
+        + np.sum(q.log_gamma - cache.log_gamma[rows])
     )
-    if not _accept_scalar(log_ratio, rng, power):
+    if not _accept_scalar(log_ratio, rng):
         return False
     state.gamma_flat[lo: hi + 1] = seg_prop
     state.refresh(rows, q)
@@ -661,7 +600,6 @@ def sweep(
     rng: RandomStream,
     scales: dict[str, float],
     tallies: Optional[dict] = None,
-    power: float = 1.0,
     block_len: int = 2,
 ) -> dict[str, bool]:
     """One full Gibbs sweep; returns the scalar-parameter accept flags."""
@@ -672,7 +610,7 @@ def sweep(
             rec[0] += acc
             rec[1] += att
 
-    acc_z = _update_z_rows(state, slice(None), rng, power)
+    acc_z = _update_z_rows(state, slice(None), rng)
     tally("z", int(acc_z.sum()), acc_z.size)
 
     if state.model.has_latent:
@@ -683,15 +621,15 @@ def sweep(
         # so each parity class runs as one batched update.
         for parity in (anchored_starts[0::2], anchored_starts[1::2]):
             if parity.size:
-                acc = _gamma_anchored_pass(state, parity, length, rng, power)
+                acc = _gamma_anchored_pass(state, parity, length, rng)
                 tally("gamma", int(acc.sum()), acc.size)
         first, length, _ = plan[-1]
-        acc_t = update_gamma_block(state, first, length, rng, False, power)
+        acc_t = update_gamma_block(state, first, length, rng)
         tally("gamma", int(acc_t))
 
     flags: dict[str, bool] = {}
     for name in _scalar_update_order(state):
-        flags[name] = _update_param(state, name, rng, scales.get(name, 0.25), power)
+        flags[name] = _update_param(state, name, rng, scales.get(name, 0.25))
         tally(name, int(flags[name]))
     return flags
 
@@ -743,10 +681,7 @@ def run_chain(
     for it in range(config.n_iter):
         burning = it < config.n_burn
         flags = sweep(
-            state, rng, scales,
-            tallies_burn if burning else tallies_main,
-            config.ratio_power,
-            config.block_len,
+            state, rng, scales, tallies_burn if burning else tallies_main, config.block_len
         )
         if burning and config.adapt:
             eta = (it + 1.0) ** -0.6
@@ -761,7 +696,7 @@ def run_chain(
             state.validate_cache()
         if not burning and (it - config.n_burn) % config.thin == 0:
             draws[row] = [state.params[p] for p in state.free_names]
-            logliks[row] = state.breakdown().log_likelihood
+            logliks[row] = state.log_likelihood()
             iters[row] = it
             row += 1
 

@@ -34,9 +34,6 @@ class RandomStream:
     def uniform(self, size=None):
         return self._gen.uniform(size=size)
 
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size=size)
-
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
@@ -67,10 +64,6 @@ class TimeGrid:
     @property
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @classmethod
-    def regular(cls, t0: float, t1: float, n_points: int) -> "TimeGrid":
-        return cls(np.linspace(t0, t1, n_points))
 
 
 @dataclass(frozen=True)

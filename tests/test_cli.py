@@ -159,7 +159,9 @@ class TestExitCodes:
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": "x"}},
         {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "ratio_power": None}},
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": None}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "block_len": 1}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "adapt": "no"}},
     ])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate, signal, stats
 
-from timechange_sv.diagnostics import acf, iact, kde_export, summarize
+from timechange_sv.diagnostics import acf, iact, kde_export, prior_recovery_test, summarize
 from timechange_sv.errors import ValidationError
-from timechange_sv.mcmc import SamplerConfig, Trace
+from timechange_sv.mcmc import PriorSpec, SamplerConfig, Trace, sweep
+from timechange_sv.models import get_model
 from timechange_sv.paths import RandomStream
 
 PHI = 0.5
@@ -63,3 +64,35 @@ def test_summarize_matches_numpy():
         col = draws[:, j]
         expected = (np.mean(col), np.std(col, ddof=1), *np.percentile(col, [2.5, 50.0, 97.5]))
         assert table[name] == pytest.approx(expected, rel=1e-12)
+
+
+class TestPriorRecovery:
+    """The joint-distribution harness on const-vol-scalar passes the real
+    sweep and catches a transition that does not preserve the posterior."""
+
+    MODEL = get_model("const-vol-scalar")
+    PRIOR = PriorSpec.from_model(MODEL, {"theta": (-1, 1), "sigma": (0.3, 2)})
+    CONFIG = SamplerConfig(m=3, n_iter=2, n_burn=1, rw_scales={"theta": 0.5, "sigma": 0.5})
+
+    def test_sweep_recovers_the_prior(self):
+        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 300, RandomStream(1),
+                                sweeps=30)
+        assert min(p.values()) > 0.01, p
+
+    def test_broken_transition_is_caught(self):
+        def inflate_sigma(state, rng):
+            # a sweep, then a deterministic push of sigma up, capped in the box
+            sweep(state, rng, self.CONFIG.rw_scales)
+            sigma = min(1.05 * state.params["sigma"], 1.999)
+            state.params = state.params.replace(sigma=sigma)
+            state.refresh(slice(None), state.quantities())
+
+        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, RandomStream(2),
+                                sweeps=10, transition=inflate_sigma)
+        assert p["sigma"] < 1e-3, p
+
+    def test_improper_prior_rejected(self):
+        prior = PriorSpec.from_model(self.MODEL, {"theta": (-1, 1)})
+        with pytest.raises(ValidationError, match="sigma"):
+            prior.sample(RandomStream(0), ["theta", "sigma"])
+        assert set(prior.sample(RandomStream(0), ["theta"])) == {"theta"}

@@ -38,7 +38,7 @@ def engine_log_g(model, params, path):
         model, params, path.times[[0, -1]], path.values[None, :], np.zeros(len(path)),
         PriorSpec.from_model(model),
     )
-    return float(state.log_g[0])
+    return float(state.cache.log_g[0])
 
 
 def engine_log_gamma(model, params, times, gamma):
@@ -277,16 +277,18 @@ class TestAugmentedPosterior:
             {"kappa_x": 1e-300, "kappa_alpha": 1e-300, "rho": 0.0}
         )
         state, _ = self._state(model, params)
-        bd = state.breakdown(state.quantities())
-        assert bd.total == pytest.approx(float(np.sum(bd.log_f)), abs=1e-12)
+        q = state.quantities()
+        assert state.log_likelihood(q) == pytest.approx(
+            float(np.sum(q.log_f + state.log_jac)), abs=1e-12
+        )
 
     def test_additive_over_intervals(self):
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         state, obs_times = self._state(model, params, n_obs=2)
-        per_interval = state.log_g + state.log_f + state.log_gamma
-        bd = state.breakdown()
-        assert bd.total == pytest.approx(float(per_interval.sum()), abs=1e-10)
+        cache = state.cache
+        per_interval = cache.log_g + cache.log_f + cache.log_gamma
+        assert state.log_likelihood() == pytest.approx(float(per_interval.sum()), abs=1e-10)
 
         # rebuild each interval as its own one-interval state: same pieces
         for k in range(2):
@@ -294,16 +296,16 @@ class TestAugmentedPosterior:
                 model, params, state.x_knots[k: k + 1],
                 state.gamma_windows()[k: k + 1],
                 state.y[k: k + 1], state.y[k + 1: k + 2],
-                z_values=state.z[k: k + 1],
+                z_values=cache.z[k: k + 1],
             )
-            assert q.log_g[0] == pytest.approx(state.log_g[k], abs=1e-12)
-            assert q.log_f[0] == pytest.approx(state.log_f[k], abs=1e-12)
+            assert q.log_g[0] == pytest.approx(cache.log_g[k], abs=1e-12)
+            assert q.log_f[0] == pytest.approx(cache.log_f[k], abs=1e-12)
 
     def test_finite_for_study_model_at_truth(self):
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         state, _ = self._state(model, params, n_obs=10, m=30)
-        assert np.isfinite(state.breakdown().total)
+        assert np.isfinite(state.log_likelihood())
 
     def test_total_ignores_path_beyond_last_knot(self):
         # drawing doubly-warped knots past the last stored one, from the
@@ -311,15 +313,17 @@ class TestAugmentedPosterior:
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         state, _ = self._state(model, params)
-        cached = ["gamma_flat", *(f.name for f in fields(IntervalQuantities))]
-        before = {name: getattr(state, name).copy() for name in cached}
-        total = state.breakdown().total
-        new_times = state.z_times[:, -1:] + np.array([1.0, 10.0])
-        drawn = refine_rows(state.z_times, state.z, new_times, RandomStream(50))
+        cached = {"gamma_flat": state.gamma_flat} | {
+            f.name: getattr(state.cache, f.name) for f in fields(IntervalQuantities)
+        }
+        before = {name: arr.copy() for name, arr in cached.items()}
+        total = state.log_likelihood()
+        new_times = state.cache.z_times[:, -1:] + np.array([1.0, 10.0])
+        drawn = refine_rows(state.cache.z_times, state.cache.z, new_times, RandomStream(50))
         assert drawn.shape == new_times.shape and np.all(np.isfinite(drawn))
-        for name in cached:
-            assert np.array_equal(getattr(state, name), before[name]), name
-        assert state.breakdown().total == total  # bit-for-bit
+        for name, arr in cached.items():
+            assert np.array_equal(arr, before[name]), name
+        assert state.log_likelihood() == total  # bit-for-bit
 
 
 class TestReparametrisationInvariance:
@@ -341,8 +345,8 @@ class TestReparametrisationInvariance:
         state_b = state_from_skeleton(
             model, params, obs_times, xv, gam, prior, log_jac=jac
         )
-        total_direct = state_a.breakdown().total
-        total_transformed = state_b.breakdown().total
+        total_direct = state_a.log_likelihood()
+        total_transformed = state_b.log_likelihood()
         assert total_transformed == pytest.approx(
             total_direct + float(jac.sum()), rel=1e-12
         )
@@ -375,8 +379,9 @@ class TestEngineStages:
         model, params, state = _skeleton_state(name)
         knots, gamma, y0, y1 = state.x_knots, state.gamma_windows(), state.y[:-1], state.y[1:]
         w = warp_stage(model, params, knots, gamma)
-        q = density_stage(path_stage(w, state.z, y0, y1), model, params, knots, gamma, y0)
-        full = interval_quantities(model, params, knots, gamma, y0, y1, z_values=state.z)
+        z = state.cache.z
+        q = density_stage(path_stage(w, z, y0, y1), model, params, knots, gamma, y0)
+        full = interval_quantities(model, params, knots, gamma, y0, y1, z_values=z)
         for f in fields(full):
             assert np.array_equal(getattr(q, f.name), getattr(full, f.name)), f.name
 

@@ -1,23 +1,27 @@
+import importlib
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import timechange_sv
 from timechange_sv.errors import ValidationError
 from timechange_sv.likelihood import log_end_gaussian
 from timechange_sv.mcmc import (
     PriorSpec,
     SamplerConfig,
+    _gamma_anchored_pass,
+    _update_param,
+    _update_z_rows,
     gamma_block_plan,
     init_state,
     run_chain,
     state_from_skeleton,
     sweep,
-    update_drift_params,
     update_gamma_block,
-    update_timescale_param,
-    update_z_path,
 )
 from timechange_sv.models import euler_simulate, get_model
 from timechange_sv.paths import RandomStream, TimeGrid
@@ -27,22 +31,44 @@ from timechange_sv.diagnostics import simulate_discrete_skeleton
 from _support import decoupled_sv_model, scalar_ou_model
 
 
-STATE_ARRAYS = (
-    "gamma_flat", "z", "z_times", "u", "total", "U", "X", "adj", "alpha", "veff2",
-    "log_g", "log_f", "log_gamma",
-)
+def arrays(state):
+    """The latent path and every cached engine output, by name."""
+    return {"gamma_flat": state.gamma_flat} | {
+        f.name: getattr(state.cache, f.name) for f in fields(state.cache)
+    }
 
 
 def snapshot(state):
-    return {name: getattr(state, name).copy() for name in STATE_ARRAYS} | {
+    return {name: arr.copy() for name, arr in arrays(state).items()} | {
         "params": dict(state.params.values)
     }
 
 
 def assert_state_equal(state, snap):
-    for name in STATE_ARRAYS:
-        assert np.array_equal(getattr(state, name), snap[name]), name
+    for name, arr in arrays(state).items():
+        assert np.array_equal(arr, snap[name]), name
     assert dict(state.params.values) == snap["params"]
+
+
+def z_move(state, k, rng):
+    """The path kernel on interval ``k`` alone."""
+    rows = np.zeros(state.n_intervals, dtype=bool)
+    rows[k] = True
+    return bool(_update_z_rows(state, rows, rng)[0])
+
+
+def anchored_block(state, first, n_block, rng):
+    """The anchored latent-block kernel on one block."""
+    return bool(_gamma_anchored_pass(state, np.array([first]), n_block, rng)[0])
+
+
+def drift_moves(state, rng, scales):
+    """The parameter kernel on every free parameter that leaves the time
+    scales alone, in model order."""
+    return {
+        name: _update_param(state, name, rng, scales.get(name, 0.25))
+        for name in state.free_names if name not in state.model.timescale_params
+    }
 
 
 def sv_state(model=None, params=None, n_obs=5, m=4, seed=2, prior=None, fixed=()):
@@ -62,7 +88,7 @@ class TestZUpdate:
         params = model.make_params({"theta": 0.0, "sigma": 0.8})
         state = sv_state(model, params)
         rng = RandomStream(4)
-        assert all(update_z_path(state, k, rng) for k in range(5) for _ in range(20))
+        assert all(z_move(state, k, rng) for k in range(5) for _ in range(20))
 
     def test_rejection_leaves_state_bit_identical(self):
         state = sv_state()
@@ -70,7 +96,7 @@ class TestZUpdate:
         rejections = 0
         for _ in range(200):
             snap = snapshot(state)
-            accepted = update_z_path(state, 2, rng)
+            accepted = z_move(state, 2, rng)
             if not accepted:
                 rejections += 1
                 assert_state_equal(state, snap)
@@ -80,15 +106,16 @@ class TestZUpdate:
         state = sv_state()
         rng = RandomStream(3)
         snap = snapshot(state)
-        while not update_z_path(state, 1, rng):
+        while not z_move(state, 1, rng):
             pass
+        now = arrays(state)
         for name in ("z", "U", "X", "log_g"):
-            arr, old = getattr(state, name), snap[name]
+            arr, old = now[name], snap[name]
             assert not np.array_equal(arr[1], old[1])
             assert np.array_equal(arr[0], old[0]) and np.array_equal(arr[2:], old[2:])
         # times, endpoint terms and latent terms are untouched by value moves
         for name in ("z_times", "u", "total", "log_f", "log_gamma", "gamma_flat"):
-            assert np.array_equal(getattr(state, name), snap[name]), name
+            assert np.array_equal(now[name], snap[name]), name
 
 
 class TestTimescaleUpdate:
@@ -96,12 +123,7 @@ class TestTimescaleUpdate:
         state = sv_state()
         rng = RandomStream(9)
         for _ in range(30):
-            assert update_timescale_param(state, "sigma", rng, scale=0.0)
-
-    def test_non_timescale_name_rejected(self):
-        state = sv_state()
-        with pytest.raises(ValidationError):
-            update_timescale_param(state, "kappa_x", RandomStream(0))
+            assert _update_param(state, "sigma", rng, 0.0)
 
     def test_out_of_support_proposal_auto_rejects(self):
         model = get_model("ou-sv-leverage")
@@ -111,7 +133,7 @@ class TestTimescaleUpdate:
         rejected_without_touching = 0
         for _ in range(50):
             snap = snapshot(state)
-            if not update_timescale_param(state, "sigma", rng, scale=60.0):
+            if not _update_param(state, "sigma", rng, 60.0):
                 assert_state_equal(state, snap)
                 rejected_without_touching += 1
         assert rejected_without_touching >= 45
@@ -127,26 +149,26 @@ class TestTimescaleUpdate:
         gamma = np.zeros(3)
         state = state_from_skeleton(model, params, obs_times, x_values, gamma, prior)
         assert state.m == 0
-        assert np.all(state.log_g == 0.0)
+        assert np.all(state.cache.log_g == 0.0)
         rng = RandomStream(14)
         accepted = False
         while not accepted:
-            accepted = update_timescale_param(state, "sigma", rng, scale=0.3)
+            accepted = _update_param(state, "sigma", rng, 0.3)
         sig = state.params["sigma"]
-        assert np.all(state.log_g == 0.0)
+        assert np.all(state.cache.log_g == 0.0)
         expected_f = [
             log_end_gaussian(x_values[k, 1], x_values[k, 0], sig**2 * 1.0)
             for k in range(2)
         ]
-        assert np.allclose(state.log_f, expected_f, rtol=1e-12)
+        assert np.allclose(state.cache.log_f, expected_f, rtol=1e-12)
 
     def test_timescale_move_changes_times_consistently(self):
         state = sv_state()
         rng = RandomStream(21)
         snap = snapshot(state)
-        while not update_timescale_param(state, "sigma", rng, scale=0.4):
+        while not _update_param(state, "sigma", rng, 0.4):
             pass
-        assert not np.array_equal(state.z_times, snap["z_times"])
+        assert not np.array_equal(state.cache.z_times, snap["z_times"])
         state.validate_cache()
 
 
@@ -159,9 +181,13 @@ class TestGammaBlockUpdate:
         rng = RandomStream(17)
         for first, anchored in ((0, True), (2, True), (3, False)):
             snap = snapshot(state)
-            update_gamma_block(state, first, 2, rng, anchored)
+            if anchored:
+                anchored_block(state, first, 2, rng)
+            else:
+                update_gamma_block(state, first, 2, rng)
+            now = arrays(state)
             for name in ("z", "z_times", "u", "total", "U", "X", "log_g", "log_f"):
-                assert np.array_equal(getattr(state, name), snap[name]), name
+                assert np.array_equal(now[name], snap[name]), name
 
     def test_rejection_restores_caches(self):
         state = sv_state(seed=8)
@@ -169,7 +195,7 @@ class TestGammaBlockUpdate:
         rejections = 0
         for _ in range(300):
             snap = snapshot(state)
-            if not update_gamma_block(state, 1, 2, rng, True):
+            if not anchored_block(state, 1, 2, rng):
                 rejections += 1
                 assert_state_equal(state, snap)
         assert rejections > 0
@@ -181,7 +207,7 @@ class TestGammaBlockUpdate:
         for _ in range(100):
             left = state.gamma_flat[1 * (m + 1)]
             right = state.gamma_flat[3 * (m + 1)]
-            update_gamma_block(state, 1, 2, rng, True)
+            anchored_block(state, 1, 2, rng)
             assert state.gamma_flat[1 * (m + 1)] == left
             assert state.gamma_flat[3 * (m + 1)] == right
 
@@ -191,7 +217,7 @@ class TestGammaBlockUpdate:
         end_before = state.gamma_flat[-1]
         moved = False
         for _ in range(50):
-            if update_gamma_block(state, 3, 2, rng, anchored_right=False):
+            if update_gamma_block(state, 3, 2, rng):
                 moved = state.gamma_flat[-1] != end_before
                 if moved:
                     break
@@ -200,7 +226,7 @@ class TestGammaBlockUpdate:
 
 
 class TestBlockPlan:
-    @pytest.mark.parametrize("n,block_len", [(5, 2), (10, 3), (400, 10), (2, 2), (7, 7)])
+    @pytest.mark.parametrize("n,block_len", [(5, 2), (10, 3), (400, 10), (2, 2), (7, 7), (1, 1)])
     def test_every_interior_knot_is_interior_to_a_block(self, n, block_len):
         plan = gamma_block_plan(n, block_len)
         covered = set()
@@ -220,22 +246,29 @@ class TestBlockPlan:
         with pytest.raises(ValidationError):
             gamma_block_plan(3, 4)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_interval_blocks_rejected(self, n):
+        # anchored at both observation knots, they would pin the latent path
+        # at every interior observation knot
+        with pytest.raises(ValidationError):
+            gamma_block_plan(n, 1)
+
 
 class TestDriftUpdate:
     def test_zero_step_accepts(self):
         state = sv_state()
         rng = RandomStream(30)
-        flags = update_drift_params(state, rng, scales={
-            n: 0.0 for n in state.free_names})
+        flags = drift_moves(state, rng, {n: 0.0 for n in state.free_names})
         assert all(flags[n] for n in ("kappa_x", "mu_x", "kappa_alpha", "mu_alpha"))
 
     def test_drift_update_never_moves_paths(self):
         state = sv_state()
         rng = RandomStream(31)
         snap = snapshot(state)
-        update_drift_params(state, rng, scales={n: 0.5 for n in state.free_names})
+        drift_moves(state, rng, {n: 0.5 for n in state.free_names})
+        now = arrays(state)
         for name in ("z", "z_times", "u", "total", "U", "X", "gamma_flat"):
-            assert np.array_equal(getattr(state, name), snap[name]), name
+            assert np.array_equal(now[name], snap[name]), name
         state.validate_cache()
 
     def test_conjugate_posterior(self):
@@ -279,10 +312,10 @@ class TestDriftUpdate:
             )
             r_base = state_from_skeleton(
                 model, p_base, obs_times, xv, gam, prior
-            ).breakdown().total - s_base.breakdown().total
+            ).log_likelihood() - s_base.log_likelihood()
             r_shift = state_from_skeleton(
                 model, p_shift, obs_times, xv, gam, prior
-            ).breakdown().total - s_shift.breakdown().total
+            ).log_likelihood() - s_shift.log_likelihood()
             assert r_shift == pytest.approx(r_base, abs=1e-10)
 
 
@@ -369,6 +402,8 @@ class TestRunChain:
             SamplerConfig(m=0, n_iter=10, n_burn=1)
         with pytest.raises(ValidationError):
             SamplerConfig(m=3, n_iter=10, n_burn=10)
+        with pytest.raises(ValidationError):
+            SamplerConfig(m=3, n_iter=10, n_burn=1, block_len=1)
 
     def test_prior_midpoint_init(self):
         data = self._data(5)
@@ -408,8 +443,8 @@ class TestRefinementInvariance:
             for it in range(4200):
                 sweep(state, rng, scales, block_len=1)
                 if refine:
-                    new_times = state.z_times[0, -1] * np.array([1.1, 2.0])
-                    refine_rows(state.z_times[0], state.z[0], new_times, rng)
+                    new_times = state.cache.z_times[0, -1] * np.array([1.1, 2.0])
+                    refine_rows(state.cache.z_times[0], state.cache.z[0], new_times, rng)
                 if it >= 200 and it % 40 == 0:
                     out.append(state.params["sigma"])
             return np.asarray(out)
@@ -417,3 +452,17 @@ class TestRefinementInvariance:
         a = chain(101, refine=False)
         b = chain(101, refine=True)
         assert stats.ks_2samp(a, b).pvalue > 0.01
+
+
+def test_benchmark_hooks_find_every_kernel(monkeypatch):
+    # bench/tracing.py wraps the sampler's kernels by attribute name: a
+    # renamed kernel would silently read 0 in its per-layer metrics
+    import timechange_sv.cli  # noqa: F401  (the hooks wrap the CLI commands too)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        assert tracing.install_layers(tracer, timechange_sv) == set()
+    finally:
+        tracer.restore()
