@@ -18,3 +18,7 @@ class ExplosionError(NumericsError):
     def __init__(self, time: float):
         self.time = float(time)
         super().__init__(f"diffusion state became non-finite at t={self.time:.6g}")
+
+    def __reduce__(self):
+        # rebuild from the time: by default pickle passes the message to __init__
+        return type(self), (self.time,)

@@ -18,8 +18,9 @@ composes:
 The sampler runs only the stages whose inputs a move changes: a path move
 runs path and density on the cached warps; a drift-parameter move runs the
 density stage on the cached warps and paths; time-scale moves and latent
-blocks run the warp stage for the new doubly-warped times, refine, then the
-whole engine once. The density formulas (``girsanov_sum``,
+blocks run the warp stage once for the new doubly-warped times, refine,
+then hand those warps to ``interval_quantities``, which runs the path and
+density stages on them. The density formulas (``girsanov_sum``,
 ``log_end_gaussian``, ``unit_latent_drift``) and the warp formulas taken
 from ``timechange`` and ``models`` exist once, in the code the engine runs.
 ``euler_loglik`` is the exception: an independent transition-product
@@ -159,13 +160,18 @@ def interval_quantities(
     y_left: np.ndarray,
     y_right: np.ndarray,
     z_values: np.ndarray,
+    warps: Optional[IntervalQuantities] = None,
 ) -> IntervalQuantities:
     """Evaluate all warped-scale quantities for a batch of intervals: the
     three stages composed. The path is given by its doubly-warped values
-    ``z_values`` (n, m+1). Non-finite results are not raised here; callers
-    inspect ``finite()`` and treat failures as zero-density.
+    ``z_values`` (n, m+1). ``warps``, the output of ``warp_stage`` on the
+    same (params, x_knots, gamma), skips that stage. Non-finite results are
+    not raised here; callers inspect ``finite()`` and treat failures as
+    zero-density.
     """
-    q = path_stage(warp_stage(model, params, x_knots, gamma), z_values, y_left, y_right)
+    if warps is None:
+        warps = warp_stage(model, params, x_knots, gamma)
+    q = path_stage(warps, z_values, y_left, y_right)
     return density_stage(q, model, params, x_knots, gamma, y_left)
 
 

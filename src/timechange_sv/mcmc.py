@@ -214,9 +214,11 @@ class AugmentedState:
 
     # -- engine and cache management ----------------------------------------
 
-    def quantities(self, params=None, gamma=None, z=None, rows=slice(None)):
+    def quantities(self, params=None, gamma=None, z=None, rows=slice(None), warps=None):
         """Engine outputs for ``rows``; ``params``, the latent windows
-        ``gamma`` and the path values ``z`` default to the state's own."""
+        ``gamma`` and the path values ``z`` default to the state's own.
+        ``warps``, the output of ``self.warps`` for the same params, gamma
+        and rows, skips the warp stage."""
         return interval_quantities(
             self.model,
             self.params if params is None else params,
@@ -225,6 +227,7 @@ class AugmentedState:
             self.y[:-1][rows],
             self.y[1:][rows],
             z_values=self.cache.z[rows] if z is None else z,
+            warps=warps,
         )
 
     def warps(self, params=None, gamma=None, rows=slice(None)) -> IntervalQuantities:
@@ -300,7 +303,7 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
         u1 = (state.y[1:] - w.adj[:, -1])[:, None]
         z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.total[:, None],
                             state.y[:-1, None], u1)
-    q = state.quantities(z=z)
+    q = state.quantities(z=z, warps=w)
     if not q.finite():
         raise ValidationError(f"{what} is non-finite")
     state.cache = IntervalQuantities(
@@ -428,11 +431,11 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
 
     cache = state.cache
     if name in state.model.timescale_params:
-        new_times = state.warps(params=cand_params).z_times
-        if not np.all(np.isfinite(new_times)):
+        w = state.warps(params=cand_params)
+        if not np.all(np.isfinite(w.z_times)):
             return False
-        z_new = refine_rows(cache.z_times, cache.z, new_times, rng)
-        q = state.quantities(params=cand_params, z=z_new)
+        z_new = refine_rows(cache.z_times, cache.z, w.z_times, rng)
+        q = state.quantities(params=cand_params, z=z_new, warps=w)
     else:
         q = state.densities(cache, params=cand_params)
     if not q.finite():
@@ -517,12 +520,13 @@ def _gamma_anchored_pass(
     gam_win = seg_prop[:, win_idx].reshape(nb * length, m + 2)
     rows_idx = (firsts[:, None] + np.arange(length)[None, :]).ravel()
 
-    new_times = state.warps(gamma=gam_win, rows=rows_idx).z_times
+    w = state.warps(gamma=gam_win, rows=rows_idx)
+    new_times = w.z_times
     bad_rows = ~np.all(np.isfinite(new_times), axis=1)
     if bad_rows.any():
         new_times = np.where(bad_rows[:, None], cache.z_times[rows_idx], new_times)
     z_new = refine_rows(cache.z_times[rows_idx], cache.z[rows_idx], new_times, rng)
-    q = state.quantities(gamma=gam_win, z=z_new, rows=rows_idx)
+    q = state.quantities(gamma=gam_win, z=z_new, rows=rows_idx, warps=w)
 
     delta = (
         (q.log_g - cache.log_g[rows_idx])
@@ -563,11 +567,11 @@ def update_gamma_block(state: AugmentedState, first: int, n_block: int, rng: Ran
 
     rows = slice(first, first + n_block)
     gam_win = _windows(seg_prop, m)
-    new_times = state.warps(gamma=gam_win, rows=rows).z_times
-    if not np.all(np.isfinite(new_times)):
+    w = state.warps(gamma=gam_win, rows=rows)
+    if not np.all(np.isfinite(w.z_times)):
         return False
-    z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
-    q = state.quantities(gamma=gam_win, z=z_new, rows=rows)
+    z_new = refine_rows(cache.z_times[rows], cache.z[rows], w.z_times, rng)
+    q = state.quantities(gamma=gam_win, z=z_new, rows=rows, warps=w)
     if not q.finite():
         return False
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import timechange_sv
 from timechange_sv import cli
 from timechange_sv.cli import main
 from timechange_sv.diagnostics import SummaryTable
+from timechange_sv.errors import NumericsError, ValidationError
 
 
 def write_config(path, doc):
@@ -176,10 +178,92 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of the CLI's start-up; only prior recovery needs it
+    # scipy.stats takes most of the CLI's start-up; only prior recovery needs
+    # it, and only a fit with several chains on several CPUs needs the pool
     src = str(Path(timechange_sv.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import timechange_sv.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+            "print([m in sys.modules for m in sys.argv[2:]])")
+    lazy = ["scipy.stats", "multiprocessing", "concurrent.futures"]
+    out = subprocess.run([sys.executable, "-c", code, src, *lazy], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == str([False] * len(lazy))
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def parallel_fit_setup(tmp_path, chains):
+    """Config and simulated data of a small fit with ``chains`` chains."""
+    doc = {**OU_CONFIG, "sampler": {**OU_CONFIG["sampler"], "n_iter": 40, "n_burn": 10,
+                                    "chains": chains}}
+    cfg = write_config(tmp_path / "config.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    return cfg, str(tmp_path / "sim" / "obs.csv")
+
+
+class TestParallelFit:
+    @pytest.mark.parametrize("chains,cpus", [(2, 2), (3, 2), (3, 3)])
+    def test_same_bytes_as_one_cpu(self, tmp_path, monkeypatch, chains, cpus):
+        cfg, obs = parallel_fit_setup(tmp_path, chains)
+        files = {}
+        for n_cpu in (cpus, 1):
+            set_cpus(monkeypatch, n_cpu)
+            out = tmp_path / f"fit_{n_cpu}"
+            assert main(["fit", "--config", cfg, "--data", obs, "--out", str(out)]) == 0
+            files[n_cpu] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files[1]) == 3 * chains
+        assert files[cpus] == files[1]
+
+    def test_without_fork_chains_run_in_this_process(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        cfg, obs = parallel_fit_setup(tmp_path, 2)
+        run_chain, calls = cli.run_chain, []
+        monkeypatch.setattr(cli, "run_chain", lambda *a: calls.append(a) or run_chain(*a))
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        set_cpus(monkeypatch, 2)
+        assert main(["fit", "--config", cfg, "--data", obs, "--out", str(tmp_path / "fit")]) == 0
+        assert len(calls) == 2
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+
+    @pytest.mark.parametrize("chains,failures,code,first", [
+        (2, {1: NumericsError}, 2, 1),
+        (2, {1: ValidationError}, 1, 1),
+        (3, {0: NumericsError}, 2, 0),
+        # chain 2 runs in this process and fails too; chain 1 comes first
+        (3, {1: ValidationError, 2: NumericsError}, 1, 1),
+    ])
+    def test_failing_chain(self, tmp_path, monkeypatch, capsys, chains, failures, code, first):
+        cfg, obs = parallel_fit_setup(tmp_path, chains)
+        capsys.readouterr()
+        run_chain = cli.run_chain
+
+        def failing_run_chain(config, *args):
+            chain = config.seed - OU_CONFIG["sampler"]["seed"]
+            if chain in failures:
+                raise failures[chain](f"chain {chain} failed in process {os.getpid()}")
+            return run_chain(config, *args)
+
+        monkeypatch.setattr(cli, "run_chain", failing_run_chain)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", cfg, "--data", obs, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        label = "error" if code == 1 else "numerical failure"
+        assert err.startswith(f"{label}: chain {first} failed in process ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        pid = int(err.split()[-1])
+        assert (pid == os.getpid()) == (first % 2 == 0)
+        # as in a serial run, the chains before the failure have their files
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{stem}_chain{c}.{ext}" for c in range(first)
+            for stem, ext in (("trace", "csv"), ("summary", "csv"), ("acceptance", "json"))
+        )

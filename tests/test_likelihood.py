@@ -382,8 +382,10 @@ class TestEngineStages:
         z = state.cache.z
         q = density_stage(path_stage(w, z, y0, y1), model, params, knots, gamma, y0)
         full = interval_quantities(model, params, knots, gamma, y0, y1, z_values=z)
+        given = interval_quantities(model, params, knots, gamma, y0, y1, z_values=z, warps=w)
         for f in fields(full):
             assert np.array_equal(getattr(q, f.name), getattr(full, f.name)), f.name
+            assert np.array_equal(getattr(given, f.name), getattr(full, f.name)), f.name
 
     def test_only_timescale_parameters_move_the_warps(self, name):
         # drift moves reuse the cached warps: a parameter that moves them
