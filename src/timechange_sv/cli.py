@@ -261,6 +261,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     if delta <= 0 or n_steps < 1 or stride < 1:
         raise ValidationError("simulate needs positive delta, n_steps and thin_stride")
     params = model.make_params(config.params)
+    params.validate()
     alpha0 = params["alpha0"] if "alpha0" in params else 0.0
 
     grid = TimeGrid(delta * np.arange(n_steps + 1))

@@ -281,6 +281,11 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
+# Elements per block of rows in the simulator's whole-array stages: their
+# temporaries stay small next to the paths and the noise they work on.
+_BLOCK_ELEMS = 1 << 18
+
+
 def _euler_paths(
     model: ModelSpec,
     params: ParamVector,
@@ -290,57 +295,84 @@ def _euler_paths(
     rng: RandomStream,
 ):
     """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
-    shaped (n_paths, n_points).
+    shaped (n_paths, n_points), as transposed views of time-major storage.
+
+    Random numbers: ``noise_b``, then ``noise_w`` for latent models only, each
+    a (n_points - 1, n_paths) array of standard normals drawn from ``rng`` in
+    one call. Row i drives the step from ``times[i]`` to ``times[i + 1]``.
 
     A leverage correlation feeds the latent driving noise into the observed
     diffusion: dB_total = rho dW + sqrt(1-rho^2) dB. Boundary correlations
-    (|rho| = 1) are simulable even though inference excludes them.
+    (|rho| = 1) are simulable even though inference excludes them; |rho| > 1
+    raises ``ValidationError``.
+
+    ``drift_alpha`` and ``vol_alpha`` never read X, so the latent path runs
+    first, then the observed path on the finished latent path. Only the two
+    state recursions loop over steps; the increments, ``vol_alpha * dW`` and
+    ``vol_x * dB_total`` are whole-array stages. A non-finite value persists
+    along its path, so one check at the end raises ``ExplosionError`` at the
+    first grid time where any path is non-finite.
     """
     if not all(math.isfinite(v) for v in params.values.values()):
         raise ValidationError("simulation parameters must be finite")
+    rho = model.rho(params)
+    if abs(rho) > 1.0:
+        raise ValidationError(f"correlation {model.leverage}={rho} outside [-1, 1]")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
     n_paths = x0.size
     if alpha0.size != n_paths:
         raise ValidationError("x0 and alpha0 batch sizes differ")
     n = len(grid)
-    x = np.empty((n_paths, n))
-    a = np.empty((n_paths, n))
-    x[:, 0] = x0
-    a[:, 0] = alpha0
+    x = np.empty((n, n_paths))
+    a = np.empty((n, n_paths))
+    x[0] = x0
+    a[0] = alpha0
     if n == 1:
-        return x, a
+        return x.T, a.T
 
-    steps = grid.steps
     times = grid.times
-    rho = model.rho(params)
-    lev = math.sqrt(max(0.0, 1.0 - rho * rho))
+    steps = grid.steps
+    sq = np.sqrt(steps)[:, None]
+    dts = steps.tolist()
+    rows = max(1, _BLOCK_ELEMS // n_paths)
+    blocks = [slice(r, min(r + rows, n - 1)) for r in range(0, n - 1, rows)]
     noise_b = rng.normal((n - 1, n_paths))
-    noise_w = rng.normal((n - 1, n_paths)) if model.has_latent else None
+    # a non-finite state is caught by the check at the end, not reported twice
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if model.has_latent:
+            noise_w = rng.normal((n - 1, n_paths))
+            lev = math.sqrt(1.0 - rho * rho)
+            sa = model.vol_alpha(params)
+            # in place: noise_w becomes vol_alpha * dW and noise_b becomes
+            # dB_total; every product is grouped as a one-step-at-a-time
+            # Euler loop groups it (lev * sqrt(dt) is one factor), so the
+            # paths are bit-identical to that loop's
+            for s in blocks:
+                dw = noise_w[s]
+                dw *= sq[s]
+                db = noise_b[s]
+                db *= lev * sq[s]
+                db += rho * dw
+                dw *= sa
+            for i, dt in enumerate(dts):
+                ai = a[i]
+                np.add(ai + model.drift_alpha(ai, params) * dt, noise_w[i], out=a[i + 1])
+        else:
+            noise_b *= sq
+            a[1:] = a[0]
+        # noise_b becomes vol_x(alpha) * dB_total, with alpha left of each step
+        for s in blocks:
+            noise_b[s] *= model.vol_x(a[s], params)
+        for i, dt in enumerate(dts):
+            xi = x[i]
+            np.add(xi + model.drift_x(times[i], xi, a[i], params) * dt, noise_b[i], out=x[i + 1])
 
-    xi = x[:, 0].copy()
-    ai = a[:, 0].copy()
-    # overflow is caught by the finiteness check below, not reported twice
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            dt = steps[i]
-            sq = math.sqrt(dt)
-            sx = model.vol_x(ai, params)
-            mx = model.drift_x(times[i], xi, ai, params)
-            if model.has_latent:
-                dw = sq * noise_w[i]
-                db = rho * dw + lev * sq * noise_b[i]
-                sa = model.vol_alpha(params)
-                ma = model.drift_alpha(ai, params)
-                ai = ai + ma * dt + sa * dw
-            else:
-                db = sq * noise_b[i]
-            xi = xi + mx * dt + sx * db
-            if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))):
-                raise ExplosionError(times[i + 1])
-            x[:, i + 1] = xi
-            a[:, i + 1] = ai
-    return x, a
+    bad = ~(np.isfinite(x[-1]) & np.isfinite(a[-1]))
+    if bad.any():
+        finite = (np.isfinite(x[1:, bad]) & np.isfinite(a[1:, bad])).all(axis=1)
+        raise ExplosionError(times[int(np.argmin(finite)) + 1])
+    return x.T, a.T
 
 
 def euler_simulate(

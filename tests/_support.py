@@ -1,8 +1,10 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from timechange_sv.errors import ValidationError
+from timechange_sv.errors import ExplosionError, ValidationError
 from timechange_sv.models import ModelSpec, ParamSupport, POSITIVE, REAL
 from timechange_sv.paths import Path, RandomStream, TimeGrid
 
@@ -42,6 +44,58 @@ def decoupled_sv_model() -> ModelSpec:
         vol_alpha=lambda p: p["sigma"],
         timescale_params=("sigma", "alpha0"),
     )
+
+
+# The per-step Euler loop that models._euler_paths replaced, kept verbatim as
+# its oracle: the rewrite must match its paths bit for bit, consume the same
+# random numbers and raise ExplosionError at the same grid time.
+def euler_paths_reference(model, params, x0, alpha0, grid, rng):
+    """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
+    shaped (n_paths, n_points)."""
+    if not all(math.isfinite(v) for v in params.values.values()):
+        raise ValidationError("simulation parameters must be finite")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
+    n_paths = x0.size
+    if alpha0.size != n_paths:
+        raise ValidationError("x0 and alpha0 batch sizes differ")
+    n = len(grid)
+    x = np.empty((n_paths, n))
+    a = np.empty((n_paths, n))
+    x[:, 0] = x0
+    a[:, 0] = alpha0
+    if n == 1:
+        return x, a
+
+    steps = grid.steps
+    times = grid.times
+    rho = model.rho(params)
+    lev = math.sqrt(max(0.0, 1.0 - rho * rho))
+    noise_b = rng.normal((n - 1, n_paths))
+    noise_w = rng.normal((n - 1, n_paths)) if model.has_latent else None
+
+    xi = x[:, 0].copy()
+    ai = a[:, 0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            dt = steps[i]
+            sq = math.sqrt(dt)
+            sx = model.vol_x(ai, params)
+            mx = model.drift_x(times[i], xi, ai, params)
+            if model.has_latent:
+                dw = sq * noise_w[i]
+                db = rho * dw + lev * sq * noise_b[i]
+                sa = model.vol_alpha(params)
+                ma = model.drift_alpha(ai, params)
+                ai = ai + ma * dt + sa * dw
+            else:
+                db = sq * noise_b[i]
+            xi = xi + mx * dt + sx * db
+            if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))):
+                raise ExplosionError(times[i + 1])
+            x[:, i + 1] = xi
+            a[:, i + 1] = ai
+    return x, a
 
 
 def log_bm_fdd(times, values, var_rate=1.0) -> float:

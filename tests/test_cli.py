@@ -132,6 +132,23 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
         assert "n_step" in capsys.readouterr().err
 
+    def test_simulate_parameter_outside_support_rejected(self, tmp_path, capsys, monkeypatch):
+        # recorded config: it used to simulate with |rho| > 1 and exit 0
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the simulator ran")
+
+        monkeypatch.setattr(cli, "euler_simulate", no_steps)
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "ou-sv-leverage",
+            "params": {"rho": 1.5, "sigma": -0.4},
+            "simulate": {"n_steps": 20, "delta": 0.01, "thin_stride": 5},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside its support" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_unknown_data_schema_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",

@@ -19,7 +19,38 @@ from timechange_sv.models import (
 from timechange_sv.paths import RandomStream, TimeGrid
 from timechange_sv.timechange import centre_on_chord
 
-from _support import scalar_ou_model
+from _support import decoupled_sv_model, euler_paths_reference, scalar_ou_model
+
+
+def uneven_grid(n_points):
+    steps = np.random.default_rng(0).uniform(1e-3, 2e-2, n_points - 1)
+    return TimeGrid(np.concatenate(([0.0], np.cumsum(steps))))
+
+
+def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
+    """Model whose coefficients the caller picks; with ``drift_alpha`` it has
+    a latent diffusion of scale 0.1 that the observed one ignores."""
+    return ModelSpec(
+        name="blowup", param_names=("c",), supports={"c": REAL}, defaults={"c": 1.0},
+        drift_x=drift_x or (lambda t, x, a, p: np.zeros(np.shape(x))),
+        vol_x=vol_x or (lambda a, p: np.ones(np.shape(a))),
+        has_latent=drift_alpha is not None,
+        drift_alpha=drift_alpha,
+        vol_alpha=lambda p: 0.1,
+    )
+
+
+def assert_explodes_as_step_loop(model, x0, alpha0):
+    """The simulator raises ExplosionError at exactly the grid time where the
+    per-step loop does, a step strictly inside the grid."""
+    grid = TimeGrid(np.linspace(0.0, 5.0, 501))
+    with pytest.raises(ExplosionError) as ref:
+        euler_paths_reference(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
+    with pytest.raises(ExplosionError) as got:
+        _euler_paths(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
+    k = int(np.searchsorted(grid.times, ref.value.time))
+    assert 1 < k < len(grid) - 1
+    assert got.value.time == ref.value.time == grid.times[k]
 
 
 class TestRegistry:
@@ -82,18 +113,32 @@ class TestEulerSimulate:
         assert corr == pytest.approx(rho, abs=0.02)
 
     def test_explosion_reports_time(self):
-        model = ModelSpec(
-            name="blowup", param_names=("c",), supports={"c": REAL},
-            defaults={"c": 1.0},
-            drift_x=lambda t, x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6,
-            vol_x=lambda a, p: np.ones(np.shape(a)),
-            has_latent=False,
+        model = blowup_model(drift_x=lambda t, x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6)
+        assert_explodes_as_step_loop(model, [1.0], [0.0])
+
+    def test_explosion_time_of_latent_drift(self):
+        # X ignores alpha, so it stays finite: only the latent path blows up
+        model = blowup_model(drift_alpha=lambda a, p: np.asarray(a, dtype=float) ** 3 * 1e4)
+        assert_explodes_as_step_loop(model, [0.0], [1.0])
+
+    def test_explosion_time_of_one_path_in_a_batch(self):
+        # paths from 0 with volatility 0.1 stay far below 2 on [0, 5]; the
+        # one from 3 sits where the drift explodes
+        model = blowup_model(
+            drift_x=lambda t, x, a, p: np.where(x > 2.0, np.asarray(x, dtype=float) ** 3, 0.0),
+            vol_x=lambda a, p: np.full(np.shape(a), 0.1),
         )
-        grid = TimeGrid(np.linspace(0.0, 5.0, 501))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ExplosionError) as err:
-                euler_simulate(model, model.make_params(), 1.0, 0.0, grid, RandomStream(0))
-        assert 0.0 < err.value.time <= 5.0
+        assert_explodes_as_step_loop(model, [0.0, 3.0, 0.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0000001])
+    def test_correlation_outside_unit_interval_rejected(self, rho):
+        # with |rho| > 1 the leverage factor used to be clamped to 0, which
+        # gave dB_total the variance rho^2 dt
+        model = get_model("ou-sv-leverage")
+        params = model.make_params().replace(rho=rho)
+        grid = TimeGrid(np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValidationError, match="outside"):
+            euler_simulate(model, params, 0.1, -0.2, grid, RandomStream(0))
 
     def test_ou_endpoint_distribution(self):
         # dX = -X dt + dW on [0,1] from 1: endpoint ~ N(e^-1, (1-e^-2)/2)
@@ -118,6 +163,36 @@ class TestEulerSimulate:
         qv = np.sum(np.diff(x.values) ** 2)
         integral = float(np.sum(np.exp(a.values[:-1]) * np.diff(grid.times)))
         assert qv == pytest.approx(integral, rel=0.05)
+
+
+def simulated_models():
+    cases = [pytest.param(get_model(n), {}, id=n) for n in model_names()]
+    cases += [pytest.param(get_model("ou-sv-leverage"), {"rho": r}, id=f"ou-sv-rho{r:+.0f}")
+              for r in (1.0, -1.0)]
+    cases += [pytest.param(scalar_ou_model(), {}, id="scalar-ou"),
+              pytest.param(decoupled_sv_model(), {}, id="decoupled-sv")]
+    return cases
+
+
+class TestEulerOracle:
+    """``_euler_paths`` against the per-step loop it replaced
+    (``euler_paths_reference``): the same bits, the same random numbers."""
+
+    @pytest.mark.parametrize("n_paths,n_points", [(1, 300), (3, 300), (3, 1)],
+                             ids=["one-path", "batch", "one-point"])
+    @pytest.mark.parametrize("model,updates", simulated_models())
+    def test_bit_identical(self, model, updates, n_paths, n_points):
+        params = model.make_params().replace(**updates)  # rho = +-1 bypasses support
+        x0 = (np.log(10.0) if model.obs_transform else 0.1) + 0.01 * np.arange(n_paths)
+        a0 = (params["alpha0"] if "alpha0" in params else 0.0) - 0.1 * np.arange(n_paths)
+        grid = uneven_grid(n_points)
+        ref_rng, rng = RandomStream(9), RandomStream(9)
+        want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
+        got = _euler_paths(model, params, x0, a0, grid, rng)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n_paths, n_points)
+            assert g.tobytes() == w.tobytes()
+        assert rng.normal() == ref_rng.normal()
 
 
 class TestLatentTransforms:
