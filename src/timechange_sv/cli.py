@@ -258,8 +258,9 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     stride = int(sim.get("thin_stride", 1000))
     seed = int(sim.get("seed", 0))
     x0 = float(sim.get("x0", 0.0))
-    if delta <= 0 or n_steps < 1 or stride < 1:
-        raise ValidationError("simulate needs positive delta, n_steps and thin_stride")
+    if not (delta > 0 and 1 <= stride <= n_steps):  # fit needs two observations
+        raise ValidationError(f"simulate needs delta > 0 and 1 <= thin_stride <= n_steps; "
+                              f"got delta={delta}, n_steps={n_steps}, thin_stride={stride}")
     params = model.make_params(config.params)
     params.validate()
     alpha0 = params["alpha0"] if "alpha0" in params else 0.0
@@ -276,15 +277,14 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     with open(obs_file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "value"])
-        for t, v in zip(obs_t, obs_v):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}"])
+        writer.writerows([f"{t:.12g}", f"{v:.12g}"] for t, v in zip(obs_t.tolist(), obs_v.tolist()))
 
     truth_file = out / "truth.csv"
     with open(truth_file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "x", "alpha"])
-        for t, xv, av in zip(grid.times, x_path.values, a_path.values):
-            writer.writerow([f"{t:.12g}", f"{xv:.12g}", f"{av:.12g}"])
+        rows = zip(grid.times.tolist(), x_path.values.tolist(), a_path.values.tolist())
+        writer.writerows([f"{t:.12g}", f"{xv:.12g}", f"{av:.12g}"] for t, xv, av in rows)
 
     params_file = out / "truth_params.json"
     with open(params_file, "w") as fh:

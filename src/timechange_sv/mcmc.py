@@ -179,6 +179,7 @@ class AugmentedState:
     its accepted rows there through ``refresh``. Other array shapes
     (n = #intervals, m = imputed points per interval):
         x_flat, gamma_flat : (n (m+1) + 1,)
+        gamma_windows      : (n, m+2), a view of gamma_flat (written in place)
         log_jac            : (n,)
     """
 
@@ -201,12 +202,10 @@ class AugmentedState:
         self.x_flat = _flat_knots(self.obs_times, self.m)
         self.x_knots = _windows(self.x_flat, self.m).copy()
         self.gamma_flat = np.zeros(n * (self.m + 1) + 1)
+        self.gamma_windows = _windows(self.gamma_flat, self.m)
         self.cache: Optional[IntervalQuantities] = None  # set by _canonicalise
 
     # -- views ------------------------------------------------------------
-
-    def gamma_windows(self) -> np.ndarray:
-        return _windows(self.gamma_flat, self.m)
 
     @property
     def free_names(self) -> tuple[str, ...]:
@@ -223,7 +222,7 @@ class AugmentedState:
             self.model,
             self.params if params is None else params,
             self.x_knots[rows],
-            self.gamma_windows()[rows] if gamma is None else gamma,
+            self.gamma_windows[rows] if gamma is None else gamma,
             self.y[:-1][rows],
             self.y[1:][rows],
             z_values=self.cache.z[rows] if z is None else z,
@@ -236,14 +235,14 @@ class AugmentedState:
             self.model,
             self.params if params is None else params,
             self.x_knots[rows],
-            self.gamma_windows()[rows] if gamma is None else gamma,
+            self.gamma_windows[rows] if gamma is None else gamma,
         )
 
     def densities(self, q, params=None, rows=slice(None)) -> IntervalQuantities:
         """The density stage on the warps and paths of ``q``."""
         return density_stage(
             q, self.model, self.params if params is None else params,
-            self.x_knots[rows], self.gamma_windows()[rows], self.y[:-1][rows],
+            self.x_knots[rows], self.gamma_windows[rows], self.y[:-1][rows],
         )
 
     def refresh(self, rows, q) -> None:
@@ -354,11 +353,11 @@ def state_from_skeleton(
     y = np.concatenate((x_values[:, 0], x_values[-1:, -1]))
     jac = np.zeros(n) if log_jac is None else np.asarray(log_jac, dtype=float)
     state = AugmentedState(model, params, prior, obs_times, y, jac, m, tuple(fixed))
-    state.gamma_flat = np.asarray(gamma_flat, dtype=float).copy()
-    if state.gamma_flat.shape != (n * (m + 1) + 1,):
+    if np.shape(gamma_flat) != state.gamma_flat.shape:
         raise ValidationError("latent path length does not match the knot grid")
-    if state.gamma_flat[0] != 0.0:
+    if gamma_flat[0] != 0.0:
         raise ValidationError("latent path must start at zero")
+    state.gamma_flat[:] = gamma_flat
     return _canonicalise(state, x_values, "augmented posterior of this skeleton")
 
 

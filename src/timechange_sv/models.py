@@ -5,8 +5,6 @@ of its latent volatility diffusion, together with the hooks needed by the
 samplers: which parameters deform the warped time scales, and how raw
 observations map onto the coordinate in which the volatility is state-free
 (the unit-state-volatility transform).
-
-All coefficient functions are vectorised over numpy arrays.
 """
 
 from __future__ import annotations
@@ -123,6 +121,9 @@ class ModelSpec:
     state-dependent volatility, ``obs_transform``/``obs_transform_inv`` map
     raw data into that coordinate and ``obs_log_jacobian`` supplies the
     density correction per observation.
+
+    Coefficient functions take float arrays and, in the one-path simulator,
+    numpy float64 scalars; a scalar input must give a scalar output.
     """
 
     name: str
@@ -175,7 +176,7 @@ def _make_const_vol_scalar() -> ModelSpec:
         param_names=("theta", "sigma"),
         supports={"theta": REAL, "sigma": POSITIVE},
         defaults={"theta": 0.0, "sigma": 1.0},
-        drift_x=lambda t, x, a, p: np.broadcast_to(p["theta"], np.shape(x)).astype(float),
+        drift_x=lambda t, x, a, p: p["theta"] + np.zeros_like(x),
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
         has_latent=False,
         timescale_params=("sigma",),
@@ -206,10 +207,10 @@ def _make_ou_sv_leverage() -> ModelSpec:
             "rho": -0.5,
             "alpha0": -0.2,
         },
-        drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - np.asarray(x, dtype=float)),
-        vol_x=lambda a, p: np.exp(0.5 * np.asarray(a, dtype=float)),
+        drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - x),
+        vol_x=lambda a, p: np.exp(0.5 * a),
         has_latent=True,
-        drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - np.asarray(a, dtype=float)),
+        drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - a),
         vol_alpha=lambda p: p["sigma"],
         leverage="rho",
         timescale_params=("sigma", "rho", "alpha0"),
@@ -240,14 +241,10 @@ def _make_tbill_logsv() -> ModelSpec:
             "sigma": 2.764,
             "alpha0": -3.966,
         },
-        drift_x=lambda t, x, a, p: (
-            p["theta0"] * np.exp(-np.asarray(x, dtype=float))
-            - p["theta1"]
-            - 0.5 * np.exp(np.asarray(a, dtype=float))
-        ),
-        vol_x=lambda a, p: np.exp(0.5 * np.asarray(a, dtype=float)),
+        drift_x=lambda t, x, a, p: p["theta0"] * np.exp(-x) - p["theta1"] - 0.5 * np.exp(a),
+        vol_x=lambda a, p: np.exp(0.5 * a),
         has_latent=True,
-        drift_alpha=lambda a, p: p["kappa"] * (p["mu"] - np.asarray(a, dtype=float)),
+        drift_alpha=lambda a, p: p["kappa"] * (p["mu"] - a),
         vol_alpha=lambda p: p["sigma"],
         obs_transform=np.log,
         obs_transform_inv=np.exp,
@@ -289,16 +286,17 @@ _BLOCK_ELEMS = 1 << 18
 def _euler_paths(
     model: ModelSpec,
     params: ParamVector,
-    x0: np.ndarray,
-    alpha0: np.ndarray,
+    x0,
+    alpha0,
     grid: TimeGrid,
     rng: RandomStream,
 ):
-    """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
-    shaped (n_paths, n_points), as transposed views of time-major storage.
+    """Joint Euler scheme; returns (X, alpha), transposed views of time-major
+    storage whose batch shape follows ``x0``: (n_points,) from scalars, stepped
+    on numpy scalars, or (n_paths, n_points) from a (n_paths,) batch.
 
     Random numbers: ``noise_b``, then ``noise_w`` for latent models only, each
-    a (n_points - 1, n_paths) array of standard normals drawn from ``rng`` in
+    a (n_points - 1,) + batch array of standard normals drawn from ``rng`` in
     one call. Row i drives the step from ``times[i]`` to ``times[i + 1]``.
 
     A leverage correlation feeds the latent driving noise into the observed
@@ -318,30 +316,30 @@ def _euler_paths(
     rho = model.rho(params)
     if abs(rho) > 1.0:
         raise ValidationError(f"correlation {model.leverage}={rho} outside [-1, 1]")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
-    n_paths = x0.size
-    if alpha0.size != n_paths:
-        raise ValidationError("x0 and alpha0 batch sizes differ")
+    x0 = np.asarray(x0, dtype=float)
+    alpha0 = np.asarray(alpha0, dtype=float)
+    if x0.shape != alpha0.shape:
+        raise ValidationError("x0 and alpha0 batch shapes differ")
+    if not (np.isfinite(x0).all() and np.isfinite(alpha0).all()):
+        raise ValidationError("simulation start values x0 and alpha0 must be finite")
     n = len(grid)
-    x = np.empty((n, n_paths))
-    a = np.empty((n, n_paths))
+    x = np.empty((n,) + x0.shape)
+    a = np.empty((n,) + x0.shape)
     x[0] = x0
     a[0] = alpha0
     if n == 1:
         return x.T, a.T
 
     times = grid.times
-    steps = grid.steps
-    sq = np.sqrt(steps)[:, None]
-    dts = steps.tolist()
-    rows = max(1, _BLOCK_ELEMS // n_paths)
+    dts = grid.steps.tolist()
+    sq = np.sqrt(dts).reshape((n - 1,) + (1,) * x0.ndim)
+    rows = max(1, _BLOCK_ELEMS // x0.size)
     blocks = [slice(r, min(r + rows, n - 1)) for r in range(0, n - 1, rows)]
-    noise_b = rng.normal((n - 1, n_paths))
+    noise_b = rng.normal((n - 1,) + x0.shape)
     # a non-finite state is caught by the check at the end, not reported twice
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if model.has_latent:
-            noise_w = rng.normal((n - 1, n_paths))
+            noise_w = rng.normal((n - 1,) + x0.shape)
             lev = math.sqrt(1.0 - rho * rho)
             sa = model.vol_alpha(params)
             # in place: noise_w becomes vol_alpha * dW and noise_b becomes
@@ -355,9 +353,10 @@ def _euler_paths(
                 db *= lev * sq[s]
                 db += rho * dw
                 dw *= sa
+            # a row is a numpy scalar for one path and an array for a batch
             for i, dt in enumerate(dts):
                 ai = a[i]
-                np.add(ai + model.drift_alpha(ai, params) * dt, noise_w[i], out=a[i + 1])
+                a[i + 1] = ai + model.drift_alpha(ai, params) * dt + noise_w[i]
         else:
             noise_b *= sq
             a[1:] = a[0]
@@ -366,11 +365,12 @@ def _euler_paths(
             noise_b[s] *= model.vol_x(a[s], params)
         for i, dt in enumerate(dts):
             xi = x[i]
-            np.add(xi + model.drift_x(times[i], xi, a[i], params) * dt, noise_b[i], out=x[i + 1])
+            x[i + 1] = xi + model.drift_x(times[i], xi, a[i], params) * dt + noise_b[i]
 
-    bad = ~(np.isfinite(x[-1]) & np.isfinite(a[-1]))
+    xf, af = x.reshape(n, -1), a.reshape(n, -1)
+    bad = ~(np.isfinite(xf[-1]) & np.isfinite(af[-1]))
     if bad.any():
-        finite = (np.isfinite(x[1:, bad]) & np.isfinite(a[1:, bad])).all(axis=1)
+        finite = (np.isfinite(xf[1:, bad]) & np.isfinite(af[1:, bad])).all(axis=1)
         raise ExplosionError(times[int(np.argmin(finite)) + 1])
     return x.T, a.T
 
@@ -388,8 +388,8 @@ def euler_simulate(
     For models without a latent diffusion the second path is identically
     ``alpha0``.
     """
-    x, a = _euler_paths(model, params, [x0], [alpha0], grid, rng)
-    return Path(grid, x[0]), Path(grid, a[0])
+    x, a = _euler_paths(model, params, float(x0), float(alpha0), grid, rng)
+    return Path(grid, x), Path(grid, a)
 
 
 # ---------------------------------------------------------------------------

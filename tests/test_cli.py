@@ -86,7 +86,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",
             "params": {"theta": 1e308},
-            "simulate": {"delta": 10, "n_steps": 50},
+            "simulate": {"delta": 10, "n_steps": 50, "thin_stride": 5},
         })
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -148,6 +148,42 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "outside its support" in err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_start_rejected(self, tmp_path, capsys, x0):
+        # recorded config: x0 NaN used to exit 2, blaming the first Euler step
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "tbill-logsv",
+            "simulate": {"n_steps": 20, "delta": 0.01, "thin_stride": 5, "x0": x0},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "x0" in err
+
+    def test_one_observation_rejected_before_any_step(self, tmp_path, capsys, monkeypatch):
+        # recorded config: it wrote 1 observation, which fit then refused
+        def no_steps(*args, **kwargs):
+            raise AssertionError("the simulator ran")
+
+        monkeypatch.setattr(cli, "euler_simulate", no_steps)
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "simulate": {"n_steps": 3, "delta": 0.01, "thin_stride": 5},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_steps=3" in err and "thin_stride=5" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_two_observations_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "simulate": {"n_steps": 5, "delta": 0.01, "thin_stride": 5},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        assert "wrote 2 observations" in capsys.readouterr().out
 
     def test_unknown_data_schema_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {

@@ -294,7 +294,7 @@ class TestAugmentedPosterior:
         for k in range(2):
             q = interval_quantities(
                 model, params, state.x_knots[k: k + 1],
-                state.gamma_windows()[k: k + 1],
+                state.gamma_windows[k: k + 1],
                 state.y[k: k + 1], state.y[k + 1: k + 2],
                 z_values=cache.z[k: k + 1],
             )
@@ -377,7 +377,7 @@ def _skeleton_state(name, seed=8):
 class TestEngineStages:
     def test_stages_compose_to_the_engine(self, name):
         model, params, state = _skeleton_state(name)
-        knots, gamma, y0, y1 = state.x_knots, state.gamma_windows(), state.y[:-1], state.y[1:]
+        knots, gamma, y0, y1 = state.x_knots, state.gamma_windows, state.y[:-1], state.y[1:]
         w = warp_stage(model, params, knots, gamma)
         z = state.cache.z
         q = density_stage(path_stage(w, z, y0, y1), model, params, knots, gamma, y0)
@@ -391,10 +391,10 @@ class TestEngineStages:
         # drift moves reuse the cached warps: a parameter that moves them
         # must be listed in timescale_params
         model, params, state = _skeleton_state(name)
-        before = warp_stage(model, params, state.x_knots, state.gamma_windows())
+        before = warp_stage(model, params, state.x_knots, state.gamma_windows)
         for p in model.param_names:
             sup = model.supports[p]
             moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
-            after = warp_stage(model, moved, state.x_knots, state.gamma_windows())
+            after = warp_stage(model, moved, state.x_knots, state.gamma_windows)
             same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
             assert same == (p not in model.timescale_params), p

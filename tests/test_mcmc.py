@@ -16,6 +16,7 @@ from timechange_sv.mcmc import (
     _gamma_anchored_pass,
     _update_param,
     _update_z_rows,
+    _windows,
     gamma_block_plan,
     init_state,
     run_chain,
@@ -223,6 +224,22 @@ class TestGammaBlockUpdate:
                     break
         assert moved
         state.validate_cache()
+
+
+class TestGammaWindows:
+    """``state.gamma_windows``: the (n, m+2) latent windows, a view built once
+    over ``gamma_flat`` that every in-place write keeps current."""
+
+    def test_view_follows_skeleton_and_sweeps(self):
+        state = sv_state()
+        skeleton = state.gamma_flat.copy()
+        assert np.any(skeleton != 0.0)
+        assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
+        rng = RandomStream(5)
+        for _ in range(20):
+            sweep(state, rng, {})
+        assert not np.array_equal(state.gamma_flat, skeleton)
+        assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
 
 
 class TestBlockPlan:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,9 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
 
 def assert_explodes_as_step_loop(model, x0, alpha0):
     """The simulator raises ExplosionError at exactly the grid time where the
-    per-step loop does, a step strictly inside the grid."""
+    per-step loop does, a step strictly inside the grid. Scalar starts run the
+    simulator's one-path (numpy scalar) rows; the loop takes them as a batch
+    of one."""
     grid = TimeGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(ExplosionError) as ref:
         euler_paths_reference(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
@@ -115,11 +119,13 @@ class TestEulerSimulate:
     def test_explosion_reports_time(self):
         model = blowup_model(drift_x=lambda t, x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6)
         assert_explodes_as_step_loop(model, [1.0], [0.0])
+        assert_explodes_as_step_loop(model, 1.0, 0.0)
 
     def test_explosion_time_of_latent_drift(self):
         # X ignores alpha, so it stays finite: only the latent path blows up
         model = blowup_model(drift_alpha=lambda a, p: np.asarray(a, dtype=float) ** 3 * 1e4)
         assert_explodes_as_step_loop(model, [0.0], [1.0])
+        assert_explodes_as_step_loop(model, 0.0, 1.0)
 
     def test_explosion_time_of_one_path_in_a_batch(self):
         # paths from 0 with volatility 0.1 stay far below 2 on [0, 5]; the
@@ -129,6 +135,16 @@ class TestEulerSimulate:
             vol_x=lambda a, p: np.full(np.shape(a), 0.1),
         )
         assert_explodes_as_step_loop(model, [0.0, 3.0, 0.0], [0.0, 0.0, 0.0])
+        assert_explodes_as_step_loop(model, 3.0, 0.0)
+
+    @pytest.mark.parametrize("x0,alpha0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf),
+                                           ([0.0, np.nan], [0.0, 0.0])])
+    def test_nonfinite_start_rejected(self, x0, alpha0):
+        # a bad start is an input error, not an explosion at the first step
+        model = get_model("ou-sv-leverage")
+        grid = TimeGrid(np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValidationError, match="start values"):
+            _euler_paths(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
 
     @pytest.mark.parametrize("rho", [1.5, -1.0000001])
     def test_correlation_outside_unit_interval_rejected(self, rho):
@@ -178,19 +194,23 @@ class TestEulerOracle:
     """``_euler_paths`` against the per-step loop it replaced
     (``euler_paths_reference``): the same bits, the same random numbers."""
 
-    @pytest.mark.parametrize("n_paths,n_points", [(1, 300), (3, 300), (3, 1)],
-                             ids=["one-path", "batch", "one-point"])
+    @pytest.mark.parametrize("batch,n_points", [((1,), 300), ((3,), 300), ((3,), 1), ((), 300)],
+                             ids=["one-path", "batch", "one-point", "scalar"])
     @pytest.mark.parametrize("model,updates", simulated_models())
-    def test_bit_identical(self, model, updates, n_paths, n_points):
+    def test_bit_identical(self, model, updates, batch, n_points):
+        # starts are Python floats or lists of them; a float, as
+        # euler_simulate passes it, steps on numpy scalars, and the loop takes
+        # it as a batch of one
         params = model.make_params().replace(**updates)  # rho = +-1 bypasses support
-        x0 = (np.log(10.0) if model.obs_transform else 0.1) + 0.01 * np.arange(n_paths)
-        a0 = (params["alpha0"] if "alpha0" in params else 0.0) - 0.1 * np.arange(n_paths)
+        k = np.arange(math.prod(batch)).reshape(batch)
+        x0 = ((np.log(10.0) if model.obs_transform else 0.1) + 0.01 * k).tolist()
+        a0 = ((params["alpha0"] if "alpha0" in params else 0.0) - 0.1 * k).tolist()
         grid = uneven_grid(n_points)
         ref_rng, rng = RandomStream(9), RandomStream(9)
         want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
         got = _euler_paths(model, params, x0, a0, grid, rng)
         for g, w in zip(got, want):
-            assert g.shape == w.shape == (n_paths, n_points)
+            assert g.shape == batch + (n_points,)
             assert g.tobytes() == w.tobytes()
         assert rng.normal() == ref_rng.normal()
 
