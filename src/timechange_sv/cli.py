@@ -206,16 +206,20 @@ class RunConfig:
         return PriorSpec.from_model(self.model_spec(), overrides or None)
 
 
-def write_trace_csv(path, trace: Trace) -> None:
+def _write_csv(path, header, fmt: str, rows) -> None:
+    """``header``, then the line ``fmt % row`` for each tuple of ``rows``;
+    every line ends in ``\r\n``. These are the bytes ``csv.writer`` writes
+    when no field needs quoting."""
+    line = fmt + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", *trace.param_names, "loglik"])
-        for i in range(trace.n_rows):
-            writer.writerow(
-                [int(trace.iters[i])]
-                + [f"{v:.12g}" for v in trace.draws[i]]
-                + [f"{trace.logliks[i]:.12g}"]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
+
+
+def write_trace_csv(path, trace: Trace) -> None:
+    rows = zip(trace.iters.tolist(), *trace.draws.T.tolist(), trace.logliks.tolist())
+    _write_csv(path, ["iter", *trace.param_names, "loglik"],
+               "%d" + ",%.12g" * (len(trace.param_names) + 1), rows)
 
 
 def read_trace_csv(path):
@@ -274,17 +278,10 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     obs_x = x_path.values[::stride]
     obs_v = model.obs_transform_inv(obs_x) if model.obs_transform_inv else obs_x
     obs_file = out / "obs.csv"
-    with open(obs_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "value"])
-        writer.writerows([f"{t:.12g}", f"{v:.12g}"] for t, v in zip(obs_t.tolist(), obs_v.tolist()))
-
+    _write_csv(obs_file, ["time", "value"], "%.12g,%.12g", zip(obs_t.tolist(), obs_v.tolist()))
     truth_file = out / "truth.csv"
-    with open(truth_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "x", "alpha"])
-        rows = zip(grid.times.tolist(), x_path.values.tolist(), a_path.values.tolist())
-        writer.writerows([f"{t:.12g}", f"{xv:.12g}", f"{av:.12g}"] for t, xv, av in rows)
+    _write_csv(truth_file, ["time", "x", "alpha"], "%.12g,%.12g,%.12g",
+               zip(grid.times.tolist(), x_path.values.tolist(), a_path.values.tolist()))
 
     params_file = out / "truth_params.json"
     with open(params_file, "w") as fh:
@@ -398,11 +395,8 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
 
         table = summarize(trace)
         summary_file = out / f"summary{suffix}.csv"
-        with open(summary_file, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", *SummaryTable.columns])
-            for row in table.as_rows():
-                writer.writerow([row[0]] + [f"{v:.12g}" for v in row[1:]])
+        _write_csv(summary_file, ["parameter", *SummaryTable.columns],
+                   "%s" + ",%.12g" * len(SummaryTable.columns), table.as_rows())
 
         accept_file = out / f"acceptance{suffix}.json"
         with open(accept_file, "w") as fh:
@@ -423,28 +417,16 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     acf_file = out / "acf.csv"
-    with open(acf_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "lag", "acf"])
-        for j, name in enumerate(names):
-            rho = acf(draws[:, j], max_lag)
-            for lag, r in enumerate(rho):
-                writer.writerow([name, lag, f"{r:.12g}"])
-
+    _write_csv(acf_file, ["parameter", "lag", "acf"], "%s,%d,%.12g",
+               ((name, lag, r) for j, name in enumerate(names)
+                for lag, r in enumerate(acf(draws[:, j], max_lag).tolist())))
     iact_file = out / "iact.csv"
-    with open(iact_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "iact"])
-        for j, name in enumerate(names):
-            writer.writerow([name, f"{iact(draws[:, j]):.12g}"])
-
+    _write_csv(iact_file, ["parameter", "iact"], "%s,%.12g",
+               ((name, iact(draws[:, j])) for j, name in enumerate(names)))
     kde_file = out / "kde.csv"
-    with open(kde_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "x", "density"])
-        for j, name in enumerate(names):
-            for x, d in kde_export(draws[:, j]):
-                writer.writerow([name, f"{x:.12g}", f"{d:.12g}"])
+    _write_csv(kde_file, ["parameter", "x", "density"], "%s,%.12g,%.12g",
+               ((name, x, d) for j, name in enumerate(names)
+                for x, d in kde_export(draws[:, j]).tolist()))
     return {"acf": acf_file, "iact": iact_file, "kde": kde_file}
 
 

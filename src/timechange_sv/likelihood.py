@@ -8,9 +8,9 @@ The per-interval quantities are produced by one vectorised engine on
 (n_intervals, m+2) arrays, in three stages that ``interval_quantities``
 composes:
 
-* ``warp_stage`` maps (params, gamma) to the latent values, the squared
-  volatility, the warped times and lengths, the leverage adjustment and the
-  doubly-warped times;
+* ``warp_stage`` maps (params, gamma) to five warp fields: the latent
+  values, the squared volatility, the warped times (the last is the warped
+  interval length), the leverage adjustment and the doubly-warped times;
 * ``path_stage`` maps the doubly-warped path values z, on those warps, to
   the path on the warped and observation scales;
 * ``density_stage`` evaluates the Girsanov, endpoint and latent terms.
@@ -23,8 +23,6 @@ then hand those warps to ``interval_quantities``, which runs the path and
 density stages on them. The density formulas (``girsanov_sum``,
 ``log_end_gaussian``, ``unit_latent_drift``) and the warp formulas taken
 from ``timechange`` and ``models`` exist once, in the code the engine runs.
-``euler_loglik`` is the exception: an independent transition-product
-oracle for the tests.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
 from .models import ModelSpec, ParamVector, cumulative_leverage
-from .paths import Path
 from .timechange import first_warp, second_warp, uncentre_from_chord
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -49,15 +45,14 @@ class IntervalQuantities:
 
     Shapes: (n, m+2) for knot-level arrays, (n, m+1) for the finite
     doubly-warped knots, (n,) for per-interval scalars. The warp stage fills
-    the first six fields, the path stage the next three, the density stage
+    the first five fields, the path stage the next three, the density stage
     the last three. A sampler state caches one instance with every field
     filled.
     """
 
     alpha: np.ndarray  # latent values at the knots
     veff2: np.ndarray  # squared leverage-reduced volatility at the knots
-    u: np.ndarray  # warped knot times, u[:, 0] = 0
-    total: np.ndarray  # warped interval lengths T
+    u: np.ndarray  # warped knot times, u[:, 0] = 0; u[:, -1] is the warped length T
     adj: np.ndarray  # cumulative leverage adjustment
     z_times: np.ndarray  # finite doubly-warped times of the knots
     z: Optional[np.ndarray] = None  # path values on the doubly-warped scale
@@ -105,13 +100,12 @@ def warp_stage(model: ModelSpec, params: ParamVector, x_knots, gamma) -> Interva
         sx = np.asarray(model.vol_x(alpha, params), dtype=float)
         rho = model.rho(params)
         veff2, u = first_warp(x_knots, sx, rho)
-        total = u[:, -1]
         if rho != 0.0 and model.has_latent:
             adj = cumulative_leverage(rho, sx, gamma)
         else:
             adj = np.zeros_like(x_knots)
-        z_times = second_warp(u[:, :-1], total[:, None])
-    return IntervalQuantities(alpha, veff2, u, total, adj, z_times)
+        z_times = second_warp(u[:, :-1], u[:, -1:])
+    return IntervalQuantities(alpha, veff2, u, adj, z_times)
 
 
 def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
@@ -122,7 +116,7 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
         u1 = np.asarray(y_right, dtype=float) - w.adj[:, -1]
         U = np.empty_like(w.u)
         U[:, :-1] = uncentre_from_chord(
-            z, w.u[:, :-1], w.total[:, None], np.asarray(y_left, dtype=float)[:, None],
+            z, w.u[:, :-1], w.u[:, -1:], np.asarray(y_left, dtype=float)[:, None],
             u1[:, None],
         )
         U[:, -1] = u1
@@ -141,7 +135,7 @@ def density_stage(
             model.drift_x(x_knots[:, :-1], q.X[:, :-1], q.alpha[:, :-1], params), dtype=float
         )
         log_g = girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
-        log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.total)
+        log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])
         if model.has_latent:
             log_gamma = girsanov_sum(
                 unit_latent_drift(model, params, q.alpha[:, :-1]),
@@ -173,42 +167,3 @@ def interval_quantities(
         warps = warp_stage(model, params, x_knots, gamma)
     q = path_stage(warps, z_values, y_left, y_right)
     return density_stage(q, model, params, x_knots, gamma, y_left)
-
-
-def euler_loglik(x_path: Path, alpha_path: Path, params: ParamVector, model: ModelSpec) -> float:
-    """Transition-product log likelihood of a joint skeleton under the
-
-    locally-Gaussian scheme; used as an independent oracle in tests. The
-    step covariance couples the two coordinates through the leverage
-    correlation and is singular at |rho| = 1.
-    """
-    if not np.array_equal(x_path.times, alpha_path.times):
-        raise ValidationError("skeleton grids are not aligned")
-    if len(x_path) < 2:
-        raise ValidationError("skeleton needs at least two knots")
-    t = x_path.times
-    dt = np.diff(t)
-    xv = x_path.values
-    av = alpha_path.values
-
-    mx = np.asarray(model.drift_x(t[:-1], xv[:-1], av[:-1], params), dtype=float)
-    sx = np.asarray(model.vol_x(av[:-1], params), dtype=float)
-    rx = np.diff(xv) - mx * dt
-
-    if not model.has_latent:
-        var = sx * sx * dt
-        return float(np.sum(-0.5 * (_LOG_2PI + np.log(var)) - rx * rx / (2.0 * var)))
-
-    rho = model.rho(params)
-    if abs(rho) >= 1.0:
-        raise NumericsError("step covariance is singular at |rho| = 1")
-    sa = model.latent_scale(params)
-    ma = np.asarray(model.drift_alpha(av[:-1], params), dtype=float)
-    ra = np.diff(av) - ma * dt
-
-    vxx = sx * sx * dt
-    vaa = sa * sa * dt
-    vxa = rho * sx * sa * dt
-    det = vxx * vaa - vxa * vxa
-    quad = (rx * rx * vaa - 2.0 * rx * ra * vxa + ra * ra * vxx) / det
-    return float(np.sum(-_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad))

@@ -9,15 +9,17 @@ standard Brownian motion. Updates:
 * the latent path: overlapping blocks proposed as Brownian bridges between
   fixed flanking knots (the terminal block gets a free Brownian end);
 * parameters that deform the warped time scales: random walks on an
-  unconstrained scale, with the path values at the newly required warped
-  times drawn retrospectively, conditional on the stored knots;
+  unconstrained scale;
 * drift parameters: plain random walks (no time scales move).
 
-Each move is one batched kernel that ``sweep`` runs: ``_update_z_rows``,
-``_gamma_anchored_pass`` and ``update_gamma_block`` (the terminal block),
-and ``_update_param``. Rejected proposals leave the state bit-identical.
-Only the m+2 knots per interval are ever persisted; finer retrospective
-draws are transient.
+``sweep`` runs ``_update_z_rows``, ``_gamma_anchored_pass`` and
+``update_gamma_block`` (both ``_gamma_blocks``) and ``_update_param``. Every
+move that warps time, a time-scale parameter or a latent block, proposes
+through ``_warped_proposal``: it draws the path values at the new warped
+times retrospectively, conditional on the stored knots. Every Metropolis
+ratio comes from ``_log_ratio``. Rejected proposals leave the state
+bit-identical. Only the m+2 knots per interval are ever persisted; finer
+retrospective draws are transient.
 """
 
 from __future__ import annotations
@@ -135,11 +137,15 @@ class SamplerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not (isinstance(self.rw_scales, dict)
-                and all(is_number(v) for v in self.rw_scales.values())):
-            raise ValidationError("rw_scales must map parameter names to numbers")
-        if not (is_number(self.target_accept) and isinstance(self.adapt, bool)):
-            raise ValidationError("target_accept must be a number, adapt a bool")
+        if not (isinstance(self.rw_scales, dict) and all(
+                is_number(v) and 0.0 < v < math.inf for v in self.rw_scales.values())):
+            raise ValidationError("rw_scales must map parameter names to finite positive numbers")
+        if not (is_number(self.target_accept) and 0.0 < self.target_accept < 1.0):
+            raise ValidationError(f"target_accept must lie in (0, 1), got {self.target_accept!r}")
+        if not isinstance(self.adapt, bool):
+            raise ValidationError("adapt must be a bool")
+        if self.validate_every < 0:
+            raise ValidationError("validate_every must be >= 0")
         if self.m < 1:
             raise ValidationError("need at least one imputed point per interval")
         if self.n_iter <= 0 or self.n_burn < 0 or self.n_burn >= self.n_iter:
@@ -300,7 +306,7 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
     w = state.warps()
     with np.errstate(all="ignore"):
         u1 = (state.y[1:] - w.adj[:, -1])[:, None]
-        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.total[:, None],
+        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
                             state.y[:-1, None], u1)
     q = state.quantities(z=z, warps=w)
     if not q.finite():
@@ -366,25 +372,54 @@ def state_from_skeleton(
 
 
 def _accept_mask(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
-    log_ratio = np.where(np.isfinite(log_ratio), log_ratio, -np.inf)
-    u = rng.uniform(log_ratio.shape)
-    return np.log(u) < log_ratio
+    """Independent accept/reject per entry, one uniform each."""
+    return np.log(rng.uniform(log_ratio.shape)) < log_ratio
 
 
-def _accept_scalar(log_ratio: float, rng: RandomStream) -> bool:
-    if not math.isfinite(log_ratio):
-        return False
-    if log_ratio >= 0.0:
-        return True
-    return math.log(float(rng.uniform())) < log_ratio
+def _accept_scalar(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
+    """``_accept_mask`` for a one-element ``log_ratio``, drawing its uniform
+    only when the ratio is finite and negative."""
+    r = float(log_ratio[0])
+    return np.array([math.isfinite(r) and (r >= 0.0 or math.log(float(rng.uniform())) < r)])
+
+
+def _log_ratio(q: IntervalQuantities, cache: IntervalQuantities, rows) -> np.ndarray:
+    """Per-row change of ``log_g + log_f + log_gamma`` from the cached
+    ``rows`` to the proposal ``q``. A row with a non-finite term reads -inf,
+    so any sum over rows rejects, and none of it warns."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_ratio = ((q.log_g - cache.log_g[rows]) + (q.log_f - cache.log_f[rows])
+                     + (q.log_gamma - cache.log_gamma[rows]))
+    log_ratio[~np.isfinite(log_ratio)] = -np.inf
+    return log_ratio
+
+
+def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None, gamma=None):
+    """Engine outputs and per-row log ratio of a move that warps time.
+
+    The new ``params`` or latent windows ``gamma`` of ``rows`` (default: the
+    state's own) give new doubly-warped times. The path values there are
+    drawn retrospectively, conditional on the stored knots, and the path and
+    density stages run on them. A row whose new times are not finite keeps
+    its stored times for the draw and gets a log ratio of -inf.
+    """
+    cache = state.cache
+    w = state.warps(params=params, gamma=gamma, rows=rows)
+    bad = ~np.isfinite(w.z_times).all(axis=1)
+    new_times = np.where(bad[:, None], cache.z_times[rows], w.z_times) if bad.any() else w.z_times
+    z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
+    q = state.quantities(params=params, gamma=gamma, z=z_new, rows=rows, warps=w)
+    log_ratio = _log_ratio(q, cache, rows)
+    log_ratio[bad] = -np.inf
+    return q, log_ratio
 
 
 def _update_z_rows(state: AugmentedState, rows, rng: RandomStream) -> np.ndarray:
     """Independence update of the doubly-warped path values on ``rows``.
 
     Proposals are standard Brownian motions at the intervals' current warped
-    times; endpoint densities cancel because the data endpoints do not move.
-    Returns the per-row acceptance mask.
+    times, so only the Girsanov term of the ratio can change. Returns the
+    per-row acceptance mask.
     """
     z_times = state.cache.z_times[rows]
     steps = np.diff(z_times, axis=1)
@@ -393,13 +428,16 @@ def _update_z_rows(state: AugmentedState, rows, rng: RandomStream) -> np.ndarray
 
     q = path_stage(state.cache.select(rows), z_prop, state.y[:-1][rows], state.y[1:][rows])
     q = state.densities(q, rows=rows)
-    acc = _accept_mask(q.log_g - state.cache.log_g[rows], rng)
+    acc = _accept_mask(_log_ratio(q, state.cache, rows), rng)
     if acc.any():
         state.refresh(np.arange(state.n_intervals)[rows][acc], q.select(acc))
     return acc
 
 
 def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomStream):
+    """A random-walk step of ``name`` on its unconstrained scale: the new
+    parameters and the log Jacobian of the step, or (None, 0.0) when the
+    candidate leaves the prior support."""
     sup = state.params.supports[name]
     cur = state.params[name]
     phi = sup.to_unconstrained(cur) + scale * float(rng.normal())
@@ -407,48 +445,31 @@ def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomSt
         cand = sup.from_unconstrained(phi)
     except OverflowError:
         return None, 0.0
-    if not sup.contains(cand):
+    params = state.params.replace(**{name: cand})
+    if not state.prior.in_support(params):
         return None, 0.0
-    log_jac = sup.log_jacobian(cand) - sup.log_jacobian(cur)
-    return cand, log_jac
+    return params, sup.log_jacobian(cand) - sup.log_jacobian(cur)
 
 
 def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: float) -> bool:
-    """Random-walk update of one scalar parameter.
+    """Random-walk update of one scalar parameter, accepted jointly across
+    intervals.
 
-    Parameters deforming the warped time scales trigger retrospective draws
-    of the path values at the newly required times; drift parameters reuse
-    the cached warps and paths and rerun only the density stage. The
-    accept/reject decision is joint across intervals.
+    A parameter that deforms the warped time scales proposes through
+    ``_warped_proposal``; a drift parameter reuses the cached warps and
+    paths and reruns only the density stage.
     """
-    cand, log_jac = _propose_param(state, name, scale, rng)
-    if cand is None:
+    params, log_jac = _propose_param(state, name, scale, rng)
+    if params is None:
         return False
-    cand_params = state.params.replace(**{name: cand})
-    if not state.prior.in_support(cand_params):
-        return False
-
-    cache = state.cache
     if name in state.model.timescale_params:
-        w = state.warps(params=cand_params)
-        if not np.all(np.isfinite(w.z_times)):
-            return False
-        z_new = refine_rows(cache.z_times, cache.z, w.z_times, rng)
-        q = state.quantities(params=cand_params, z=z_new, warps=w)
+        q, log_ratio = _warped_proposal(state, rng, slice(None), params=params)
     else:
-        q = state.densities(cache, params=cand_params)
-    if not q.finite():
+        q = state.densities(state.cache, params=params)
+        log_ratio = _log_ratio(q, state.cache, slice(None))
+    if not _accept_scalar(log_ratio.sum(keepdims=True) + log_jac, rng)[0]:
         return False
-
-    log_ratio = (
-        float(np.sum(q.log_g) - np.sum(cache.log_g))
-        + float(np.sum(q.log_f) - np.sum(cache.log_f))
-        + float(np.sum(q.log_gamma) - np.sum(cache.log_gamma))
-        + log_jac
-    )
-    if not _accept_scalar(log_ratio, rng):
-        return False
-    state.params = cand_params
+    state.params = params
     state.refresh(slice(None), q)
     return True
 
@@ -480,110 +501,55 @@ def gamma_block_plan(n_intervals: int, block_len: int) -> list[tuple[int, int, b
     return plan
 
 
-def _gamma_anchored_pass(
-    state: AugmentedState,
-    firsts: np.ndarray,
-    length: int,
-    rng: RandomStream,
-) -> np.ndarray:
-    """Batched bridge update of mutually disjoint anchored blocks.
+def _gamma_blocks(state: AugmentedState, firsts: np.ndarray, length: int, anchored: bool,
+                  accept, rng: RandomStream) -> np.ndarray:
+    """Update of the latent blocks of ``length`` observation intervals from
+    each of ``firsts``; ``accept`` gives the per-block acceptance mask.
 
-    Each block spans ``length`` consecutive observation intervals and its
-    flanking knots stay fixed. The proposal is the dominating-measure
-    conditional, so the ratio is the likelihood change over the block plus
-    the latent-marginal change. Blocks in one pass share at most their fixed
-    anchor knots, so their updates are conditionally independent and one
-    vectorised accept/reject per block composes exactly like updating them
-    one at a time.
+    Each block keeps its left knot. An ``anchored`` block keeps its right
+    knot too and proposes a Brownian bridge; the terminal block proposes a
+    free Brownian end. Either is the dominating-measure conditional, so the
+    ratio is the block's change of ``_log_ratio``. Blocks share at most
+    their anchor knots, so one accept/reject per block composes exactly like
+    updating them one at a time.
     """
     m = state.m
-    cache = state.cache
     nb = firsts.size
-    width = length * (m + 1) + 1
-    lo = firsts * (m + 1)
-    cols = np.arange(width)
-    seg_idx = lo[:, None] + cols[None, :]
+    seg_idx = (firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)[None, :]
     seg_t = state.x_flat[seg_idx]
     seg_g = state.gamma_flat[seg_idx]
 
     dt = seg_t[:, 1:] - seg_t[:, :-1]
-    w = np.zeros((nb, width))
+    w = np.zeros(seg_t.shape)
     np.cumsum(np.sqrt(dt) * rng.normal(dt.shape), axis=1, out=w[:, 1:])
-    span = (seg_t[:, -1] - seg_t[:, 0])[:, None]
-    frac = (seg_t - seg_t[:, :1]) / span
-    seg_prop = seg_g[:, :1] + w - frac * w[:, -1:] + frac * (seg_g[:, -1:] - seg_g[:, :1])
-    seg_prop[:, 0] = seg_g[:, 0]
-    seg_prop[:, -1] = seg_g[:, -1]
+    seg_prop = seg_g[:, :1] + w  # w[:, 0] = 0 keeps the left knot exactly
+    if anchored:
+        frac = (seg_t - seg_t[:, :1]) / (seg_t[:, -1:] - seg_t[:, :1])
+        seg_prop -= frac * w[:, -1:]
+        seg_prop += frac * (seg_g[:, -1:] - seg_g[:, :1])
+        seg_prop[:, -1] = seg_g[:, -1]
 
     win_idx = (np.arange(length) * (m + 1))[:, None] + np.arange(m + 2)[None, :]
-    gam_win = seg_prop[:, win_idx].reshape(nb * length, m + 2)
-    rows_idx = (firsts[:, None] + np.arange(length)[None, :]).ravel()
-
-    w = state.warps(gamma=gam_win, rows=rows_idx)
-    new_times = w.z_times
-    bad_rows = ~np.all(np.isfinite(new_times), axis=1)
-    if bad_rows.any():
-        new_times = np.where(bad_rows[:, None], cache.z_times[rows_idx], new_times)
-    z_new = refine_rows(cache.z_times[rows_idx], cache.z[rows_idx], new_times, rng)
-    q = state.quantities(gamma=gam_win, z=z_new, rows=rows_idx, warps=w)
-
-    delta = (
-        (q.log_g - cache.log_g[rows_idx])
-        + (q.log_f - cache.log_f[rows_idx])
-        + (q.log_gamma - cache.log_gamma[rows_idx])
-    ).reshape(nb, length)
-    log_ratio = np.where(
-        bad_rows.reshape(nb, length).any(axis=1), -np.inf, delta.sum(axis=1)
-    )
-    acc = _accept_mask(log_ratio, rng)
+    rows = (firsts[:, None] + np.arange(length)[None, :]).ravel()
+    gamma = seg_prop[:, win_idx].reshape(nb * length, m + 2)
+    q, log_ratio = _warped_proposal(state, rng, rows, gamma=gamma)
+    acc = accept(log_ratio.reshape(nb, length).sum(axis=1), rng)
     if acc.any():
         state.gamma_flat[seg_idx[acc]] = seg_prop[acc]
         keep = np.repeat(acc, length)
-        state.refresh(rows_idx[keep], q.select(keep))
+        state.refresh(rows[keep], q.select(keep))
     return acc
 
 
+def _gamma_anchored_pass(state: AugmentedState, firsts: np.ndarray, length: int,
+                         rng: RandomStream) -> np.ndarray:
+    """One batched pass over disjoint anchored blocks (``_gamma_blocks``)."""
+    return _gamma_blocks(state, firsts, length, True, _accept_mask, rng)
+
+
 def update_gamma_block(state: AugmentedState, first: int, n_block: int, rng: RandomStream) -> bool:
-    """Bridge proposal for the terminal block of the latent path.
-
-    The block spans the ``n_block`` observation intervals from ``first`` to
-    the end; its left knot stays fixed and its right end is a free Brownian
-    extension. The proposal is the dominating-measure conditional, so the
-    ratio is the likelihood change over the block plus the latent-marginal
-    change.
-    """
-    m = state.m
-    cache = state.cache
-    lo = first * (m + 1)
-    hi = (first + n_block) * (m + 1)
-    seg_t = state.x_flat[lo: hi + 1]
-    seg_g = state.gamma_flat[lo: hi + 1]
-
-    dt = np.diff(seg_t)
-    w = np.zeros(seg_t.size)
-    np.cumsum(np.sqrt(dt) * rng.normal(dt.size), axis=0, out=w[1:])
-    seg_prop = seg_g[0] + w
-
-    rows = slice(first, first + n_block)
-    gam_win = _windows(seg_prop, m)
-    w = state.warps(gamma=gam_win, rows=rows)
-    if not np.all(np.isfinite(w.z_times)):
-        return False
-    z_new = refine_rows(cache.z_times[rows], cache.z[rows], w.z_times, rng)
-    q = state.quantities(gamma=gam_win, z=z_new, rows=rows, warps=w)
-    if not q.finite():
-        return False
-
-    log_ratio = float(
-        np.sum(q.log_g - cache.log_g[rows])
-        + np.sum(q.log_f - cache.log_f[rows])
-        + np.sum(q.log_gamma - cache.log_gamma[rows])
-    )
-    if not _accept_scalar(log_ratio, rng):
-        return False
-    state.gamma_flat[lo: hi + 1] = seg_prop
-    state.refresh(rows, q)
-    return True
+    """The terminal block: the ``n_block`` intervals from ``first`` to the end."""
+    return bool(_gamma_blocks(state, np.array([first]), n_block, False, _accept_scalar, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +637,9 @@ def run_chain(
     rng = RandomStream(config.seed)
     state = init_state(model, params, times, values, config.m, prior, config.fixed)
 
+    unknown = sorted(set(config.rw_scales) - set(state.free_names))
+    if unknown:
+        raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")
     scales = {name: config.rw_scales.get(name, 0.25) for name in state.free_names}
     tallies_burn: dict = {}
     tallies_main: dict = {}

@@ -25,6 +25,8 @@ class RandomStream:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
+        if self.seed < 0 or self.stream < 0:
+            raise ValidationError(f"seed and stream must be non-negative, got {seed}, {stream}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 

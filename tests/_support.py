@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from timechange_sv.errors import ExplosionError, ValidationError
-from timechange_sv.models import ModelSpec, ParamSupport, POSITIVE, REAL
+from timechange_sv.errors import ExplosionError, NumericsError, ValidationError
+from timechange_sv.models import ModelSpec, ParamSupport, ParamVector, POSITIVE, REAL
 from timechange_sv.paths import Path, RandomStream, TimeGrid
 
 
@@ -96,6 +96,47 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
             x[:, i + 1] = xi
             a[:, i + 1] = ai
     return x, a
+
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def euler_loglik(x_path: Path, alpha_path: Path, params: ParamVector, model: ModelSpec) -> float:
+    """Transition-product log likelihood of a joint skeleton under the
+    locally-Gaussian scheme, an oracle independent of the time-changed
+    engine. The step covariance couples the two coordinates through the
+    leverage correlation and is singular at |rho| = 1.
+    """
+    if not np.array_equal(x_path.times, alpha_path.times):
+        raise ValidationError("skeleton grids are not aligned")
+    if len(x_path) < 2:
+        raise ValidationError("skeleton needs at least two knots")
+    t = x_path.times
+    dt = np.diff(t)
+    xv = x_path.values
+    av = alpha_path.values
+
+    mx = np.asarray(model.drift_x(t[:-1], xv[:-1], av[:-1], params), dtype=float)
+    sx = np.asarray(model.vol_x(av[:-1], params), dtype=float)
+    rx = np.diff(xv) - mx * dt
+
+    if not model.has_latent:
+        var = sx * sx * dt
+        return float(np.sum(-0.5 * (LOG_2PI + np.log(var)) - rx * rx / (2.0 * var)))
+
+    rho = model.rho(params)
+    if abs(rho) >= 1.0:
+        raise NumericsError("step covariance is singular at |rho| = 1")
+    sa = model.latent_scale(params)
+    ma = np.asarray(model.drift_alpha(av[:-1], params), dtype=float)
+    ra = np.diff(av) - ma * dt
+
+    vxx = sx * sx * dt
+    vaa = sa * sa * dt
+    vxa = rho * sx * sa * dt
+    det = vxx * vaa - vxa * vxa
+    quad = (rx * rx * vaa - 2.0 * rx * ra * vxa + ra * ra * vxx) / det
+    return float(np.sum(-LOG_2PI - 0.5 * np.log(det) - 0.5 * quad))
 
 
 def log_bm_fdd(times, values, var_rate=1.0) -> float:

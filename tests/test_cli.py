@@ -177,6 +177,18 @@ class TestExitCodes:
         assert "n_steps=3" in err and "thin_stride=5" in err
         assert not (tmp_path / "sim").exists()
 
+    def test_negative_simulate_seed_rejected(self, tmp_path, capsys):
+        # recorded config: it ended in numpy's "expected non-negative integer"
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar",
+            "simulate": {"n_steps": 20, "delta": 0.01, "thin_stride": 5, "seed": -3},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "-3" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_two_observations_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",
@@ -219,6 +231,25 @@ class TestExitCodes:
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "block_len": 1}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "adapt": "no"}},
+        {"model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "seed": -1}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": 3}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": 0}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": float("nan")}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": float("inf")}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": 0}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": -0.1}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigam": 0.1}}},
+        {"model": "const-vol-scalar", "fixed": ["sigma"],
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": 0.1}}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "validate_every": -1}},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
         if isinstance(doc, dict):

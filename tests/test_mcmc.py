@@ -1,7 +1,9 @@
 import importlib
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from timechange_sv.mcmc import (
     PriorSpec,
     SamplerConfig,
     _gamma_anchored_pass,
+    _log_ratio,
     _update_param,
     _update_z_rows,
     _windows,
@@ -115,7 +118,7 @@ class TestZUpdate:
             assert not np.array_equal(arr[1], old[1])
             assert np.array_equal(arr[0], old[0]) and np.array_equal(arr[2:], old[2:])
         # times, endpoint terms and latent terms are untouched by value moves
-        for name in ("z_times", "u", "total", "log_f", "log_gamma", "gamma_flat"):
+        for name in ("z_times", "u", "log_f", "log_gamma", "gamma_flat"):
             assert np.array_equal(now[name], snap[name]), name
 
 
@@ -187,7 +190,7 @@ class TestGammaBlockUpdate:
             else:
                 update_gamma_block(state, first, 2, rng)
             now = arrays(state)
-            for name in ("z", "z_times", "u", "total", "U", "X", "log_g", "log_f"):
+            for name in ("z", "z_times", "u", "U", "X", "log_g", "log_f"):
                 assert np.array_equal(now[name], snap[name]), name
 
     def test_rejection_restores_caches(self):
@@ -224,6 +227,74 @@ class TestGammaBlockUpdate:
                     break
         assert moved
         state.validate_cache()
+
+
+def capped_vol_state(n_obs=4, m=3, cap=1.0):
+    """A state of ``decoupled_sv_model`` whose observed volatility is 1 while
+    alpha < ``cap`` and infinite beyond, so an interval whose latent path
+    reaches ``cap`` has non-finite warps. The latent path is -1 on the first
+    interval and +1 after it; alpha stays below ``cap`` at the defaults
+    (alpha0 -0.3, sigma 0.5), and first crosses it after the first
+    interval."""
+    model = replace(decoupled_sv_model(), name="capped-vol",
+                    vol_x=lambda a, p: np.where(np.asarray(a) < cap, 1.0, np.inf))
+    params = model.make_params()
+    obs_times = np.arange(n_obs + 1, dtype=float)
+    xv, _ = simulate_discrete_skeleton(model, params, obs_times, m, 0.0, RandomStream(5))
+    gamma = np.ones(n_obs * (m + 1) + 1)
+    gamma[0] = 0.0
+    gamma[1: m + 1] = -1.0
+    return state_from_skeleton(model, params, obs_times, xv, gamma, PriorSpec.from_model(model))
+
+
+class TestNonFiniteWarps:
+    """A move whose new warped times are not finite on some intervals is
+    rejected: the state stays bit-identical, and no RuntimeWarning is
+    raised on the way."""
+
+    @pytest.mark.parametrize("move", [
+        lambda state, rng: _update_param(state, "sigma", rng, 1.0),
+        lambda state, rng: _update_param(state, "alpha0", rng, 1.0),
+        lambda state, rng: update_gamma_block(state, 2, 2, rng),
+        lambda state, rng: anchored_block(state, 1, 2, rng),
+    ], ids=["sigma", "alpha0", "terminal-block", "anchored-block"])
+    def test_rejected_without_a_trace(self, move):
+        state = capped_vol_state()
+        bad_rows = []
+        warps = state.warps
+
+        def spy(*args, **kwargs):
+            w = warps(*args, **kwargs)
+            bad_rows.append(~np.isfinite(w.z_times).all(axis=1))
+            return w
+
+        state.warps = spy
+        rng = RandomStream(8)
+        partial = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(80):
+                snap = snapshot(state)
+                bad_rows.clear()
+                accepted = move(state, rng)
+                (bad,) = bad_rows
+                if bad.any():
+                    assert not accepted
+                    assert_state_equal(state, snap)
+                    partial += not bad.all()
+        assert partial >= 3
+        state.validate_cache()
+
+    def test_nonfinite_row_reads_minus_inf(self):
+        # so that a sum over rows is -inf, never inf - inf
+        cache = SimpleNamespace(log_g=np.zeros(3), log_f=np.zeros(3), log_gamma=np.zeros(3))
+        q = SimpleNamespace(log_g=np.array([np.inf, 1.0, np.nan]),
+                            log_f=np.array([-np.inf, 0.5, 0.0]), log_gamma=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_ratio = _log_ratio(q, cache, slice(None))
+            assert log_ratio.tolist() == [-np.inf, 1.5, -np.inf]
+            assert log_ratio.sum() == -np.inf
 
 
 class TestGammaWindows:
@@ -284,7 +355,7 @@ class TestDriftUpdate:
         snap = snapshot(state)
         drift_moves(state, rng, {n: 0.5 for n in state.free_names})
         now = arrays(state)
-        for name in ("z", "z_times", "u", "total", "U", "X", "gamma_flat"):
+        for name in ("z", "z_times", "u", "U", "X", "gamma_flat"):
             assert np.array_equal(now[name], snap[name]), name
         state.validate_cache()
 
@@ -336,6 +407,17 @@ class TestDriftUpdate:
             assert r_shift == pytest.approx(r_base, abs=1e-10)
 
 
+def skeleton_data(model, n_obs, seed):
+    """Observations at weekly spacing from the sampler's own discrete model."""
+    params = model.make_params()
+    obs_times = (5.0 / 252.0) * np.arange(n_obs + 1)
+    x0 = math.log(10.0) if model.obs_transform is not None else 0.0
+    xv, _ = simulate_discrete_skeleton(model, params, obs_times, 1, x0, RandomStream(seed))
+    y = np.append(xv[:, 0], xv[-1, -1])
+    values = model.obs_transform_inv(y) if model.obs_transform_inv is not None else y
+    return type("D", (), {"times": obs_times, "values": values})()
+
+
 class TestRunChain:
     def _data(self, n=30, seed=7):
         model = get_model("ou-sv-leverage")
@@ -383,15 +465,8 @@ class TestRunChain:
         # z and drift moves reuse cached warps and paths; every sweep checks
         # the caches against a fresh engine pass and raises on drift
         model = get_model(name)
-        params = model.make_params()
-        obs_times = (5.0 / 252.0) * np.arange(9)
-        x0 = math.log(10.0) if model.obs_transform is not None else 0.0
-        xv, _ = simulate_discrete_skeleton(model, params, obs_times, 1, x0, RandomStream(4))
-        y = np.append(xv[:, 0], xv[-1, -1])
-        values = model.obs_transform_inv(y) if model.obs_transform_inv is not None else y
-        data = type("D", (), {"times": obs_times, "values": values})()
         cfg = SamplerConfig(m=3, n_iter=40, n_burn=10, seed=9, validate_every=1)
-        run_chain(cfg, data, model)
+        run_chain(cfg, skeleton_data(model, 8, 4), model)
 
     def test_nonfinite_initial_posterior_rejected(self):
         data = type("D", (), {"times": np.array([0.0, 1.0, 2.0]),
@@ -433,6 +508,31 @@ class TestRunChain:
         cfg = SamplerConfig(m=3, n_iter=3, n_burn=1, seed=1)
         tr = run_chain(cfg, data, model, prior, init_params="prior-midpoint")
         assert tr.n_rows == 2
+
+
+# Small chains whose last draw and log-likelihood sum are pinned: a change
+# that claims the same draws is checked against these numbers. Each case is
+# (model, n_obs, SamplerConfig arguments, last draw, sum of the trace's
+# log likelihoods).
+PINNED_CHAINS = [
+    ("tbill-logsv", 9, dict(m=3, n_iter=30, n_burn=6, thin=4, block_len=3, seed=1),
+     [-2.1990348689185635, -0.9909508462226998, 3.8069028502893225, -4.350813322015687,
+      3.5480290570756723, -4.549136714155258], 17.620026850107802),
+    ("ou-sv-leverage", 7, dict(m=2, n_iter=30, n_burn=5, fixed=("rho",), seed=2),
+     [23.519393697421574, -0.5634726616235098, 3.9244223792948056, 6.914780059478707,
+      19.184910724452113, 0.6354063062681234], 88.34337879214651),
+    ("const-vol-scalar", 5, dict(m=4, n_iter=40, n_burn=10, thin=3, seed=3),
+     [-6.357072345545669, 2.0704072748269904], 35.5937397579539),
+]
+
+
+@pytest.mark.parametrize("name,n_obs,kwargs,last_draw,loglik_sum", PINNED_CHAINS,
+                         ids=[case[0] for case in PINNED_CHAINS])
+def test_pinned_draws(name, n_obs, kwargs, last_draw, loglik_sum):
+    model = get_model(name)
+    tr = run_chain(SamplerConfig(**kwargs), skeleton_data(model, n_obs, 4), model)
+    assert np.allclose(tr.draws[-1], last_draw, rtol=1e-9, atol=0)
+    assert math.isclose(tr.logliks.sum(), loglik_sum, rel_tol=1e-9)
 
 
 class TestRefinementInvariance:

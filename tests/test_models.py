@@ -295,7 +295,7 @@ def leverage_round_trip(model, params, times, x, gamma):
     the engine's path stage; returns (adjustment, path values)."""
     w = warp_stage(model, params, times[None, :], gamma[None, :])
     U = x - w.adj[0]
-    z = centre_on_chord(U[:-1], w.u[0, :-1], w.total[0], x[0], U[-1])
+    z = centre_on_chord(U[:-1], w.u[0, :-1], w.u[0, -1], x[0], U[-1])
     q = path_stage(w, z[None, :], x[:1], x[-1:])
     return w.adj[0], q.X[0]
 

@@ -42,6 +42,12 @@ class TestTimeGrid:
             Path(TimeGrid(np.array([0.0, 1.0])), np.array([1.0]))
 
 
+@pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -2)])
+def test_random_stream_rejects_negative_ids(seed, stream):
+    with pytest.raises(ValidationError, match="non-negative"):
+        RandomStream(seed, stream)
+
+
 class TestBrownianMotion:
     def test_degenerate_single_point(self):
         assert brownian([0.0], 0.0, RandomStream(1)).tolist() == [[0.0]]

@@ -28,14 +28,14 @@ class TestBuildEta:
     def test_constant_vol_sqrt2(self):
         model = scalar_ou_model(sigma=np.sqrt(2.0))
         w = first_warp_of(model, model.make_params(), [0.0, 0.5, 1.0])
-        assert w.total[0] == pytest.approx(2.0, abs=1e-15)
+        assert w.u[0, -1] == pytest.approx(2.0, abs=1e-15)
         assert w.u[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_vol_is_identity_shift(self):
         model = scalar_ou_model(sigma=1.0)
         t = np.linspace(2.0, 5.0, 7)
         w = first_warp_of(model, model.make_params(), t)
-        assert w.total[0] == pytest.approx(3.0)
+        assert w.u[0, -1] == pytest.approx(3.0)
         assert np.allclose(w.u[0], t - 2.0, atol=1e-14)
 
     def test_flat_latent_unit_vol(self):
