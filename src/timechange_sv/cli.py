@@ -167,7 +167,7 @@ class RunConfig:
             for name, value in getattr(cfg, key).items():
                 whole = key == "simulate" and name in ("n_steps", "thin_stride", "seed")
                 if not is_number(value) or (whole and not isinstance(value, int)):
-                    kind = "an integer" if whole else "a number"
+                    kind = "an integer" if whole else "a finite number"
                     raise ValidationError(
                         f"{path}: '{key}' value for {name!r} must be {kind}, got {value!r}"
                     )

@@ -13,22 +13,33 @@ composes:
   interval length), the leverage adjustment and the doubly-warped times;
 * ``path_stage`` maps the doubly-warped path values z, on those warps, to
   the path on the warped and observation scales;
-* ``density_stage`` evaluates the Girsanov, endpoint and latent terms.
+* ``density_stage`` evaluates the three density terms: the Girsanov term of
+  the path (``log_g_term``), the endpoint term and the latent term
+  (``log_gamma_term``).
 
-The sampler runs only the stages whose inputs a move changes: a path move
-runs path and density on the cached warps; a drift-parameter move runs the
-density stage on the cached warps and paths; time-scale moves and latent
-blocks run the warp stage once for the new doubly-warped times, refine,
-then hand those warps to ``interval_quantities``, which runs the path and
-density stages on them. The density formulas (``girsanov_sum``,
-``log_end_gaussian``, ``unit_latent_drift``) and the warp formulas taken
-from ``timechange`` and ``models`` exist once, in the code the engine runs.
+The knot times enter as the grid ``x_knots`` and its steps ``np.diff(x_knots,
+axis=1)``, which a sampler state computes once. The sampler runs only the
+stages and terms whose inputs a move changes, and keeps the cached bits of
+the rest, which equal those of a fresh pass:
+
+* a path move runs the path stage on the cached warps, then ``log_g_term``;
+  its endpoint and latent terms do not read the interior path values;
+* a drift move of the observed path runs ``log_g_term`` alone, on the
+  cached warps and paths; a move of a latent-drift parameter (the model's
+  ``latent_drift_params``) runs ``log_gamma_term`` alone;
+* time-scale moves and latent blocks run the warp stage once for the new
+  doubly-warped times, refine, then hand those warps to
+  ``interval_quantities``, which runs the path and density stages on them.
+
+The density formulas (``girsanov_sum``, ``log_end_gaussian``,
+``unit_latent_drift``) and the warp formulas taken from ``timechange`` and
+``models`` exist once, in the code the engine runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,16 +73,12 @@ class IntervalQuantities:
     log_f: Optional[np.ndarray] = None  # per-interval endpoint Gaussian terms (no Jacobian)
     log_gamma: Optional[np.ndarray] = None  # per-interval latent-marginal contributions
 
-    def select(self, rows) -> "IntervalQuantities":
-        """The quantities of ``rows`` only (any numpy row index)."""
-        return IntervalQuantities(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+    def terms(self) -> dict[str, np.ndarray]:
+        """The three density terms by field name."""
+        return {"log_g": self.log_g, "log_f": self.log_f, "log_gamma": self.log_gamma}
 
     def finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.log_g))
-            and np.all(np.isfinite(self.log_f))
-            and np.all(np.isfinite(self.log_gamma))
-        )
+        return all(bool(np.all(np.isfinite(t))) for t in self.terms().values())
 
 
 def girsanov_sum(b, dv, dt):
@@ -91,26 +98,28 @@ def unit_latent_drift(model: ModelSpec, params: ParamVector, alpha) -> np.ndarra
     return np.asarray(model.drift_alpha(alpha, params), dtype=float) / model.latent_scale(params)
 
 
-def warp_stage(model: ModelSpec, params: ParamVector, x_knots, gamma) -> IntervalQuantities:
-    """Warps of a batch of intervals: depends on (params, gamma) only."""
-    x_knots = np.asarray(x_knots, dtype=float)
+def warp_stage(model: ModelSpec, params: ParamVector, steps, gamma) -> IntervalQuantities:
+    """Warps of a batch of intervals with knot steps ``steps`` (n, m+1):
+    depends on (params, gamma) only."""
+    steps = np.asarray(steps, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(all="ignore"):
-        alpha = model.latent_values(gamma, params) if model.has_latent else np.zeros_like(x_knots)
+        alpha = model.latent_values(gamma, params) if model.has_latent else np.zeros_like(gamma)
         sx = np.asarray(model.vol_x(alpha, params), dtype=float)
         rho = model.rho(params)
-        veff2, u = first_warp(x_knots, sx, rho)
+        veff2, u = first_warp(steps, sx, rho)
         if rho != 0.0 and model.has_latent:
             adj = cumulative_leverage(rho, sx, gamma)
         else:
-            adj = np.zeros_like(x_knots)
+            adj = np.zeros_like(gamma)
         z_times = second_warp(u[:, :-1], u[:, -1:])
     return IntervalQuantities(alpha, veff2, u, adj, z_times)
 
 
 def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
     """Path values of ``z`` (n, m+1) on the warped and observation scales,
-    on the warps of ``w``; returns ``w`` with the path fields filled."""
+    on the warps of ``w``; returns the warps of ``w`` with the path fields
+    filled."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         u1 = np.asarray(y_right, dtype=float) - w.adj[:, -1]
@@ -120,36 +129,51 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
             u1[:, None],
         )
         U[:, -1] = u1
-    return replace(w, z=z, U=U, X=U + w.adj)
+    return IntervalQuantities(w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U, U + w.adj)
 
 
-def density_stage(
-    q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots, gamma, y_left
-) -> IntervalQuantities:
-    """Log densities of the warps and paths of ``q`` under ``params``;
-    returns ``q`` with the density fields filled."""
+def log_g_term(q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots):
+    """Girsanov term of the paths of ``q`` under ``params``, per interval."""
     x_knots = np.asarray(x_knots, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     with np.errstate(all="ignore"):
         drift = np.asarray(
             model.drift_x(x_knots[:, :-1], q.X[:, :-1], q.alpha[:, :-1], params), dtype=float
         )
-        log_g = girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
+        return girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
+
+
+def log_gamma_term(model: ModelSpec, params: ParamVector, alpha, gamma, steps):
+    """Latent term of the latent windows ``gamma``, with values ``alpha``,
+    on knot steps ``steps``, per interval (zero without a latent path)."""
+    gamma = np.asarray(gamma, dtype=float)
+    if not model.has_latent:
+        return np.zeros(gamma.shape[0])
+    with np.errstate(all="ignore"):
+        return girsanov_sum(
+            unit_latent_drift(model, params, alpha[:, :-1]), np.diff(gamma, axis=1), steps
+        )
+
+
+def density_stage(
+    q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots, steps, gamma, y_left
+) -> IntervalQuantities:
+    """All three log densities of the warps and paths of ``q`` under
+    ``params``; returns ``q`` with the density fields filled. The endpoint
+    term reads only the path's last value, which no path move changes."""
+    with np.errstate(all="ignore"):
         log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])
-        if model.has_latent:
-            log_gamma = girsanov_sum(
-                unit_latent_drift(model, params, q.alpha[:, :-1]),
-                np.diff(gamma, axis=1), np.diff(x_knots, axis=1),
-            )
-        else:
-            log_gamma = np.zeros(x_knots.shape[0])
-    return replace(q, log_g=log_g, log_f=log_f, log_gamma=log_gamma)
+    return IntervalQuantities(
+        q.alpha, q.veff2, q.u, q.adj, q.z_times, q.z, q.U, q.X,
+        log_g_term(q, model, params, x_knots), log_f,
+        log_gamma_term(model, params, q.alpha, gamma, steps),
+    )
 
 
 def interval_quantities(
     model: ModelSpec,
     params: ParamVector,
     x_knots: np.ndarray,
+    steps: np.ndarray,
     gamma: np.ndarray,
     y_left: np.ndarray,
     y_right: np.ndarray,
@@ -157,13 +181,14 @@ def interval_quantities(
     warps: Optional[IntervalQuantities] = None,
 ) -> IntervalQuantities:
     """Evaluate all warped-scale quantities for a batch of intervals: the
-    three stages composed. The path is given by its doubly-warped values
-    ``z_values`` (n, m+1). ``warps``, the output of ``warp_stage`` on the
-    same (params, x_knots, gamma), skips that stage. Non-finite results are
-    not raised here; callers inspect ``finite()`` and treat failures as
-    zero-density.
+    three stages composed. The knots are ``x_knots`` (n, m+2) with steps
+    ``steps`` = ``np.diff(x_knots, axis=1)``; the path is given by its
+    doubly-warped values ``z_values`` (n, m+1). ``warps``, the output of
+    ``warp_stage`` on the same (params, steps, gamma), skips that stage.
+    Non-finite results are not raised here; callers inspect ``finite()``
+    and treat failures as zero-density.
     """
     if warps is None:
-        warps = warp_stage(model, params, x_knots, gamma)
+        warps = warp_stage(model, params, steps, gamma)
     q = path_stage(warps, z_values, y_left, y_right)
-    return density_stage(q, model, params, x_knots, gamma, y_left)
+    return density_stage(q, model, params, x_knots, steps, gamma, y_left)

@@ -17,23 +17,32 @@ standard Brownian motion. Updates:
 move that warps time, a time-scale parameter or a latent block, proposes
 through ``_warped_proposal``: it draws the path values at the new warped
 times retrospectively, conditional on the stored knots. Every Metropolis
-ratio comes from ``_log_ratio``. Rejected proposals leave the state
-bit-identical. Only the m+2 knots per interval are ever persisted; finer
-retrospective draws are transient.
+ratio comes from ``_log_ratio``, over the density terms the move
+recomputes: the path move and a drift move recompute one term each
+(``likelihood`` says which) and keep the cached bits of the others.
+Rejected proposals leave the state bit-identical. Only the m+2 knots per
+interval are ever persisted; finer retrospective draws are transient.
+
+What a sweep needs of the fixed knot grid is built once per state: the knot
+steps, and for each block length the ``LatentBlocks`` of every pass. An
+accepted move writes only the cache fields it changed (``_write_rows``): a
+move over all rows adopts its proposal's arrays; the path move, and latent
+blocks whose intervals are contiguous, copy their accepted rows in place
+with a mask; other latent blocks write their rows by index, field by field.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .likelihood import (
-    IntervalQuantities, density_stage, interval_quantities, path_stage, warp_stage,
+    IntervalQuantities, interval_quantities, log_g_term, log_gamma_term, path_stage, warp_stage,
 )
 from .models import ModelSpec, ParamVector
 from .paths import RandomStream
@@ -104,8 +113,14 @@ class PriorSpec:
 
 
 def is_number(value) -> bool:
-    """A real number that is not a bool (JSON ``true`` loads as a bool)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is not a bool (JSON ``true`` loads as a bool) and
+    converts to a finite float (JSON integers have no size limit)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -138,7 +153,7 @@ class SamplerConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not (isinstance(self.rw_scales, dict) and all(
-                is_number(v) and 0.0 < v < math.inf for v in self.rw_scales.values())):
+                is_number(v) and v > 0.0 for v in self.rw_scales.values())):
             raise ValidationError("rw_scales must map parameter names to finite positive numbers")
         if not (is_number(self.target_accept) and 0.0 < self.target_accept < 1.0):
             raise ValidationError(f"target_accept must lie in (0, 1), got {self.target_accept!r}")
@@ -181,10 +196,12 @@ class AugmentedState:
     """Full MCMC state: per-interval warped paths, latent path, parameters.
 
     ``cache`` holds the engine outputs of the current state, one
-    ``IntervalQuantities`` whose arrays the state owns; every move writes
-    its accepted rows there through ``refresh``. Other array shapes
+    ``IntervalQuantities`` whose arrays the state owns; an accepted move
+    adopts or writes in place the fields it changed. Other array shapes
     (n = #intervals, m = imputed points per interval):
         x_flat, gamma_flat : (n (m+1) + 1,)
+        x_knots            : (n, m+2), the knot times of each interval
+        x_steps            : (n, m+1), their steps
         gamma_windows      : (n, m+2), a view of gamma_flat (written in place)
         log_jac            : (n,)
     """
@@ -207,15 +224,34 @@ class AugmentedState:
         self.n_intervals = n
         self.x_flat = _flat_knots(self.obs_times, self.m)
         self.x_knots = _windows(self.x_flat, self.m).copy()
+        self.x_steps = np.diff(self.x_knots, axis=1)
         self.gamma_flat = np.zeros(n * (self.m + 1) + 1)
         self.gamma_windows = _windows(self.gamma_flat, self.m)
         self.cache: Optional[IntervalQuantities] = None  # set by _canonicalise
+        self._block_passes: dict[int, tuple[LatentBlocks, ...]] = {}
 
     # -- views ------------------------------------------------------------
 
     @property
     def free_names(self) -> tuple[str, ...]:
         return tuple(p for p in self.model.param_names if p not in self.fixed)
+
+    def block_passes(self, block_len: int) -> tuple["LatentBlocks", ...]:
+        """The latent-block passes of a sweep at ``block_len``: each nonempty
+        parity class of the anchored blocks of ``gamma_block_plan``, then
+        the terminal block. Built once per block length."""
+        passes = self._block_passes.get(block_len)
+        if passes is None:
+            plan = gamma_block_plan(self.n_intervals, min(block_len, self.n_intervals))
+            starts = np.array([f for f, _l, a in plan if a], dtype=int)
+            first, length, _ = plan[-1]
+            # Alternate blocks of the sliding schedule touch disjoint
+            # intervals, so each parity class runs as one batched update.
+            passes = tuple(latent_blocks(self, parity, length, True)
+                           for parity in (starts[0::2], starts[1::2]) if parity.size)
+            passes += (latent_blocks(self, np.array([first]), length, False),)
+            self._block_passes[block_len] = passes
+        return passes
 
     # -- engine and cache management ----------------------------------------
 
@@ -228,6 +264,7 @@ class AugmentedState:
             self.model,
             self.params if params is None else params,
             self.x_knots[rows],
+            self.x_steps[rows],
             self.gamma_windows[rows] if gamma is None else gamma,
             self.y[:-1][rows],
             self.y[1:][rows],
@@ -240,21 +277,9 @@ class AugmentedState:
         return warp_stage(
             self.model,
             self.params if params is None else params,
-            self.x_knots[rows],
+            self.x_steps[rows],
             self.gamma_windows[rows] if gamma is None else gamma,
         )
-
-    def densities(self, q, params=None, rows=slice(None)) -> IntervalQuantities:
-        """The density stage on the warps and paths of ``q``."""
-        return density_stage(
-            q, self.model, self.params if params is None else params,
-            self.x_knots[rows], self.gamma_windows[rows], self.y[:-1][rows],
-        )
-
-    def refresh(self, rows, q) -> None:
-        """Write the engine outputs ``q`` for ``rows`` into the cache."""
-        for f in fields(q):
-            getattr(self.cache, f.name)[rows] = getattr(q, f.name)
 
     def log_likelihood(self, q=None) -> float:
         """Augmented log likelihood of the cache, or of engine outputs ``q``:
@@ -311,9 +336,7 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
     q = state.quantities(z=z, warps=w)
     if not q.finite():
         raise ValidationError(f"{what} is non-finite")
-    state.cache = IntervalQuantities(
-        **{f.name: np.array(getattr(q, f.name), order="C") for f in fields(q)}
-    )
+    state.cache = q
     return state
 
 
@@ -383,15 +406,31 @@ def _accept_scalar(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
     return np.array([math.isfinite(r) and (r >= 0.0 or math.log(float(rng.uniform())) < r)])
 
 
-def _log_ratio(q: IntervalQuantities, cache: IntervalQuantities, rows) -> np.ndarray:
-    """Per-row change of ``log_g + log_f + log_gamma`` from the cached
-    ``rows`` to the proposal ``q``. A row with a non-finite term reads -inf,
-    so any sum over rows rejects, and none of it warns."""
+def _log_ratio(terms: dict, cache: IntervalQuantities, rows) -> np.ndarray:
+    """Per-row change of the density terms ``terms`` (field name to per-row
+    values; the terms a move leaves alone are omitted) from the cached
+    ``rows``, summed left to right. A row with a non-finite term reads
+    -inf, so any sum over rows rejects, and none of it warns."""
     with np.errstate(invalid="ignore", over="ignore"):
-        log_ratio = ((q.log_g - cache.log_g[rows]) + (q.log_f - cache.log_f[rows])
-                     + (q.log_gamma - cache.log_gamma[rows]))
+        diffs = [value - getattr(cache, name)[rows] for name, value in terms.items()]
+        log_ratio = sum(diffs[1:], diffs[0])
     log_ratio[~np.isfinite(log_ratio)] = -np.inf
     return log_ratio
+
+
+def _write_rows(cache: IntervalQuantities, new: dict, rows, keep: np.ndarray) -> None:
+    """Write the rows ``keep`` of ``new`` (field name to the values of the
+    cache ``rows``) into the cache: in place with a masked copy when
+    ``rows`` is a slice, else by index."""
+    if not keep.any():
+        return
+    if isinstance(rows, slice):
+        for name, value in new.items():
+            np.copyto(getattr(cache, name)[rows], value,
+                      where=keep.reshape(keep.shape + (1,) * (value.ndim - 1)))
+    else:
+        for name, value in new.items():
+            getattr(cache, name)[rows[keep]] = value[keep]
 
 
 def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None, gamma=None):
@@ -409,28 +448,30 @@ def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None
     new_times = np.where(bad[:, None], cache.z_times[rows], w.z_times) if bad.any() else w.z_times
     z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
     q = state.quantities(params=params, gamma=gamma, z=z_new, rows=rows, warps=w)
-    log_ratio = _log_ratio(q, cache, rows)
+    log_ratio = _log_ratio(q.terms(), cache, rows)
     log_ratio[bad] = -np.inf
     return q, log_ratio
 
 
-def _update_z_rows(state: AugmentedState, rows, rng: RandomStream) -> np.ndarray:
-    """Independence update of the doubly-warped path values on ``rows``.
+def _update_z_rows(state: AugmentedState, rng: RandomStream) -> np.ndarray:
+    """Independence update of the doubly-warped path values of every
+    interval.
 
     Proposals are standard Brownian motions at the intervals' current warped
-    times, so only the Girsanov term of the ratio can change. Returns the
-    per-row acceptance mask.
+    times, so only the Girsanov term of the ratio can change: the endpoint
+    and latent terms do not read the interior path values. Accepted rows of
+    the path fields and ``log_g`` are copied into the cache in place.
+    Returns the per-row acceptance mask.
     """
-    z_times = state.cache.z_times[rows]
-    steps = np.diff(z_times, axis=1)
-    z_prop = np.zeros_like(z_times)
+    cache = state.cache
+    steps = np.diff(cache.z_times, axis=1)
+    z_prop = np.zeros_like(cache.z_times)
     np.cumsum(np.sqrt(steps) * rng.normal(steps.shape), axis=1, out=z_prop[:, 1:])
 
-    q = path_stage(state.cache.select(rows), z_prop, state.y[:-1][rows], state.y[1:][rows])
-    q = state.densities(q, rows=rows)
-    acc = _accept_mask(_log_ratio(q, state.cache, rows), rng)
-    if acc.any():
-        state.refresh(np.arange(state.n_intervals)[rows][acc], q.select(acc))
+    q = path_stage(cache, z_prop, state.y[:-1], state.y[1:])
+    log_g = log_g_term(q, state.model, state.params, state.x_knots)
+    acc = _accept_mask(_log_ratio({"log_g": log_g}, cache, slice(None)), rng)
+    _write_rows(cache, {"z": q.z, "U": q.U, "X": q.X, "log_g": log_g}, slice(None), acc)
     return acc
 
 
@@ -456,8 +497,10 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
     intervals.
 
     A parameter that deforms the warped time scales proposes through
-    ``_warped_proposal``; a drift parameter reuses the cached warps and
-    paths and reruns only the density stage.
+    ``_warped_proposal``. A drift parameter reuses the cached warps and
+    paths and recomputes its one density term: ``log_gamma`` for the
+    model's latent-drift parameters, ``log_g`` for the others. An accepted
+    proposal becomes the cache.
     """
     params, log_jac = _propose_param(state, name, scale, rng)
     if params is None:
@@ -465,12 +508,21 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
     if name in state.model.timescale_params:
         q, log_ratio = _warped_proposal(state, rng, slice(None), params=params)
     else:
-        q = state.densities(state.cache, params=params)
-        log_ratio = _log_ratio(q, state.cache, slice(None))
+        cache = state.cache
+        if name in state.model.latent_drift_params:
+            term = "log_gamma"
+            value = log_gamma_term(state.model, params, cache.alpha, state.gamma_windows,
+                                   state.x_steps)
+        else:
+            term = "log_g"
+            value = log_g_term(cache, state.model, params, state.x_knots)
+        # the proposal shares every other array with the cache
+        q = IntervalQuantities(**{**vars(cache), term: value})
+        log_ratio = _log_ratio({term: value}, cache, slice(None))
     if not _accept_scalar(log_ratio.sum(keepdims=True) + log_jac, rng)[0]:
         return False
     state.params = params
-    state.refresh(slice(None), q)
+    state.cache = q
     return True
 
 
@@ -501,55 +553,75 @@ def gamma_block_plan(n_intervals: int, block_len: int) -> list[tuple[int, int, b
     return plan
 
 
-def _gamma_blocks(state: AugmentedState, firsts: np.ndarray, length: int, anchored: bool,
-                  accept, rng: RandomStream) -> np.ndarray:
-    """Update of the latent blocks of ``length`` observation intervals from
-    each of ``firsts``; ``accept`` gives the per-block acceptance mask.
+@dataclass(frozen=True)
+class LatentBlocks:
+    """Disjoint latent blocks of ``length`` observation intervals, and what
+    their proposals need of the fixed knot grid."""
 
-    Each block keeps its left knot. An ``anchored`` block keeps its right
-    knot too and proposes a Brownian bridge; the terminal block proposes a
-    free Brownian end. Either is the dominating-measure conditional, so the
+    length: int
+    anchored: bool  # keeps its right knot (a bridge), or has a free end
+    seg: np.ndarray  # (blocks, length (m+1) + 1) indices of each block's knots in gamma_flat
+    sqrt_steps: np.ndarray  # square roots of each block's knot steps
+    frac: np.ndarray  # each knot's fraction of its block's time span
+    windows: np.ndarray  # (length, m+2) columns of each interval's window in a block
+    rows: "slice | np.ndarray"  # the blocks' intervals, block-major; a slice if contiguous
+
+
+def latent_blocks(state: AugmentedState, firsts: np.ndarray, length: int,
+                  anchored: bool) -> LatentBlocks:
+    """The blocks of ``length`` intervals from each of ``firsts``."""
+    m = state.m
+    seg = (firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)[None, :]
+    seg_t = state.x_flat[seg]
+    frac = (seg_t - seg_t[:, :1]) / (seg_t[:, -1:] - seg_t[:, :1])
+    windows = (np.arange(length) * (m + 1))[:, None] + np.arange(m + 2)[None, :]
+    rows = (firsts[:, None] + np.arange(length)[None, :]).ravel()
+    if np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    return LatentBlocks(length, anchored, seg, np.sqrt(seg_t[:, 1:] - seg_t[:, :-1]), frac,
+                        windows, rows)
+
+
+def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, accept,
+                  rng: RandomStream) -> np.ndarray:
+    """Update of the latent ``blocks``; ``accept`` gives the per-block
+    acceptance mask.
+
+    Each block keeps its left knot. An anchored block keeps its right knot
+    too and proposes a Brownian bridge; the terminal block proposes a free
+    Brownian end. Either is the dominating-measure conditional, so the
     ratio is the block's change of ``_log_ratio``. Blocks share at most
     their anchor knots, so one accept/reject per block composes exactly like
     updating them one at a time.
     """
-    m = state.m
-    nb = firsts.size
-    seg_idx = (firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)[None, :]
-    seg_t = state.x_flat[seg_idx]
-    seg_g = state.gamma_flat[seg_idx]
-
-    dt = seg_t[:, 1:] - seg_t[:, :-1]
-    w = np.zeros(seg_t.shape)
-    np.cumsum(np.sqrt(dt) * rng.normal(dt.shape), axis=1, out=w[:, 1:])
+    seg_g = state.gamma_flat[blocks.seg]
+    w = np.zeros(blocks.seg.shape)
+    np.cumsum(blocks.sqrt_steps * rng.normal(blocks.sqrt_steps.shape), axis=1, out=w[:, 1:])
     seg_prop = seg_g[:, :1] + w  # w[:, 0] = 0 keeps the left knot exactly
-    if anchored:
-        frac = (seg_t - seg_t[:, :1]) / (seg_t[:, -1:] - seg_t[:, :1])
-        seg_prop -= frac * w[:, -1:]
-        seg_prop += frac * (seg_g[:, -1:] - seg_g[:, :1])
+    if blocks.anchored:
+        seg_prop -= blocks.frac * w[:, -1:]
+        seg_prop += blocks.frac * (seg_g[:, -1:] - seg_g[:, :1])
         seg_prop[:, -1] = seg_g[:, -1]
 
-    win_idx = (np.arange(length) * (m + 1))[:, None] + np.arange(m + 2)[None, :]
-    rows = (firsts[:, None] + np.arange(length)[None, :]).ravel()
-    gamma = seg_prop[:, win_idx].reshape(nb * length, m + 2)
-    q, log_ratio = _warped_proposal(state, rng, rows, gamma=gamma)
-    acc = accept(log_ratio.reshape(nb, length).sum(axis=1), rng)
+    nb = blocks.seg.shape[0]
+    gamma = seg_prop[:, blocks.windows].reshape(nb * blocks.length, state.m + 2)
+    q, log_ratio = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
+    acc = accept(log_ratio.reshape(nb, blocks.length).sum(axis=1), rng)
     if acc.any():
-        state.gamma_flat[seg_idx[acc]] = seg_prop[acc]
-        keep = np.repeat(acc, length)
-        state.refresh(rows[keep], q.select(keep))
+        state.gamma_flat[blocks.seg[acc]] = seg_prop[acc]
+        _write_rows(state.cache, vars(q), blocks.rows, np.repeat(acc, blocks.length))
     return acc
 
 
-def _gamma_anchored_pass(state: AugmentedState, firsts: np.ndarray, length: int,
+def _gamma_anchored_pass(state: AugmentedState, blocks: LatentBlocks,
                          rng: RandomStream) -> np.ndarray:
     """One batched pass over disjoint anchored blocks (``_gamma_blocks``)."""
-    return _gamma_blocks(state, firsts, length, True, _accept_mask, rng)
+    return _gamma_blocks(state, blocks, _accept_mask, rng)
 
 
-def update_gamma_block(state: AugmentedState, first: int, n_block: int, rng: RandomStream) -> bool:
-    """The terminal block: the ``n_block`` intervals from ``first`` to the end."""
-    return bool(_gamma_blocks(state, np.array([first]), n_block, False, _accept_scalar, rng)[0])
+def update_gamma_block(state: AugmentedState, block: LatentBlocks, rng: RandomStream) -> bool:
+    """The terminal block: a block with a free end that reaches the last knot."""
+    return bool(_gamma_blocks(state, block, _accept_scalar, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +651,15 @@ def sweep(
             rec[0] += acc
             rec[1] += att
 
-    acc_z = _update_z_rows(state, slice(None), rng)
+    acc_z = _update_z_rows(state, rng)
     tally("z", int(acc_z.sum()), acc_z.size)
 
     if state.model.has_latent:
-        plan = gamma_block_plan(state.n_intervals, min(block_len, state.n_intervals))
-        anchored_starts = np.array([f for f, _l, a in plan if a], dtype=int)
-        length = plan[0][1]
-        # Alternate blocks of the sliding schedule touch disjoint intervals,
-        # so each parity class runs as one batched update.
-        for parity in (anchored_starts[0::2], anchored_starts[1::2]):
-            if parity.size:
-                acc = _gamma_anchored_pass(state, parity, length, rng)
-                tally("gamma", int(acc.sum()), acc.size)
-        first, length, _ = plan[-1]
-        acc_t = update_gamma_block(state, first, length, rng)
-        tally("gamma", int(acc_t))
+        *anchored, terminal = state.block_passes(block_len)
+        for blocks in anchored:
+            acc = _gamma_anchored_pass(state, blocks, rng)
+            tally("gamma", int(acc.sum()), acc.size)
+        tally("gamma", int(update_gamma_block(state, terminal, rng)))
 
     flags: dict[str, bool] = {}
     for name in _scalar_update_order(state):

@@ -2,9 +2,9 @@
 
 A model bundles the drift/volatility functions of the observed diffusion and
 of its latent volatility diffusion, together with the hooks needed by the
-samplers: which parameters deform the warped time scales, and how raw
-observations map onto the coordinate in which the volatility is state-free
-(the unit-state-volatility transform).
+samplers: which parameters deform the warped time scales, which drive only
+the latent diffusion, and how raw observations map onto the coordinate in
+which the volatility is state-free (the unit-state-volatility transform).
 """
 
 from __future__ import annotations
@@ -139,7 +139,11 @@ class ModelSpec:
     obs_transform: Optional[Callable] = None  # raw y -> working coordinate
     obs_transform_inv: Optional[Callable] = None
     obs_log_jacobian: Optional[Callable] = None  # log|d transform / d y|
+    # parameters that deform the warped time scales, and the drift parameters
+    # of the latent diffusion alone; any other parameter is a drift
+    # parameter of the observed diffusion
     timescale_params: tuple[str, ...] = ()
+    latent_drift_params: tuple[str, ...] = ()
 
     def make_params(self, values: Optional[dict[str, float]] = None) -> ParamVector:
         vals = dict(self.defaults)
@@ -214,6 +218,7 @@ def _make_ou_sv_leverage() -> ModelSpec:
         vol_alpha=lambda p: p["sigma"],
         leverage="rho",
         timescale_params=("sigma", "rho", "alpha0"),
+        latent_drift_params=("kappa_alpha", "mu_alpha"),
     )
 
 
@@ -250,6 +255,7 @@ def _make_tbill_logsv() -> ModelSpec:
         obs_transform_inv=np.exp,
         obs_log_jacobian=lambda y: -np.log(np.asarray(y, dtype=float)),
         timescale_params=("sigma", "alpha0"),
+        latent_drift_params=("kappa", "mu"),
     )
 
 

@@ -97,15 +97,16 @@ class Path:
         return cls(TimeGrid(np.asarray(times, dtype=float)), values)
 
 
-def cumulative_left_riemann(times: np.ndarray, integrand_values: np.ndarray) -> np.ndarray:
+def cumulative_left_riemann(steps: np.ndarray, integrand_values: np.ndarray) -> np.ndarray:
     """Cumulative left-point integral evaluated at every grid point.
 
-    Works on batched rows: ``times`` and ``integrand_values`` may be
-    (n, K)-shaped; the return has the same shape with zeros in column 0.
+    ``steps`` are the grid's increments, ``np.diff(times, axis=-1)``. Works
+    on batched rows: ``integrand_values`` may be (n, K)-shaped with
+    ``steps`` (n, K-1); the return has the shape of ``integrand_values``
+    with zeros in column 0.
     """
-    t = np.asarray(times, dtype=float)
     f = np.asarray(integrand_values, dtype=float)
-    inc = f[..., :-1] * np.diff(t, axis=-1)
-    out = np.zeros_like(t)
+    inc = f[..., :-1] * np.asarray(steps, dtype=float)
+    out = np.zeros_like(f)
     np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out

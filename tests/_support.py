@@ -43,6 +43,7 @@ def decoupled_sv_model() -> ModelSpec:
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - np.asarray(a, dtype=float)),
         vol_alpha=lambda p: p["sigma"],
         timescale_params=("sigma", "alpha0"),
+        latent_drift_params=("kappa_alpha", "mu_alpha"),
     )
 
 

@@ -250,6 +250,10 @@ class TestExitCodes:
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": 0.1}}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "validate_every": -1}},
+        # integers too large for a float
+        {"model": "const-vol-scalar", "params": {"sigma": 10**400}},
+        {"model": "const-vol-scalar",
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": 10**400}}},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
         if isinstance(doc, dict):
@@ -258,7 +262,8 @@ class TestExitCodes:
         argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -85,7 +85,7 @@ class TestPriorRecovery:
             sweep(state, rng, self.CONFIG.rw_scales)
             sigma = min(1.05 * state.params["sigma"], 1.999)
             state.params = state.params.replace(sigma=sigma)
-            state.refresh(slice(None), state.quantities())
+            state.cache = state.quantities()
 
         p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, RandomStream(2),
                                 sweeps=10, transition=inflate_sigma)

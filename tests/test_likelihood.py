@@ -44,7 +44,8 @@ def engine_log_g(model, params, path):
 def engine_log_gamma(model, params, times, gamma):
     """The engine's latent-marginal term for one interval with knots ``times``."""
     q = interval_quantities(
-        model, params, times[None, :], gamma[None, :], [0.0], [0.0], np.zeros((1, times.size - 1))
+        model, params, times[None, :], np.diff(times)[None, :], gamma[None, :], [0.0], [0.0],
+        np.zeros((1, times.size - 1)),
     )
     return float(q.log_gamma[0])
 
@@ -293,7 +294,7 @@ class TestAugmentedPosterior:
         # rebuild each interval as its own one-interval state: same pieces
         for k in range(2):
             q = interval_quantities(
-                model, params, state.x_knots[k: k + 1],
+                model, params, state.x_knots[k: k + 1], state.x_steps[k: k + 1],
                 state.gamma_windows[k: k + 1],
                 state.y[k: k + 1], state.y[k + 1: k + 2],
                 z_values=cache.z[k: k + 1],
@@ -378,23 +379,43 @@ class TestEngineStages:
     def test_stages_compose_to_the_engine(self, name):
         model, params, state = _skeleton_state(name)
         knots, gamma, y0, y1 = state.x_knots, state.gamma_windows, state.y[:-1], state.y[1:]
-        w = warp_stage(model, params, knots, gamma)
+        steps = np.diff(knots, axis=1)
+        w = warp_stage(model, params, steps, gamma)
         z = state.cache.z
-        q = density_stage(path_stage(w, z, y0, y1), model, params, knots, gamma, y0)
-        full = interval_quantities(model, params, knots, gamma, y0, y1, z_values=z)
-        given = interval_quantities(model, params, knots, gamma, y0, y1, z_values=z, warps=w)
+        q = density_stage(path_stage(w, z, y0, y1), model, params, knots, steps, gamma, y0)
+        full = interval_quantities(model, params, knots, steps, gamma, y0, y1, z_values=z)
+        given = interval_quantities(model, params, knots, steps, gamma, y0, y1, z_values=z,
+                                    warps=w)
         for f in fields(full):
             assert np.array_equal(getattr(q, f.name), getattr(full, f.name)), f.name
             assert np.array_equal(getattr(given, f.name), getattr(full, f.name)), f.name
+
+    def test_drift_parameters_move_only_their_term(self, name):
+        # a drift move recomputes one density term and keeps the cached bits
+        # of the others: a latent-drift parameter must be listed in
+        # latent_drift_params, and every other drift parameter moves log_g
+        model, params, state = _skeleton_state(name)
+        grid = (state.x_knots, state.x_steps, state.gamma_windows, state.y[:-1])
+        before = density_stage(state.cache, model, params, *grid)
+        for p in model.param_names:
+            if p in model.timescale_params:
+                continue
+            sup = model.supports[p]
+            moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
+            after = density_stage(state.cache, model, moved, *grid)
+            declared = "log_gamma" if p in model.latent_drift_params else "log_g"
+            for term in ("log_g", "log_f", "log_gamma"):
+                same = np.array_equal(getattr(after, term), getattr(before, term))
+                assert same == (term != declared), (p, term)
 
     def test_only_timescale_parameters_move_the_warps(self, name):
         # drift moves reuse the cached warps: a parameter that moves them
         # must be listed in timescale_params
         model, params, state = _skeleton_state(name)
-        before = warp_stage(model, params, state.x_knots, state.gamma_windows)
+        before = warp_stage(model, params, state.x_steps, state.gamma_windows)
         for p in model.param_names:
             sup = model.supports[p]
             moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
-            after = warp_stage(model, moved, state.x_knots, state.gamma_windows)
+            after = warp_stage(model, moved, state.x_steps, state.gamma_windows)
             same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
             assert same == (p not in model.timescale_params), p

@@ -17,17 +17,19 @@ from timechange_sv.mcmc import (
     SamplerConfig,
     _gamma_anchored_pass,
     _log_ratio,
+    _scalar_update_order,
     _update_param,
     _update_z_rows,
     _windows,
     gamma_block_plan,
     init_state,
+    latent_blocks,
     run_chain,
     state_from_skeleton,
     sweep,
     update_gamma_block,
 )
-from timechange_sv.models import euler_simulate, get_model
+from timechange_sv.models import euler_simulate, get_model, model_names
 from timechange_sv.paths import RandomStream, TimeGrid
 from timechange_sv.timechange import refine_rows
 from timechange_sv.diagnostics import simulate_discrete_skeleton
@@ -54,16 +56,20 @@ def assert_state_equal(state, snap):
     assert dict(state.params.values) == snap["params"]
 
 
-def z_move(state, k, rng):
-    """The path kernel on interval ``k`` alone."""
-    rows = np.zeros(state.n_intervals, dtype=bool)
-    rows[k] = True
-    return bool(_update_z_rows(state, rows, rng)[0])
+PATH_FIELDS = ("z", "U", "X", "log_g")  # what the path kernel writes
 
 
 def anchored_block(state, first, n_block, rng):
     """The anchored latent-block kernel on one block."""
-    return bool(_gamma_anchored_pass(state, np.array([first]), n_block, rng)[0])
+    blocks = latent_blocks(state, np.array([first]), n_block, True)
+    return bool(_gamma_anchored_pass(state, blocks, rng)[0])
+
+
+def terminal_block(state, first, n_block, rng):
+    """The terminal latent-block kernel on the ``n_block`` intervals from
+    ``first`` to the end."""
+    return update_gamma_block(state, latent_blocks(state, np.array([first]), n_block, False),
+                              rng)
 
 
 def drift_moves(state, rng, scales):
@@ -92,7 +98,7 @@ class TestZUpdate:
         params = model.make_params({"theta": 0.0, "sigma": 0.8})
         state = sv_state(model, params)
         rng = RandomStream(4)
-        assert all(z_move(state, k, rng) for k in range(5) for _ in range(20))
+        assert all(_update_z_rows(state, rng).all() for _ in range(20))
 
     def test_rejection_leaves_state_bit_identical(self):
         state = sv_state()
@@ -100,26 +106,29 @@ class TestZUpdate:
         rejections = 0
         for _ in range(200):
             snap = snapshot(state)
-            accepted = z_move(state, 2, rng)
-            if not accepted:
-                rejections += 1
-                assert_state_equal(state, snap)
+            acc = _update_z_rows(state, rng)
+            rejections += np.count_nonzero(~acc)
+            for f in fields(state.cache):
+                arr = getattr(state.cache, f.name)
+                assert np.array_equal(arr[~acc], snap[f.name][~acc]), f.name
+            assert np.array_equal(state.gamma_flat, snap["gamma_flat"])
         assert rejections > 0
 
     def test_acceptance_changes_only_that_interval(self):
+        # an accepted interval changes its path fields and nothing else
         state = sv_state()
         rng = RandomStream(3)
-        snap = snapshot(state)
-        while not z_move(state, 1, rng):
-            pass
-        now = arrays(state)
-        for name in ("z", "U", "X", "log_g"):
-            arr, old = now[name], snap[name]
-            assert not np.array_equal(arr[1], old[1])
-            assert np.array_equal(arr[0], old[0]) and np.array_equal(arr[2:], old[2:])
-        # times, endpoint terms and latent terms are untouched by value moves
-        for name in ("z_times", "u", "log_f", "log_gamma", "gamma_flat"):
-            assert np.array_equal(now[name], snap[name]), name
+        for _ in range(20):
+            snap = snapshot(state)
+            acc = _update_z_rows(state, rng)
+            assert acc.any()
+            now = arrays(state)
+            for name in PATH_FIELDS:
+                assert not np.any(np.all(now[name][acc] == snap[name][acc], axis=-1)), name
+            # times, endpoint terms and latent terms are untouched by value moves
+            for name in set(now) - set(PATH_FIELDS):
+                assert np.array_equal(now[name], snap[name]), name
+        state.validate_cache()
 
 
 class TestTimescaleUpdate:
@@ -188,7 +197,7 @@ class TestGammaBlockUpdate:
             if anchored:
                 anchored_block(state, first, 2, rng)
             else:
-                update_gamma_block(state, first, 2, rng)
+                terminal_block(state, first, 2, rng)
             now = arrays(state)
             for name in ("z", "z_times", "u", "U", "X", "log_g", "log_f"):
                 assert np.array_equal(now[name], snap[name]), name
@@ -221,7 +230,7 @@ class TestGammaBlockUpdate:
         end_before = state.gamma_flat[-1]
         moved = False
         for _ in range(50):
-            if update_gamma_block(state, 3, 2, rng):
+            if terminal_block(state, 3, 2, rng):
                 moved = state.gamma_flat[-1] != end_before
                 if moved:
                     break
@@ -255,7 +264,7 @@ class TestNonFiniteWarps:
     @pytest.mark.parametrize("move", [
         lambda state, rng: _update_param(state, "sigma", rng, 1.0),
         lambda state, rng: _update_param(state, "alpha0", rng, 1.0),
-        lambda state, rng: update_gamma_block(state, 2, 2, rng),
+        lambda state, rng: terminal_block(state, 2, 2, rng),
         lambda state, rng: anchored_block(state, 1, 2, rng),
     ], ids=["sigma", "alpha0", "terminal-block", "anchored-block"])
     def test_rejected_without_a_trace(self, move):
@@ -292,7 +301,7 @@ class TestNonFiniteWarps:
                             log_f=np.array([-np.inf, 0.5, 0.0]), log_gamma=np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            log_ratio = _log_ratio(q, cache, slice(None))
+            log_ratio = _log_ratio(vars(q), cache, slice(None))
             assert log_ratio.tolist() == [-np.inf, 1.5, -np.inf]
             assert log_ratio.sum() == -np.inf
 
@@ -468,6 +477,35 @@ class TestRunChain:
         cfg = SamplerConfig(m=3, n_iter=40, n_burn=10, seed=9, validate_every=1)
         run_chain(cfg, skeleton_data(model, 8, 4), model)
 
+    @pytest.mark.parametrize("block_len", [2, 3])
+    @pytest.mark.parametrize("name", model_names())
+    def test_cache_is_a_fresh_engine_pass_bit_for_bit(self, name, block_len):
+        # every move keeps the cached bits of what it leaves alone and adopts
+        # or writes what it changes: after each kernel of a sweep, with one
+        # parameter fixed, the cache equals a fresh engine pass exactly
+        model = get_model(name)
+        data = skeleton_data(model, 24, 4)
+        prior = PriorSpec.from_model(model)
+        state = init_state(model, model.make_params(), data.times, data.values, 3, prior,
+                           fixed=model.param_names[:1])
+        rng = RandomStream(block_len)
+        start = dict(state.params.values)
+        kernels = [lambda: _update_z_rows(state, rng)]
+        if model.has_latent:
+            *anchored, terminal = state.block_passes(block_len)
+            kernels += [lambda b=b: _gamma_anchored_pass(state, b, rng) for b in anchored]
+            kernels.append(lambda: update_gamma_block(state, terminal, rng))
+        kernels += [lambda p=p: _update_param(state, p, rng, 0.1)
+                    for p in _scalar_update_order(state)]
+        for _ in range(30):
+            for kernel in kernels:  # one sweep
+                kernel()
+                fresh = state.quantities()
+                for f in fields(fresh):
+                    assert np.array_equal(getattr(state.cache, f.name),
+                                          getattr(fresh, f.name)), f.name
+        assert all(state.params[p] != start[p] for p in state.free_names)
+
     def test_nonfinite_initial_posterior_rejected(self):
         data = type("D", (), {"times": np.array([0.0, 1.0, 2.0]),
                               "values": np.array([0.0, 1e200, -1e200])})()
@@ -513,21 +551,28 @@ class TestRunChain:
 # Small chains whose last draw and log-likelihood sum are pinned: a change
 # that claims the same draws is checked against these numbers. Each case is
 # (model, n_obs, SamplerConfig arguments, last draw, sum of the trace's
-# log likelihoods).
+# log likelihoods). The last one runs the bench's sampler settings: block
+# length 2, default step sizes, adapted during burn-in.
 PINNED_CHAINS = [
-    ("tbill-logsv", 9, dict(m=3, n_iter=30, n_burn=6, thin=4, block_len=3, seed=1),
-     [-2.1990348689185635, -0.9909508462226998, 3.8069028502893225, -4.350813322015687,
-      3.5480290570756723, -4.549136714155258], 17.620026850107802),
-    ("ou-sv-leverage", 7, dict(m=2, n_iter=30, n_burn=5, fixed=("rho",), seed=2),
-     [23.519393697421574, -0.5634726616235098, 3.9244223792948056, 6.914780059478707,
-      19.184910724452113, 0.6354063062681234], 88.34337879214651),
-    ("const-vol-scalar", 5, dict(m=4, n_iter=40, n_burn=10, thin=3, seed=3),
-     [-6.357072345545669, 2.0704072748269904], 35.5937397579539),
+    pytest.param(
+        "tbill-logsv", 9, dict(m=3, n_iter=30, n_burn=6, thin=4, block_len=3, seed=1),
+        [-2.1990348689185635, -0.9909508462226998, 3.8069028502893225, -4.350813322015687,
+         3.5480290570756723, -4.549136714155258], 17.620026850107802, id="tbill-logsv"),
+    pytest.param(
+        "ou-sv-leverage", 7, dict(m=2, n_iter=30, n_burn=5, fixed=("rho",), seed=2),
+        [23.519393697421574, -0.5634726616235098, 3.9244223792948056, 6.914780059478707,
+         19.184910724452113, 0.6354063062681234], 88.34337879214651, id="ou-sv-leverage"),
+    pytest.param(
+        "const-vol-scalar", 5, dict(m=4, n_iter=40, n_burn=10, thin=3, seed=3),
+        [-6.357072345545669, 2.0704072748269904], 35.5937397579539, id="const-vol-scalar"),
+    pytest.param(
+        "tbill-logsv", 30, dict(m=6, n_iter=30, n_burn=10, seed=5),
+        [0.40740538510006646, -0.07923230794077533, 14.335645890661414, -4.298444521958944,
+         2.703650291034678, -3.8112986776888773], 197.02926792412075, id="tbill-logsv-adapted"),
 ]
 
 
-@pytest.mark.parametrize("name,n_obs,kwargs,last_draw,loglik_sum", PINNED_CHAINS,
-                         ids=[case[0] for case in PINNED_CHAINS])
+@pytest.mark.parametrize("name,n_obs,kwargs,last_draw,loglik_sum", PINNED_CHAINS)
 def test_pinned_draws(name, n_obs, kwargs, last_draw, loglik_sum):
     model = get_model(name)
     tr = run_chain(SamplerConfig(**kwargs), skeleton_data(model, n_obs, 4), model)

@@ -293,7 +293,7 @@ class TestLamperti:
 def leverage_round_trip(model, params, times, x, gamma):
     """``x`` to the leverage-free path U = x - adjustment, then back through
     the engine's path stage; returns (adjustment, path values)."""
-    w = warp_stage(model, params, times[None, :], gamma[None, :])
+    w = warp_stage(model, params, np.diff(times)[None, :], gamma[None, :])
     U = x - w.adj[0]
     z = centre_on_chord(U[:-1], w.u[0, :-1], w.u[0, -1], x[0], U[-1])
     q = path_stage(w, z[None, :], x[:1], x[-1:])

@@ -21,7 +21,7 @@ def first_warp_of(model, params, times, gamma=None):
     """The engine's warp stage on one interval with knots ``times``."""
     times = np.atleast_2d(np.asarray(times, dtype=float))
     gamma = np.zeros_like(times) if gamma is None else np.atleast_2d(gamma)
-    return warp_stage(model, params, times, gamma)
+    return warp_stage(model, params, np.diff(times, axis=1), gamma)
 
 
 class TestBuildEta:
@@ -54,7 +54,7 @@ class TestBuildEta:
         gamma = np.array(
             [np.concatenate(([0.0], np.cumsum(0.4 * rng.normal(8)))) for _ in range(25)]
         )
-        w = warp_stage(model, params, times, gamma)
+        w = warp_stage(model, params, np.diff(times, axis=1), gamma)
         assert np.all(w.u[:, 0] == 0.0)
         assert np.all(np.diff(w.u, axis=1) > 0)
 
