@@ -272,11 +272,14 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     grid = TimeGrid(delta * np.arange(n_steps + 1))
     x_path, a_path = euler_simulate(model, params, x0, alpha0, grid, RandomStream(seed))
 
-    out = FilePath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     obs_t = grid.times[::stride]
     obs_x = x_path.values[::stride]
-    obs_v = model.obs_transform_inv(obs_x) if model.obs_transform_inv else obs_x
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        obs_v = model.obs_transform_inv(obs_x) if model.obs_transform_inv else obs_x
+    if not np.isfinite(obs_v).all():
+        raise NumericsError("simulated observations are not finite on the observation scale")
+    out = FilePath(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     obs_file = out / "obs.csv"
     _write_csv(obs_file, ["time", "value"], "%.12g,%.12g", zip(obs_t.tolist(), obs_v.tolist()))
     truth_file = out / "truth.csv"

@@ -122,8 +122,8 @@ class ModelSpec:
     raw data into that coordinate and ``obs_log_jacobian`` supplies the
     density correction per observation.
 
-    Coefficient functions take float arrays and, in the one-path simulator,
-    numpy float64 scalars; a scalar input must give a scalar output.
+    Coefficients take float arrays, or in the one-path simulator Python floats,
+    and read parameters by name; a float input must give a real float output.
     """
 
     name: str
@@ -289,6 +289,19 @@ def get_model(name: str) -> ModelSpec:
 _BLOCK_ELEMS = 1 << 18
 
 
+def _euler_rows(rows, drift, incs, dts, start=0) -> None:
+    """rows[i + 1] = rows[i] + drift(i, rows[i]) * dt + incs[i] from step ``start`` on. Where
+    Python floats raise (numpy gives inf or nan), the path goes on on numpy scalars."""
+    try:
+        for i in range(start, len(dts)):
+            rows[i + 1] = rows[i] + drift(i, rows[i]) * dts[i] + incs[i]
+    except (OverflowError, ZeroDivisionError):
+        if type(rows[i]) is not float:
+            raise
+        rows[i] = np.float64(rows[i])
+        _euler_rows(rows, drift, incs, dts, i)
+
+
 def _euler_paths(
     model: ModelSpec,
     params: ParamVector,
@@ -298,8 +311,8 @@ def _euler_paths(
     rng: RandomStream,
 ):
     """Joint Euler scheme; returns (X, alpha), transposed views of time-major
-    storage whose batch shape follows ``x0``: (n_points,) from scalars, stepped
-    on numpy scalars, or (n_paths, n_points) from a (n_paths,) batch.
+    storage whose batch shape follows ``x0``: (n_points,) from scalars or
+    (n_paths, n_points) from a (n_paths,) batch.
 
     Random numbers: ``noise_b``, then ``noise_w`` for latent models only, each
     a (n_points - 1,) + batch array of standard normals drawn from ``rng`` in
@@ -312,10 +325,11 @@ def _euler_paths(
 
     ``drift_alpha`` and ``vol_alpha`` never read X, so the latent path runs
     first, then the observed path on the finished latent path. Only the two
-    state recursions loop over steps; the increments, ``vol_alpha * dW`` and
-    ``vol_x * dB_total`` are whole-array stages. A non-finite value persists
-    along its path, so one check at the end raises ``ExplosionError`` at the
-    first grid time where any path is non-finite.
+    state recursions loop over steps, on the storage's rows for a batch and on
+    Python floats (each drift made one) for one path; the increments,
+    ``vol_alpha * dW`` and ``vol_x * dB_total`` are whole-array stages. A
+    non-finite value persists along its path, so one check at the end raises
+    ``ExplosionError`` at the first grid time where any path is non-finite.
     """
     if not all(math.isfinite(v) for v in params.values.values()):
         raise ValidationError("simulation parameters must be finite")
@@ -330,20 +344,19 @@ def _euler_paths(
         raise ValidationError("simulation start values x0 and alpha0 must be finite")
     n = len(grid)
     x = np.empty((n,) + x0.shape)
-    a = np.empty((n,) + x0.shape)
+    a = np.full((n,) + x0.shape, alpha0)  # the latent path of a model without one
     x[0] = x0
-    a[0] = alpha0
-    if n == 1:
-        return x.T, a.T
-
-    times = grid.times
+    ts = grid.times.tolist()
     dts = grid.steps.tolist()
+    p = params.values
+    rows, real = (np.ndarray.tolist, float) if x0.ndim == 0 else (np.asarray, np.asarray)
     sq = np.sqrt(dts).reshape((n - 1,) + (1,) * x0.ndim)
-    rows = max(1, _BLOCK_ELEMS // x0.size)
-    blocks = [slice(r, min(r + rows, n - 1)) for r in range(0, n - 1, rows)]
+    block = max(1, _BLOCK_ELEMS // x0.size)
+    blocks = [slice(r, min(r + block, n - 1)) for r in range(0, n - 1, block)]
     noise_b = rng.normal((n - 1,) + x0.shape)
     # a non-finite state is caught by the check at the end, not reported twice
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_rows = rows(a)
         if model.has_latent:
             noise_w = rng.normal((n - 1,) + x0.shape)
             lev = math.sqrt(1.0 - rho * rho)
@@ -359,25 +372,23 @@ def _euler_paths(
                 db *= lev * sq[s]
                 db += rho * dw
                 dw *= sa
-            # a row is a numpy scalar for one path and an array for a batch
-            for i, dt in enumerate(dts):
-                ai = a[i]
-                a[i + 1] = ai + model.drift_alpha(ai, params) * dt + noise_w[i]
+            _euler_rows(a_rows, lambda i, ai: real(model.drift_alpha(ai, p)), rows(noise_w), dts)
+            a[1:] = a_rows[1:]  # a no-op for a batch, whose rows are the storage
         else:
             noise_b *= sq
-            a[1:] = a[0]
         # noise_b becomes vol_x(alpha) * dB_total, with alpha left of each step
         for s in blocks:
             noise_b[s] *= model.vol_x(a[s], params)
-        for i, dt in enumerate(dts):
-            xi = x[i]
-            x[i + 1] = xi + model.drift_x(times[i], xi, a[i], params) * dt + noise_b[i]
+        x_rows = rows(x)
+        _euler_rows(x_rows, lambda i, xi: real(model.drift_x(ts[i], xi, a_rows[i], p)),
+                    rows(noise_b), dts)
+        x[1:] = x_rows[1:]
 
     xf, af = x.reshape(n, -1), a.reshape(n, -1)
     bad = ~(np.isfinite(xf[-1]) & np.isfinite(af[-1]))
     if bad.any():
         finite = (np.isfinite(xf[1:, bad]) & np.isfinite(af[1:, bad])).all(axis=1)
-        raise ExplosionError(times[int(np.argmin(finite)) + 1])
+        raise ExplosionError(ts[int(np.argmin(finite)) + 1])
     return x.T, a.T
 
 

@@ -96,6 +96,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
+    def test_overflowing_observations(self, tmp_path, capsys):
+        # a log-rate of 800 simulates finite, but its rate exp(800) overflows;
+        # pytest's error::RuntimeWarning filter fails the test on a warning
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "tbill-logsv",
+            "simulate": {"delta": 0.001, "n_steps": 200, "thin_stride": 10, "x0": 800},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (tmp_path / "sim").exists()
+
     def test_unknown_fixed_parameter(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",

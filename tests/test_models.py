@@ -45,7 +45,7 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
 def assert_explodes_as_step_loop(model, x0, alpha0):
     """The simulator raises ExplosionError at exactly the grid time where the
     per-step loop does, a step strictly inside the grid. Scalar starts run the
-    simulator's one-path (numpy scalar) rows; the loop takes them as a batch
+    simulator's one-path rows, Python floats; the loop takes them as a batch
     of one."""
     grid = TimeGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(ExplosionError) as ref:
@@ -110,9 +110,10 @@ class TestEulerSimulate:
         model = get_model("ou-sv-leverage")
         params = model.make_params({"rho": 0.0}).replace(rho=rho)  # bypass support check
         grid = TimeGrid(np.linspace(0.0, 50.0, 50_001))
-        x, a = _euler_paths(model, params, [0.0], [-0.2], grid, RandomStream(8))
-        dx = np.diff(x[0]) / np.exp(0.5 * a[0][:-1])
-        da = np.diff(a[0]) / params["sigma"]
+        # float starts: the one-path rows euler_simulate runs
+        x, a = _euler_paths(model, params, 0.0, -0.2, grid, RandomStream(8))
+        dx = np.diff(x) / np.exp(0.5 * a[:-1])
+        da = np.diff(a) / params["sigma"]
         corr = np.corrcoef(dx, da)[0, 1]
         assert corr == pytest.approx(rho, abs=0.02)
 
@@ -194,12 +195,13 @@ class TestEulerOracle:
     """``_euler_paths`` against the per-step loop it replaced
     (``euler_paths_reference``): the same bits, the same random numbers."""
 
-    @pytest.mark.parametrize("batch,n_points", [((1,), 300), ((3,), 300), ((3,), 1), ((), 300)],
-                             ids=["one-path", "batch", "one-point", "scalar"])
+    @pytest.mark.parametrize("batch,n_points",
+                             [((1,), 300), ((3,), 300), ((3,), 1), ((), 300), ((), 1)],
+                             ids=["one-path", "batch", "one-point", "scalar", "scalar-one-point"])
     @pytest.mark.parametrize("model,updates", simulated_models())
     def test_bit_identical(self, model, updates, batch, n_points):
         # starts are Python floats or lists of them; a float, as
-        # euler_simulate passes it, steps on numpy scalars, and the loop takes
+        # euler_simulate passes it, steps on Python floats, and the loop takes
         # it as a batch of one
         params = model.make_params().replace(**updates)  # rho = +-1 bypasses support
         k = np.arange(math.prod(batch)).reshape(batch)
@@ -213,6 +215,67 @@ class TestEulerOracle:
             assert g.shape == batch + (n_points,)
             assert g.tobytes() == w.tobytes()
         assert rng.normal() == ref_rng.normal()
+
+    @pytest.mark.parametrize("name,updates,x0,grid", [
+        # the bench's tbill grid: weekly observations, 50 steps each
+        ("tbill-logsv", {}, np.log(10.0), TimeGrid(5.0 / 252.0 / 50 * np.arange(24_951))),
+        ("ou-sv-leverage", {"rho": -0.7}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
+        ("const-vol-scalar", {"theta": 0.3}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
+    ], ids=["tbill-bench-grid", "ou-sv-leverage", "const-vol-scalar"])
+    def test_long_one_path(self, name, updates, x0, grid):
+        # the rows euler_simulate steps on, over grids as long as the bench's
+        model = get_model(name)
+        params = model.make_params(updates)
+        a0 = params["alpha0"] if "alpha0" in params else 0.0
+        ref_rng, rng = RandomStream(21), RandomStream(21)
+        want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
+        got = euler_simulate(model, params, x0, a0, grid, rng)
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w[0].tobytes()
+        assert rng.normal() == ref_rng.normal()
+
+    @pytest.mark.parametrize("coefs,x0,alpha0,explodes", [
+        # x ** 3 overflows a float (OverflowError) as the path explodes
+        ({"drift_x": lambda t, x, a, p: x ** 3 * 1e6}, 1.0, 0.0, True),
+        # 1.0 / 0.0 is a ZeroDivisionError, numpy's inf an explosion at the first step
+        ({"drift_x": lambda t, x, a, p: 1.0 / x}, 0.0, 0.0, True),
+        # numpy's x ** 3 = inf gives a drift 1.0 / inf = 0: the path stays finite
+        ({"drift_x": lambda t, x, a, p: x + 1.0 / x ** 3}, 1e102, 0.0, False),
+        ({"drift_alpha": lambda a, p: a ** 3 * 1e4}, 0.0, 1.0, True),
+    ], ids=["cube-overflow", "reciprocal-at-zero", "inverse-cube", "latent-cube-overflow"])
+    def test_coefficients_that_raise_on_floats(self, coefs, x0, alpha0, explodes):
+        # where Python floats raise and numpy gives inf or nan, the one path
+        # goes on as the loop's arrays do: the same bits or the same explosion
+        raised = []
+
+        def recording(f):
+            def g(*args):
+                try:
+                    return f(*args)
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raised.append(exc)
+                    raise
+            return g
+
+        model = blowup_model(**{k: recording(f) for k, f in coefs.items()})
+        grid = TimeGrid(np.linspace(0.0, 5.0, 501))
+        params = model.make_params()
+        ref_rng, rng = RandomStream(0), RandomStream(0)
+        # the loop silences only over and invalid
+        reference = np.errstate(divide="ignore")(euler_paths_reference)
+        if explodes:
+            with pytest.raises(ExplosionError) as want:
+                reference(model, params, x0, alpha0, grid, ref_rng)
+            with pytest.raises(ExplosionError) as got:
+                _euler_paths(model, params, x0, alpha0, grid, rng)
+            assert got.value.time == want.value.time
+        else:
+            want = reference(model, params, x0, alpha0, grid, ref_rng)
+            got = _euler_paths(model, params, x0, alpha0, grid, rng)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w[0].tobytes()
+            assert rng.normal() == ref_rng.normal()
+        assert raised
 
 
 class TestLatentTransforms:
