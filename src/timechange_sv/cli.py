@@ -383,8 +383,13 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
         spacing=float(spacing) if spacing is not None else None,
         require_positive=model.obs_transform is not None,
     )
-    n_chains = config.sampler_config().chains
-    config.prior_spec()  # a bad sampler or prior section fails before any output
+    sampler = config.sampler_config()
+    # a bad sampler or prior section fails before any output
+    if len(range(sampler.n_burn, sampler.n_iter, sampler.thin)) < 2:
+        raise ValidationError("fit must keep at least two draws per chain for its summaries; "
+                              "lower n_burn or thin, or raise n_iter")
+    config.prior_spec()
+    n_chains = sampler.chains
 
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -416,21 +421,25 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
     n = draws.shape[0]
     if max_lag < 1 or max_lag >= n:
         raise ValidationError(f"max_lag must be in [1, {n - 1}] for {n} draws")
+    # every table is built before the output directory is made, so a trace
+    # too short or too flat for one of them leaves no files behind
+    tables = {
+        "acf": (["parameter", "lag", "acf"], "%s,%d,%.12g",
+                [(name, lag, r) for j, name in enumerate(names)
+                 for lag, r in enumerate(acf(draws[:, j], max_lag).tolist())]),
+        "iact": (["parameter", "iact"], "%s,%.12g",
+                 [(name, iact(draws[:, j])) for j, name in enumerate(names)]),
+        "kde": (["parameter", "x", "density"], "%s,%.12g,%.12g",
+                [(name, x, d) for j, name in enumerate(names)
+                 for x, d in kde_export(draws[:, j]).tolist()]),
+    }
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    acf_file = out / "acf.csv"
-    _write_csv(acf_file, ["parameter", "lag", "acf"], "%s,%d,%.12g",
-               ((name, lag, r) for j, name in enumerate(names)
-                for lag, r in enumerate(acf(draws[:, j], max_lag).tolist())))
-    iact_file = out / "iact.csv"
-    _write_csv(iact_file, ["parameter", "iact"], "%s,%.12g",
-               ((name, iact(draws[:, j])) for j, name in enumerate(names)))
-    kde_file = out / "kde.csv"
-    _write_csv(kde_file, ["parameter", "x", "density"], "%s,%.12g,%.12g",
-               ((name, x, d) for j, name in enumerate(names)
-                for x, d in kde_export(draws[:, j]).tolist()))
-    return {"acf": acf_file, "iact": iact_file, "kde": kde_file}
+    produced = {}
+    for stem, (header, fmt, rows) in tables.items():
+        produced[stem] = out / f"{stem}.csv"
+        _write_csv(produced[stem], header, fmt, rows)
+    return produced
 
 
 def main(argv=None) -> int:

@@ -122,8 +122,9 @@ class ModelSpec:
     raw data into that coordinate and ``obs_log_jacobian`` supplies the
     density correction per observation.
 
-    Coefficients take float arrays, or in the one-path simulator Python floats,
-    and read parameters by name; a float input must give a real float output.
+    Coefficients read parameters by name and take float arrays, except that
+    the simulator steps the drifts on Python floats: there a float input must
+    give a real float output.
     """
 
     name: str
@@ -284,11 +285,6 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
-# Elements per block of rows in the simulator's whole-array stages: their
-# temporaries stay small next to the paths and the noise they work on.
-_BLOCK_ELEMS = 1 << 18
-
-
 def _euler_rows(rows, drift, incs, dts, start=0) -> None:
     """rows[i + 1] = rows[i] + drift(i, rows[i]) * dt + incs[i] from step ``start`` on. Where
     Python floats raise (numpy gives inf or nan), the path goes on on numpy scalars."""
@@ -305,18 +301,17 @@ def _euler_rows(rows, drift, incs, dts, start=0) -> None:
 def _euler_paths(
     model: ModelSpec,
     params: ParamVector,
-    x0,
-    alpha0,
+    x0: float,
+    alpha0: float,
     grid: TimeGrid,
     rng: RandomStream,
 ):
-    """Joint Euler scheme; returns (X, alpha), transposed views of time-major
-    storage whose batch shape follows ``x0``: (n_points,) from scalars or
-    (n_paths, n_points) from a (n_paths,) batch.
+    """Joint Euler scheme for one path from float starts; returns (X, alpha),
+    two (n_points,) arrays.
 
-    Random numbers: ``noise_b``, then ``noise_w`` for latent models only, each
-    a (n_points - 1,) + batch array of standard normals drawn from ``rng`` in
-    one call. Row i drives the step from ``times[i]`` to ``times[i + 1]``.
+    Random numbers: the noise of dB, then that of dW for latent models only,
+    each n_points - 1 standard normals drawn from ``rng`` in one call. Entry
+    i drives the step from ``times[i]`` to ``times[i + 1]``.
 
     A leverage correlation feeds the latent driving noise into the observed
     diffusion: dB_total = rho dW + sqrt(1-rho^2) dB. Boundary correlations
@@ -325,71 +320,49 @@ def _euler_paths(
 
     ``drift_alpha`` and ``vol_alpha`` never read X, so the latent path runs
     first, then the observed path on the finished latent path. Only the two
-    state recursions loop over steps, on the storage's rows for a batch and on
-    Python floats (each drift made one) for one path; the increments,
-    ``vol_alpha * dW`` and ``vol_x * dB_total`` are whole-array stages. A
-    non-finite value persists along its path, so one check at the end raises
-    ``ExplosionError`` at the first grid time where any path is non-finite.
+    state recursions loop over steps, on Python floats (each drift made one);
+    the increments, ``vol_alpha * dW`` and ``vol_x * dB_total``, are
+    whole-array stages. A non-finite value persists along the path, so one
+    check at the end raises ``ExplosionError`` at its first non-finite time.
     """
     if not all(math.isfinite(v) for v in params.values.values()):
         raise ValidationError("simulation parameters must be finite")
     rho = model.rho(params)
     if abs(rho) > 1.0:
         raise ValidationError(f"correlation {model.leverage}={rho} outside [-1, 1]")
-    x0 = np.asarray(x0, dtype=float)
-    alpha0 = np.asarray(alpha0, dtype=float)
-    if x0.shape != alpha0.shape:
-        raise ValidationError("x0 and alpha0 batch shapes differ")
-    if not (np.isfinite(x0).all() and np.isfinite(alpha0).all()):
+    if not (math.isfinite(x0) and math.isfinite(alpha0)):
         raise ValidationError("simulation start values x0 and alpha0 must be finite")
     n = len(grid)
-    x = np.empty((n,) + x0.shape)
-    a = np.full((n,) + x0.shape, alpha0)  # the latent path of a model without one
-    x[0] = x0
-    ts = grid.times.tolist()
-    dts = grid.steps.tolist()
+    ts, dts = grid.times.tolist(), grid.steps.tolist()
     p = params.values
-    rows, real = (np.ndarray.tolist, float) if x0.ndim == 0 else (np.asarray, np.asarray)
-    sq = np.sqrt(dts).reshape((n - 1,) + (1,) * x0.ndim)
-    block = max(1, _BLOCK_ELEMS // x0.size)
-    blocks = [slice(r, min(r + block, n - 1)) for r in range(0, n - 1, block)]
-    noise_b = rng.normal((n - 1,) + x0.shape)
+    sq = np.sqrt(grid.steps)
+    x, a = [x0] * n, [alpha0] * n  # the latent path of a model without one
+    db = rng.normal(n - 1)
     # a non-finite state is caught by the check at the end, not reported twice
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_rows = rows(a)
         if model.has_latent:
-            noise_w = rng.normal((n - 1,) + x0.shape)
-            lev = math.sqrt(1.0 - rho * rho)
-            sa = model.vol_alpha(params)
-            # in place: noise_w becomes vol_alpha * dW and noise_b becomes
-            # dB_total; every product is grouped as a one-step-at-a-time
-            # Euler loop groups it (lev * sqrt(dt) is one factor), so the
-            # paths are bit-identical to that loop's
-            for s in blocks:
-                dw = noise_w[s]
-                dw *= sq[s]
-                db = noise_b[s]
-                db *= lev * sq[s]
-                db += rho * dw
-                dw *= sa
-            _euler_rows(a_rows, lambda i, ai: real(model.drift_alpha(ai, p)), rows(noise_w), dts)
-            a[1:] = a_rows[1:]  # a no-op for a batch, whose rows are the storage
+            # in place: dw becomes vol_alpha * dW and db dB_total; every
+            # product is grouped as a one-step-at-a-time Euler loop groups it
+            # (lev * sqrt(dt) is one factor), so the path is bit-identical to
+            # that loop's
+            dw = rng.normal(n - 1)
+            dw *= sq
+            db *= math.sqrt(1.0 - rho * rho) * sq
+            db += rho * dw
+            dw *= model.vol_alpha(params)
+            _euler_rows(a, lambda i, ai: float(model.drift_alpha(ai, p)), dw.tolist(), dts)
         else:
-            noise_b *= sq
-        # noise_b becomes vol_x(alpha) * dB_total, with alpha left of each step
-        for s in blocks:
-            noise_b[s] *= model.vol_x(a[s], params)
-        x_rows = rows(x)
-        _euler_rows(x_rows, lambda i, xi: real(model.drift_x(ts[i], xi, a_rows[i], p)),
-                    rows(noise_b), dts)
-        x[1:] = x_rows[1:]
+            db *= sq
+        # db becomes vol_x(alpha) * dB_total, with alpha left of each step
+        db *= model.vol_x(np.array(a[:-1]), params)
+        _euler_rows(x, lambda i, xi: float(model.drift_x(ts[i], xi, a[i], p)),
+                    db.tolist(), dts)
+        x, a = np.array(x), np.array(a)
 
-    xf, af = x.reshape(n, -1), a.reshape(n, -1)
-    bad = ~(np.isfinite(xf[-1]) & np.isfinite(af[-1]))
-    if bad.any():
-        finite = (np.isfinite(xf[1:, bad]) & np.isfinite(af[1:, bad])).all(axis=1)
-        raise ExplosionError(ts[int(np.argmin(finite)) + 1])
-    return x.T, a.T
+    finite = np.isfinite(x) & np.isfinite(a)
+    if not finite[-1]:
+        raise ExplosionError(ts[int(np.argmin(finite))])
+    return x, a
 
 
 def euler_simulate(

@@ -83,10 +83,13 @@ def refine_rows(
     together, stored first among ties, so a search costs O(m log m) per row
     and is exact. The standard normals are drawn in one call, in the order
     rank-major then row-major, where the rank of a new time counts the new
-    times drawn before it in its bracket. Rank 0, conditional on stored
-    knots alone, is nearly every draw and runs on whole (n, j) arrays; the
-    ranks above it run one pass per rank inside a bracket, and one
-    cumulative sum per row past the last stored knot.
+    times drawn before it in its bracket. One bridge step runs rank by rank:
+    a time t conditions on its left neighbour (t_l, v_l), the stored knot at
+    rank 0 and the new time before it above, and on the right knot (t_c,
+    v_c), with mean ((t - t_l) v_c + (t_c - t) v_l) / span and variance
+    (t - t_l)(t_c - t) / span, span = t_c - t_l. Past the last stored knot
+    the same step takes t_c - t = span = 1 and v_c = 0, which is
+    v_l + sqrt(t - t_l) z bit for bit (a v_l of -0.0 adds as +0.0).
     """
     one_row = np.ndim(stored_times) == 1
     S, V, Tn = (np.atleast_2d(np.asarray(a, dtype=float))
@@ -101,81 +104,50 @@ def refine_rows(
     left = at - (np.arange(n) * k)[:, None]
     if (left < 0).any() or not np.isfinite(Tn).all():
         raise ValidationError("new times must be finite and not precede the first stored knot")
-    Sf, Vf = S.ravel(), V.ravel()
-    t_a, out = Sf[at], Vf[at]
-    todo = t_a != Tn
+    Sf, Vf, Tf = S.ravel(), V.ravel(), Tn.ravel()
+    out = Vf[at]
+    todo = Sf[at] != Tn
     if not todo.any():
         return out[0] if one_row else out
-    # rank >= 1: the new time before it is pending in the same bracket
+    # rank >= 1: the new time before it is pending in the same bracket. A run
+    # of them has consecutive flat indices and ranks 1, 2, ...; rank 0 keeps
+    # its row-major order and only the later times are sorted by rank.
     later = np.zeros((n, j), dtype=bool)
     later[:, 1:] = (at[:, 1:] == at[:, :-1]) & todo[:, 1:] & todo[:, :-1]
-    first = todo ^ later
-    n0 = np.count_nonzero(first)
-    draws = rng.normal(n0 + np.count_nonzero(later))
-
-    # rank 0, in place on whole arrays; ``at`` becomes the right knot. With
-    # d_a = t - t_a and d_c = t_c - t, the bridge has variance
-    # d_a d_c / span and mean (d_a v_c + d_c v_a) / span; past the last
-    # stored knot, variance d_a and mean v_a.
-    past = left == k - 1
-    at += ~past
-    t_c, v_c = Sf[at], Vf[at]
-    span = t_c - t_a
-    span[past] = 1.0
-    d_a = np.subtract(Tn, t_a, out=t_a)
-    d_c = np.subtract(t_c, Tn, out=t_c)
-    sd = d_a * d_c
-    sd /= span
-    np.copyto(sd, d_a, where=past)
-    noise = np.zeros((n, j))
-    noise[first] = draws[:n0]
-    noise *= np.sqrt(sd, out=sd)
-    mean = d_a
-    mean *= v_c
-    d_c *= out
-    mean += d_c
-    mean /= span
-    np.copyto(mean, out, where=past)
-    mean += noise
-    np.copyto(out, mean, where=first)
-    if n0 == draws.size:
-        return out[0] if one_row else out
-
-    # A run of later times in one bracket has consecutive flat indices and
-    # ranks 1, 2, ...; sorted by rank, they take the rest of the draws.
-    fi = np.flatnonzero(later)
-    pos = np.arange(fi.size)
-    head = np.ones(fi.size, dtype=bool)
-    head[1:] = fi[1:] != fi[:-1] + 1
+    f0, fl = np.flatnonzero(todo ^ later), np.flatnonzero(later)
+    pos = np.arange(fl.size)
+    head = np.ones(fl.size, dtype=bool)
+    head[1:] = fl[1:] != fl[:-1] + 1
     rank = pos - np.maximum.accumulate(np.where(head, pos, 0)) + 1
     by_rank = np.argsort(rank, kind="stable")
-    fi, rank, z = fi[by_rank], rank[by_rank], draws[n0:]
-    flat, Tf = out.ravel(), Tn.ravel()
-    t_b, t_a = Tf[fi], Tf[fi - 1]
-    bridged = ~past.ravel()[fi]
-    if bridged.any():
-        # inside a bracket each rank conditions on the rank before it
-        b, ta, tb, rk = fi[bridged], t_a[bridged], t_b[bridged], rank[bridged]
-        c = at.ravel()[b]
-        tc, vc = Sf[c], Vf[c]
-        span = tc - ta
-        noise = np.sqrt((tb - ta) * (tc - tb) / span) * z[bridged]
-        bounds = np.searchsorted(rk, np.arange(rk[0], rk[-1] + 2))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            s = slice(lo, hi)
-            flat[b[s]] = ((tb[s] - ta[s]) * vc[s] + (tc[s] - tb[s]) * flat[b[s] - 1]) / span[s] \
-                + noise[s]
-    if not bridged.all():
-        # past the last stored knot each draw adds its noise to the one before
-        # it: a cumulative sum down the columns of the transposed rows, from
-        # the run's rank-0 value; the -0.0 before it adds without rounding
-        beyond = ~bridged
-        pf = fi[beyond]
-        r, c = np.divmod(pf, j)
-        tail = np.full((j, n), -0.0)
-        tail[c, r] = np.sqrt(t_b[beyond] - t_a[beyond]) * z[beyond]
-        one = rank[beyond] == 1
-        tail[c[one] - 1, r[one]] = flat[pf[one] - 1]
-        np.cumsum(tail, axis=0, out=tail)
-        flat[pf] = tail[c, r]
+    fl, rank = fl[by_rank], np.concatenate((np.zeros_like(f0), rank[by_rank]))
+    fi = np.concatenate((f0, fl))
+    # where ``out`` holds each left neighbour's value: at rank 0, the new
+    # time's own entry, which holds its left knot's value until drawn
+    src = np.concatenate((f0, fl - 1))
+    at, t = at.ravel()[fi], Tf[fi]
+    t_l = np.concatenate((Sf[at[:f0.size]], Tf[src[f0.size:]]))
+    # the right knot; past the last one, span = t_c - t = 1 and v_c = 0. The
+    # arrays are reused in place once spent: temporaries of this size cost
+    # more in allocation than in arithmetic.
+    past = left.ravel()[fi] == k - 1
+    at += ~past
+    t_c, v_c = Sf[at], Vf[at]
+    v_c[past] = 0.0
+    span = t_c - t_l
+    span[past] = 1.0
+    d_c = np.subtract(t_c, t, out=t_c)
+    d_c[past] = 1.0
+    d_a = np.subtract(t, t_l, out=t_l)
+    pull = v_c
+    pull *= d_a
+    noise = np.multiply(d_a, d_c, out=t)
+    noise /= span
+    np.sqrt(noise, out=noise)
+    noise *= rng.normal(fi.size)
+    flat = out.ravel()
+    bounds = np.searchsorted(rank, np.arange(rank[-1] + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s = slice(lo, hi)
+        flat[fi[s]] = (pull[s] + d_c[s] * flat[src[s]]) / span[s] + noise[s]
     return out[0] if one_row else out

@@ -47,9 +47,11 @@ def decoupled_sv_model() -> ModelSpec:
     )
 
 
-# The per-step Euler loop that models._euler_paths replaced, kept verbatim as
-# its oracle: the rewrite must match its paths bit for bit, consume the same
-# random numbers and raise ExplosionError at the same grid time.
+# The per-step Euler loop that models._euler_paths replaced, its arithmetic
+# kept verbatim as the oracle: the rewrite must match its paths bit for bit,
+# consume the same random numbers and raise ExplosionError at the same grid
+# time. It stores the paths time-major, so that a step writes one contiguous
+# row, and returns transposed views.
 def euler_paths_reference(model, params, x0, alpha0, grid, rng):
     """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
     shaped (n_paths, n_points)."""
@@ -61,12 +63,12 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
     if alpha0.size != n_paths:
         raise ValidationError("x0 and alpha0 batch sizes differ")
     n = len(grid)
-    x = np.empty((n_paths, n))
-    a = np.empty((n_paths, n))
-    x[:, 0] = x0
-    a[:, 0] = alpha0
+    x = np.empty((n, n_paths))
+    a = np.empty((n, n_paths))
+    x[0] = x0
+    a[0] = alpha0
     if n == 1:
-        return x, a
+        return x.T, a.T
 
     steps = grid.steps
     times = grid.times
@@ -75,8 +77,8 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
     noise_b = rng.normal((n - 1, n_paths))
     noise_w = rng.normal((n - 1, n_paths)) if model.has_latent else None
 
-    xi = x[:, 0].copy()
-    ai = a[:, 0].copy()
+    xi = x[0].copy()
+    ai = a[0].copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             dt = steps[i]
@@ -94,9 +96,9 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
             xi = xi + mx * dt + sx * db
             if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))):
                 raise ExplosionError(times[i + 1])
-            x[:, i + 1] = xi
-            a[:, i + 1] = ai
-    return x, a
+            x[i + 1] = xi
+            a[i + 1] = ai
+    return x.T, a.T
 
 
 LOG_2PI = math.log(2.0 * math.pi)

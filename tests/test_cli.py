@@ -209,6 +209,40 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
         assert "wrote 2 observations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sampler", [
+        {"m": 2, "n_iter": 10, "n_burn": 9},
+        {"m": 2, "n_iter": 10, "n_burn": 2, "thin": 8},
+    ], ids=["burn", "thin"])
+    def test_fit_keeping_fewer_than_two_draws_rejected(self, tmp_path, capsys, sampler):
+        # the kept draws are counted before any chain runs or any file is written
+        cfg = write_config(tmp_path / "config.json",
+                           {"model": "const-vol-scalar", "sampler": sampler})
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "two draws" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("column,message", [
+        # acf passes and iact fails: too short for an integrated autocorrelation
+        ([0.1 * (i % 7) for i in range(50)], "at least 100 points"),
+        # acf fails on the second column, after the first one's rows
+        ([0.5] * 200, "zero variance"),
+    ], ids=["short", "constant"])
+    def test_diagnose_failure_leaves_no_output(self, tmp_path, capsys, column, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iter,theta,sigma,loglik\n" + "".join(
+            f"{i},{0.01 * (i % 13)},{v},-1.0\n" for i, v in enumerate(column)))
+        argv = ["diagnose", "--trace", str(trace), "--max-lag", "5",
+                "--out", str(tmp_path / "diag")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "diag").exists()
+
     def test_unknown_data_schema_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -44,9 +43,8 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
 
 def assert_explodes_as_step_loop(model, x0, alpha0):
     """The simulator raises ExplosionError at exactly the grid time where the
-    per-step loop does, a step strictly inside the grid. Scalar starts run the
-    simulator's one-path rows, Python floats; the loop takes them as a batch
-    of one."""
+    per-step loop does, a step strictly inside the grid. The simulator steps
+    on Python floats; the loop takes the float starts as a batch of one."""
     grid = TimeGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(ExplosionError) as ref:
         euler_paths_reference(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
@@ -110,7 +108,6 @@ class TestEulerSimulate:
         model = get_model("ou-sv-leverage")
         params = model.make_params({"rho": 0.0}).replace(rho=rho)  # bypass support check
         grid = TimeGrid(np.linspace(0.0, 50.0, 50_001))
-        # float starts: the one-path rows euler_simulate runs
         x, a = _euler_paths(model, params, 0.0, -0.2, grid, RandomStream(8))
         dx = np.diff(x) / np.exp(0.5 * a[:-1])
         da = np.diff(a) / params["sigma"]
@@ -119,27 +116,23 @@ class TestEulerSimulate:
 
     def test_explosion_reports_time(self):
         model = blowup_model(drift_x=lambda t, x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6)
-        assert_explodes_as_step_loop(model, [1.0], [0.0])
         assert_explodes_as_step_loop(model, 1.0, 0.0)
 
     def test_explosion_time_of_latent_drift(self):
         # X ignores alpha, so it stays finite: only the latent path blows up
         model = blowup_model(drift_alpha=lambda a, p: np.asarray(a, dtype=float) ** 3 * 1e4)
-        assert_explodes_as_step_loop(model, [0.0], [1.0])
         assert_explodes_as_step_loop(model, 0.0, 1.0)
 
     def test_explosion_time_of_one_path_in_a_batch(self):
-        # paths from 0 with volatility 0.1 stay far below 2 on [0, 5]; the
-        # one from 3 sits where the drift explodes
+        # the drift explodes above 2 only, through np.where, which gives a
+        # 0-d array on a float; the path from 3 starts where it does
         model = blowup_model(
             drift_x=lambda t, x, a, p: np.where(x > 2.0, np.asarray(x, dtype=float) ** 3, 0.0),
             vol_x=lambda a, p: np.full(np.shape(a), 0.1),
         )
-        assert_explodes_as_step_loop(model, [0.0, 3.0, 0.0], [0.0, 0.0, 0.0])
         assert_explodes_as_step_loop(model, 3.0, 0.0)
 
-    @pytest.mark.parametrize("x0,alpha0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf),
-                                           ([0.0, np.nan], [0.0, 0.0])])
+    @pytest.mark.parametrize("x0,alpha0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
     def test_nonfinite_start_rejected(self, x0, alpha0):
         # a bad start is an input error, not an explosion at the first step
         model = get_model("ou-sv-leverage")
@@ -158,10 +151,12 @@ class TestEulerSimulate:
             euler_simulate(model, params, 0.1, -0.2, grid, RandomStream(0))
 
     def test_ou_endpoint_distribution(self):
-        # dX = -X dt + dW on [0,1] from 1: endpoint ~ N(e^-1, (1-e^-2)/2)
+        # dX = -X dt + dW on [0,1] from 1: endpoint ~ N(e^-1, (1-e^-2)/2);
+        # the per-step loop that TestEulerOracle pins the simulator to bit for
+        # bit runs the 100k paths as one batch
         model = scalar_ou_model(kappa=1.0, mu=0.0, sigma=1.0)
         grid = TimeGrid(np.linspace(0.0, 1.0, 1001))
-        x, _ = _euler_paths(
+        x, _ = euler_paths_reference(
             model, model.make_params(), np.ones(100_000), np.zeros(100_000),
             grid, RandomStream(17),
         )
@@ -195,25 +190,21 @@ class TestEulerOracle:
     """``_euler_paths`` against the per-step loop it replaced
     (``euler_paths_reference``): the same bits, the same random numbers."""
 
-    @pytest.mark.parametrize("batch,n_points",
-                             [((1,), 300), ((3,), 300), ((3,), 1), ((), 300), ((), 1)],
-                             ids=["one-path", "batch", "one-point", "scalar", "scalar-one-point"])
+    @pytest.mark.parametrize("n_points", [300, 1], ids=["scalar", "scalar-one-point"])
     @pytest.mark.parametrize("model,updates", simulated_models())
-    def test_bit_identical(self, model, updates, batch, n_points):
-        # starts are Python floats or lists of them; a float, as
-        # euler_simulate passes it, steps on Python floats, and the loop takes
-        # it as a batch of one
+    def test_bit_identical(self, model, updates, n_points):
+        # float starts, as euler_simulate passes them, step on Python floats;
+        # the loop takes them as a batch of one
         params = model.make_params().replace(**updates)  # rho = +-1 bypasses support
-        k = np.arange(math.prod(batch)).reshape(batch)
-        x0 = ((np.log(10.0) if model.obs_transform else 0.1) + 0.01 * k).tolist()
-        a0 = ((params["alpha0"] if "alpha0" in params else 0.0) - 0.1 * k).tolist()
+        x0 = np.log(10.0) if model.obs_transform else 0.1
+        a0 = params["alpha0"] if "alpha0" in params else 0.0
         grid = uneven_grid(n_points)
         ref_rng, rng = RandomStream(9), RandomStream(9)
         want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
         got = _euler_paths(model, params, x0, a0, grid, rng)
         for g, w in zip(got, want):
-            assert g.shape == batch + (n_points,)
-            assert g.tobytes() == w.tobytes()
+            assert g.shape == (n_points,)
+            assert g.tobytes() == w[0].tobytes()
         assert rng.normal() == ref_rng.normal()
 
     @pytest.mark.parametrize("name,updates,x0,grid", [

@@ -377,6 +377,15 @@ def refine_cases(draw):
 @example(  # a hit between pending times, several rows
     (np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, -1.0]]),
      np.array([[0.5, 2.0, 2.5], [0.25, 0.5, 1.0]])), 4)
+@example(  # every row: ranks 0-2 inside a bracket and ranks 0-2 past the last knot
+    (np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 4.0], [0.0, 0.5, 1.5]]),
+     np.array([[0.0, 1.0, -1.0], [0.0, -2.0, 3.0], [0.5, 0.25, -0.75]]),
+     np.array([[0.25, 0.5, 0.75, 2.5, 3.0, 3.5, 3.5],
+               [2.0, 2.5, 3.0, 3.5, 5.0, 6.0, 7.0],
+               [0.5, 0.75, 1.0, 1.25, 1.75, 2.0, 2.25]])), 5)
+@example(  # a new time repeated at rank 1 and 2 in a bracket, and at rank 1 past it
+    (np.array([0.0, 2.0]), np.array([0.0, 1.0]),
+     np.array([0.5, 1.0, 1.0, 1.0, 1.5, 3.0, 3.0, 3.25])), 6)
 @settings(max_examples=300, deadline=None)
 def test_refine_rows_matches_reference(case, seed):
     S, V, Tn = case
