@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FilePath
 from typing import Optional
 
@@ -25,11 +23,9 @@ import numpy as np
 
 from .diagnostics import SummaryTable, acf, iact, kde_export, summarize
 from .errors import NumericsError, ValidationError
-from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain
+from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
 from .paths import RandomStream, TimeGrid
-
-WEEKLY_SPACING = 5.0 / 252.0  # years between successive weekly observations
 
 
 @dataclass(frozen=True)
@@ -297,83 +293,16 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
             "n_obs": obs_t.size}
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_pool(n_workers: int):
-    """A pool of ``n_workers`` forked processes, or None where the
-    platform cannot fork.
-
-    Fork, not spawn: a spawned worker re-imports numpy and this package,
-    which on 2 CPUs took back most of the gain of a second process. The
-    pool forks all its workers at the first submit, before it starts its
-    own manager thread; the only other threads then are OpenBLAS's idle
-    workers, which OpenBLAS shuts down before ``fork`` and restarts when
-    next needed.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    return ProcessPoolExecutor(n_workers, mp_context=context)
-
-
-def _fit_chain(config: RunConfig, data: Observations, chain: int) -> Trace:
-    """Chain ``chain`` of the fit, from the picklable config alone (the
-    model's functions cannot be pickled); its seed is ``seed + chain``."""
-    model = config.model_spec()
-    sampler = config.sampler_config()
-    if sampler.chains > 1:
-        sampler = SamplerConfig(**{**sampler.__dict__, "seed": sampler.seed + chain, "chains": 1})
-    init = "prior-midpoint" if config.init == "prior-midpoint" else (config.params or None)
-    return run_chain(sampler, data, model, config.prior_spec(), init)
-
-
-def _run_chains(config: RunConfig, data: Observations, n_chains: int) -> list:
-    """The trace of each chain, or the exception it raised, in chain order.
-
-    With P = min(n_chains, usable CPUs) processes, this process runs the
-    chains c with c % P == 0 and P - 1 forked workers run the rest. This
-    process stops at its own first failure; its later chains are left None,
-    behind a failure that comes first in chain order.
-    """
-    n_proc = min(n_chains, _usable_cpus())
-    pool = _fork_pool(n_proc - 1) if n_proc > 1 else None
-    if pool is None:
-        n_proc = 1
-    outcomes: list = [None] * n_chains
-    with pool or nullcontext():
-        futures = {c: pool.submit(_fit_chain, config, data, c)
-                   for c in range(n_chains) if c % n_proc}
-        for c in range(0, n_chains, n_proc):
-            try:
-                outcomes[c] = _fit_chain(config, data, c)
-            except Exception as exc:
-                outcomes[c] = exc
-                break
-        for c, future in futures.items():
-            try:
-                outcomes[c] = future.result()
-            except Exception as exc:
-                outcomes[c] = exc
-    return outcomes
-
-
 def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     """Fit the configured model; writes trace/summary CSVs and an
     acceptance-rate JSON per chain.
 
-    Chains run in parallel, one process per usable CPU (this one and forked
-    workers). The files are written in chain order once every chain has
-    finished, byte-identical to a serial run's. A failing chain raises its
-    error after the files of the chains before it, as a serial run would;
-    the lowest-numbered failure wins.
+    Chain c runs at seed ``seed + c``. The chains run in parallel through
+    ``run_jobs``, one process per usable CPU (this one and forked workers).
+    The files are written in chain order once every chain has finished,
+    byte-identical to a serial run's. A failing chain raises its error
+    after the files of the chains before it, as a serial run would; the
+    lowest-numbered failure wins.
     """
     model = config.model_spec()
     _reject_unknown("data_schema", config.data_schema, ("spacing",))
@@ -388,13 +317,20 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     if len(range(sampler.n_burn, sampler.n_iter, sampler.thin)) < 2:
         raise ValidationError("fit must keep at least two draws per chain for its summaries; "
                               "lower n_burn or thin, or raise n_iter")
-    config.prior_spec()
+    prior = config.prior_spec()
+    init = "prior-midpoint" if config.init == "prior-midpoint" else (config.params or None)
     n_chains = sampler.chains
+
+    def fit_chain(c: int) -> Trace:
+        # run_chain is looked up in this module at each call, so that a
+        # wrapper on cli.run_chain sees the chains this process runs
+        return run_chain(replace(sampler, seed=sampler.seed + c, chains=1), data, model, prior,
+                         init)
 
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     produced = {}
-    for chain, trace in enumerate(_run_chains(config, data, n_chains)):
+    for chain, trace in enumerate(run_jobs(fit_chain, n_chains)):
         if isinstance(trace, Exception):
             raise trace
         suffix = "" if n_chains == 1 else f"_chain{chain}"

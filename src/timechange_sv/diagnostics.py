@@ -10,11 +10,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .mcmc import (
+    DEFAULT_RW_SCALE,
     PriorSpec,
     SamplerConfig,
     Trace,
     _flat_knots,
     _windows,
+    run_jobs,
     state_from_skeleton,
     sweep,
 )
@@ -166,7 +168,7 @@ def prior_recovery_test(
     prior: PriorSpec,
     config: SamplerConfig,
     replications: int,
-    rng: RandomStream,
+    seed: int,
     n_obs: int = 6,
     spacing: float = 1.0,
     x0: float = 0.0,
@@ -180,6 +182,9 @@ def prior_recovery_test(
     sweeps, and retains the final parameters. If every kernel preserves the
     augmented posterior, the retained parameters are prior draws; returned
     are per-parameter Kolmogorov-Smirnov p-values against the prior.
+    Replication k draws from ``RandomStream(seed, stream=k)`` and the
+    replications run through ``run_jobs``, so the p-values do not depend
+    on the number of processes.
 
     ``transition`` overrides the sweep (signature ``(state, rng)``) and
     exists so the harness itself can be calibrated: a transition that does
@@ -189,26 +194,24 @@ def prior_recovery_test(
 
     free = [p for p in model.param_names if p not in config.fixed]
     obs_times = spacing * np.arange(n_obs + 1)
-    kept = {name: np.empty(replications) for name in free}
-    scales = {name: config.rw_scales.get(name, 0.25) for name in free}
+    scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in free}
+    step = transition or (lambda state, rng: sweep(state, rng, scales, block_len=config.block_len))
 
-    for rep in range(replications):
+    def replicate(k: int) -> list[float]:
+        rng = RandomStream(seed, stream=k)
         theta = model.make_params(prior.sample(rng, free))
-        x_values, gamma_flat = simulate_discrete_skeleton(
-            model, theta, obs_times, config.m, x0, rng
-        )
-        state = state_from_skeleton(
-            model, theta, obs_times, x_values, gamma_flat, prior, config.fixed
-        )
+        x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m, x0, rng)
+        state = state_from_skeleton(model, theta, obs_times, x_values, gamma_flat, prior,
+                                    config.fixed)
         for _ in range(sweeps):
-            if transition is not None:
-                transition(state, rng)
-            else:
-                sweep(state, rng, scales, block_len=config.block_len)
-        for name in free:
-            kept[name][rep] = state.params[name]
+            step(state, rng)
+        return [state.params[name] for name in free]
 
+    outcomes = run_jobs(replicate, replications)
+    if failed := next((o for o in outcomes if isinstance(o, Exception)), None):
+        raise failed
+    kept = np.array(outcomes)
     return {
-        name: float(stats.kstest(kept[name], lambda v, _n=name: prior.cdf(_n, v)).pvalue)
-        for name in free
+        name: float(stats.kstest(kept[:, j], lambda v, _n=name: prior.cdf(_n, v)).pvalue)
+        for j, name in enumerate(free)
     }

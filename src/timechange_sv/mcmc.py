@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .likelihood import (
 from .models import ModelSpec, ParamVector
 from .paths import RandomStream
 from .timechange import centre_on_chord, refine_rows
+
+DEFAULT_RW_SCALE = 0.25  # random-walk scale of a parameter that rw_scales leaves out
 
 
 @dataclass(frozen=True)
@@ -663,7 +666,7 @@ def sweep(
 
     flags: dict[str, bool] = {}
     for name in _scalar_update_order(state):
-        flags[name] = _update_param(state, name, rng, scales.get(name, 0.25))
+        flags[name] = _update_param(state, name, rng, scales.get(name, DEFAULT_RW_SCALE))
         tally(name, int(flags[name]))
     return flags
 
@@ -705,7 +708,7 @@ def run_chain(
     unknown = sorted(set(config.rw_scales) - set(state.free_names))
     if unknown:
         raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")
-    scales = {name: config.rw_scales.get(name, 0.25) for name in state.free_names}
+    scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in state.free_names}
     tallies_burn: dict = {}
     tallies_main: dict = {}
 
@@ -749,3 +752,55 @@ def run_chain(
         acceptance=acceptance,
         config=config,
     )
+
+
+_JOB: Optional[Callable] = None  # the job of the running run_jobs; forked workers inherit it
+
+
+def _run_stride(first: int, step: int, n_jobs: int) -> list:
+    """``_JOB(k)`` for k = first, first + step, ... below ``n_jobs``, or the
+    exception it raised; stops at the first failure."""
+    out = []
+    for k in range(first, n_jobs, step):
+        try:
+            out.append(_JOB(k))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def run_jobs(job: Callable[[int], object], n_jobs: int) -> list:
+    """``job(k)`` for k = 0 .. n_jobs - 1, or the exception it raised, in job order.
+
+    P = min(n_jobs, usable CPUs) processes run them, process w the jobs w,
+    w + P, ...: process 0 is this one, the others are forked workers. Each
+    stops at its own first failure and leaves its later jobs None, so the
+    first outcome that is not a result is an exception. The workers inherit
+    ``job`` through the fork, so it may be a closure; only strides and
+    results are pickled. Without fork, every job runs here. Fork, not spawn:
+    a spawned worker re-imports numpy and this package, which on 2 CPUs
+    took back most of the gain of a second process. The pool forks at the
+    first submit, before it starts its manager thread.
+    """
+    global _JOB
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_proc, pool, _JOB = max(1, min(n_jobs, cpus or 1)), None, job
+    try:
+        if n_proc > 1:
+            import multiprocessing  # only here: both are slow to import
+            from concurrent.futures import ProcessPoolExecutor
+            try:
+                pool = ProcessPoolExecutor(n_proc - 1, mp_context=multiprocessing.get_context("fork"))
+            except ValueError:
+                n_proc = 1
+        futures = [pool.submit(_run_stride, w, n_proc, n_jobs) for w in range(1, n_proc)]
+        strides = [_run_stride(0, n_proc, n_jobs), *(f.result() for f in futures)]
+    finally:
+        _JOB = None
+        if pool is not None:
+            pool.shutdown()
+    outcomes: list = [None] * n_jobs
+    for w, results in enumerate(strides):
+        outcomes[w: w + n_proc * len(results): n_proc] = results
+    return outcomes

@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import math
+import os
 
 import numpy as np
 
@@ -52,9 +53,15 @@ def decoupled_sv_model() -> ModelSpec:
 # consume the same random numbers and raise ExplosionError at the same grid
 # time. It stores the paths time-major, so that a step writes one contiguous
 # row, and returns transposed views.
-def euler_paths_reference(model, params, x0, alpha0, grid, rng):
+def euler_paths_reference(model, params, x0, alpha0, grid, rng, ends_only=False):
     """Joint Euler scheme for a batch of paths; returns (X, alpha) arrays
-    shaped (n_paths, n_points)."""
+    shaped (n_paths, n_points), or with ``ends_only`` the end values alone,
+    shaped (n_paths,).
+
+    ``ends_only`` keeps only the running state. Without a latent it draws
+    the noise one step at a time: row by row, ``standard_normal`` gives the
+    numbers of one call for every step, so the ends are the same bits.
+    """
     if not all(math.isfinite(v) for v in params.values.values()):
         raise ValidationError("simulation parameters must be finite")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -63,18 +70,19 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
     if alpha0.size != n_paths:
         raise ValidationError("x0 and alpha0 batch sizes differ")
     n = len(grid)
-    x = np.empty((n, n_paths))
-    a = np.empty((n, n_paths))
+    x = np.empty((1 if ends_only else n, n_paths))
+    a = np.empty_like(x)
     x[0] = x0
     a[0] = alpha0
     if n == 1:
-        return x.T, a.T
+        return (x[0], a[0]) if ends_only else (x.T, a.T)
 
     steps = grid.steps
     times = grid.times
     rho = model.rho(params)
     lev = math.sqrt(max(0.0, 1.0 - rho * rho))
-    noise_b = rng.normal((n - 1, n_paths))
+    by_step = ends_only and not model.has_latent
+    noise_b = None if by_step else rng.normal((n - 1, n_paths))
     noise_w = rng.normal((n - 1, n_paths)) if model.has_latent else None
 
     xi = x[0].copy()
@@ -85,20 +93,27 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng):
             sq = math.sqrt(dt)
             sx = model.vol_x(ai, params)
             mx = model.drift_x(times[i], xi, ai, params)
+            nb = rng.normal(n_paths) if by_step else noise_b[i]
             if model.has_latent:
                 dw = sq * noise_w[i]
-                db = rho * dw + lev * sq * noise_b[i]
+                db = rho * dw + lev * sq * nb
                 sa = model.vol_alpha(params)
                 ma = model.drift_alpha(ai, params)
                 ai = ai + ma * dt + sa * dw
             else:
-                db = sq * noise_b[i]
+                db = sq * nb
             xi = xi + mx * dt + sx * db
             if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(ai))):
                 raise ExplosionError(times[i + 1])
-            x[i + 1] = xi
-            a[i + 1] = ai
-    return x.T, a.T
+            if not ends_only:
+                x[i + 1] = xi
+                a[i + 1] = ai
+    return (xi, ai) if ends_only else (x.T, a.T)
+
+
+def set_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable, as the process-count rule of ``run_jobs`` sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 LOG_2PI = math.log(2.0 * math.pi)

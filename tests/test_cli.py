@@ -14,6 +14,8 @@ from timechange_sv.cli import main
 from timechange_sv.diagnostics import SummaryTable
 from timechange_sv.errors import NumericsError, ValidationError
 
+from _support import set_cpus
+
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
@@ -314,7 +316,7 @@ class TestExitCodes:
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of the CLI's start-up; only prior recovery needs
-    # it, and only a fit with several chains on several CPUs needs the pool
+    # it, and only run_jobs on several CPUs needs the pool
     src = str(Path(timechange_sv.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import timechange_sv.cli; "
             "print([m in sys.modules for m in sys.argv[2:]])")
@@ -322,10 +324,6 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code, src, *lazy], capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == str([False] * len(lazy))
-
-
-def set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def parallel_fit_setup(tmp_path, chains):
@@ -349,25 +347,6 @@ class TestParallelFit:
             files[n_cpu] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(files[1]) == 3 * chains
         assert files[cpus] == files[1]
-
-    def test_without_fork_chains_run_in_this_process(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        cfg, obs = parallel_fit_setup(tmp_path, 2)
-        run_chain, calls = cli.run_chain, []
-        monkeypatch.setattr(cli, "run_chain", lambda *a: calls.append(a) or run_chain(*a))
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        set_cpus(monkeypatch, 2)
-        assert main(["fit", "--config", cfg, "--data", obs, "--out", str(tmp_path / "fit")]) == 0
-        assert len(calls) == 2
-
-    def test_usable_cpus_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._usable_cpus() == 3
 
     @pytest.mark.parametrize("chains,failures,code,first", [
         (2, {1: NumericsError}, 2, 1),

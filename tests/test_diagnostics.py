@@ -8,6 +8,8 @@ from timechange_sv.mcmc import PriorSpec, SamplerConfig, Trace, sweep
 from timechange_sv.models import get_model
 from timechange_sv.paths import RandomStream
 
+from _support import set_cpus
+
 PHI = 0.5
 
 
@@ -75,8 +77,7 @@ class TestPriorRecovery:
     CONFIG = SamplerConfig(m=3, n_iter=2, n_burn=1, rw_scales={"theta": 0.5, "sigma": 0.5})
 
     def test_sweep_recovers_the_prior(self):
-        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 300, RandomStream(1),
-                                sweeps=30)
+        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 300, 1, sweeps=30)
         assert min(p.values()) > 0.01, p
 
     def test_broken_transition_is_caught(self):
@@ -87,9 +88,17 @@ class TestPriorRecovery:
             state.params = state.params.replace(sigma=sigma)
             state.cache = state.quantities()
 
-        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, RandomStream(2),
+        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, 2,
                                 sweeps=10, transition=inflate_sigma)
         assert p["sigma"] < 1e-3, p
+
+    def test_p_values_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # replication k draws from stream k, wherever it runs
+        p = {}
+        for n_cpu in (1, 2):
+            set_cpus(monkeypatch, n_cpu)
+            p[n_cpu] = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 40, 3, sweeps=5)
+        assert p[1] == p[2]
 
     def test_improper_prior_rejected(self):
         prior = PriorSpec.from_model(self.MODEL, {"theta": (-1, 1)})

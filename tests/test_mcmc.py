@@ -1,5 +1,6 @@
 import importlib
 import math
+import os
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from timechange_sv.mcmc import (
     init_state,
     latent_blocks,
     run_chain,
+    run_jobs,
     state_from_skeleton,
     sweep,
     update_gamma_block,
@@ -34,7 +36,7 @@ from timechange_sv.paths import RandomStream, TimeGrid
 from timechange_sv.timechange import refine_rows
 from timechange_sv.diagnostics import simulate_discrete_skeleton
 
-from _support import decoupled_sv_model, scalar_ou_model
+from _support import decoupled_sv_model, scalar_ou_model, set_cpus
 
 
 def arrays(state):
@@ -628,3 +630,41 @@ def test_benchmark_hooks_find_every_kernel(monkeypatch):
         assert tracing.install_layers(tracer, timechange_sv) == set()
     finally:
         tracer.restore()
+
+
+class TestRunJobs:
+    def test_outcomes_in_job_order(self, monkeypatch):
+        # on 2 CPUs jobs 0, 2, 4 run here and 1, 3, 5 in a forked worker, and
+        # each process stops at its own first failure; the job is a closure,
+        # which reaches the worker through the fork
+        failures = {2: ValueError, 3: ZeroDivisionError}
+
+        def job(k):
+            if k in failures:
+                raise failures[k](k)
+            return k, os.getpid()
+
+        set_cpus(monkeypatch, 2)
+        out = run_jobs(job, 6)
+        assert out[0] == (0, os.getpid()) and out[1][0] == 1 and out[1][1] != os.getpid()
+        assert [type(o) for o in out[2:]] == [ValueError, ZeroDivisionError, type(None), type(None)]
+        set_cpus(monkeypatch, 1)
+        out = run_jobs(job, 6)
+        assert out[:2] == [(0, os.getpid()), (1, os.getpid())]
+        assert isinstance(out[2], ValueError) and out[3:] == [None] * 3
+
+    def test_without_fork_jobs_run_in_this_process(self, monkeypatch):
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        set_cpus(monkeypatch, 2)
+        assert run_jobs(lambda k: os.getpid(), 3) == [os.getpid()] * 3
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids = run_jobs(lambda k: os.getpid(), 3)
+        assert pids[0] == pids[2] == os.getpid() != pids[1]

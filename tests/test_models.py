@@ -123,7 +123,7 @@ class TestEulerSimulate:
         model = blowup_model(drift_alpha=lambda a, p: np.asarray(a, dtype=float) ** 3 * 1e4)
         assert_explodes_as_step_loop(model, 0.0, 1.0)
 
-    def test_explosion_time_of_one_path_in_a_batch(self):
+    def test_explosion_time_of_a_piecewise_drift(self):
         # the drift explodes above 2 only, through np.where, which gives a
         # 0-d array on a float; the path from 3 starts where it does
         model = blowup_model(
@@ -153,14 +153,13 @@ class TestEulerSimulate:
     def test_ou_endpoint_distribution(self):
         # dX = -X dt + dW on [0,1] from 1: endpoint ~ N(e^-1, (1-e^-2)/2);
         # the per-step loop that TestEulerOracle pins the simulator to bit for
-        # bit runs the 100k paths as one batch
+        # bit runs the 100k paths as one batch, keeping only their ends
         model = scalar_ou_model(kappa=1.0, mu=0.0, sigma=1.0)
         grid = TimeGrid(np.linspace(0.0, 1.0, 1001))
-        x, _ = euler_paths_reference(
+        ends, _ = euler_paths_reference(
             model, model.make_params(), np.ones(100_000), np.zeros(100_000),
-            grid, RandomStream(17),
+            grid, RandomStream(17), ends_only=True,
         )
-        ends = x[:, -1]
         mean_th = np.exp(-1.0)
         var_th = 0.5 * (1.0 - np.exp(-2.0))
         assert abs(ends.mean() - mean_th) < 4.0 * np.sqrt(var_th / ends.size) + 1e-3
