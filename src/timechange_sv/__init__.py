@@ -6,7 +6,7 @@ then mixes without degenerating as the number of imputed points grows.
 """
 
 from .errors import ExplosionError, NumericsError, ValidationError
-from .models import ModelSpec, ParamVector, euler_simulate, get_model, model_names
+from .models import ModelSpec, euler_simulate, get_model, model_names
 from .paths import Path, RandomStream, TimeGrid
 from .mcmc import AugmentedState, PriorSpec, SamplerConfig, Trace, run_chain
 from .diagnostics import (

@@ -262,7 +262,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
         raise ValidationError(f"simulate needs delta > 0 and 1 <= thin_stride <= n_steps; "
                               f"got delta={delta}, n_steps={n_steps}, thin_stride={stride}")
     params = model.make_params(config.params)
-    params.validate()
+    model.validate(params)
     alpha0 = params["alpha0"] if "alpha0" in params else 0.0
 
     grid = TimeGrid(delta * np.arange(n_steps + 1))
@@ -285,7 +285,7 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     params_file = out / "truth_params.json"
     with open(params_file, "w") as fh:
         json.dump(
-            {"model": model.name, "params": params.as_dict(),
+            {"model": model.name, "params": params,
              "delta": delta, "n_steps": n_steps, "thin_stride": stride, "seed": seed},
             fh, indent=2, sort_keys=True,
         )
@@ -302,7 +302,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     The files are written in chain order once every chain has finished,
     byte-identical to a serial run's. A failing chain raises its error
     after the files of the chains before it, as a serial run would; the
-    lowest-numbered failure wins.
+    lowest-numbered failure wins. If chain 0 fails, ``out_dir`` is not made.
     """
     model = config.model_spec()
     _reject_unknown("data_schema", config.data_schema, ("spacing",))
@@ -328,11 +328,11 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
                          init)
 
     out = FilePath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     produced = {}
     for chain, trace in enumerate(run_jobs(fit_chain, n_chains)):
         if isinstance(trace, Exception):
             raise trace
+        out.mkdir(parents=True, exist_ok=True)  # so a failing chain 0 leaves no directory
         suffix = "" if n_chains == 1 else f"_chain{chain}"
         trace_file = out / f"trace{suffix}.csv"
         write_trace_csv(trace_file, trace)

@@ -32,8 +32,8 @@ the rest, which equal those of a fresh pass:
   ``interval_quantities``, which runs the path and density stages on them.
 
 The density formulas (``girsanov_sum``, ``log_end_gaussian``,
-``unit_latent_drift``) and the warp formulas taken from ``timechange`` and
-``models`` exist once, in the code the engine runs.
+``unit_latent_drift``) and the warp formulas taken from ``timechange``,
+``paths`` and ``models`` exist once, in the code the engine runs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import ModelSpec, ParamVector, cumulative_leverage
+from .models import ModelSpec
+from .paths import cumulative_left_riemann
 from .timechange import first_warp, second_warp, uncentre_from_chord
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -92,13 +93,13 @@ def log_end_gaussian(y1, y0, total):
     return -0.5 * (_LOG_2PI + np.log(total)) - (y1 - y0) ** 2 / (2.0 * total)
 
 
-def unit_latent_drift(model: ModelSpec, params: ParamVector, alpha) -> np.ndarray:
+def unit_latent_drift(model: ModelSpec, params: dict[str, float], alpha) -> np.ndarray:
     """Drift of the unit-diffusion latent path gamma = (alpha - alpha0) / scale:
     the latent drift at alpha divided by the constant latent volatility."""
     return np.asarray(model.drift_alpha(alpha, params), dtype=float) / model.latent_scale(params)
 
 
-def warp_stage(model: ModelSpec, params: ParamVector, steps, gamma) -> IntervalQuantities:
+def warp_stage(model: ModelSpec, params: dict[str, float], steps, gamma) -> IntervalQuantities:
     """Warps of a batch of intervals with knot steps ``steps`` (n, m+1):
     depends on (params, gamma) only."""
     steps = np.asarray(steps, dtype=float)
@@ -109,7 +110,7 @@ def warp_stage(model: ModelSpec, params: ParamVector, steps, gamma) -> IntervalQ
         rho = model.rho(params)
         veff2, u = first_warp(steps, sx, rho)
         if rho != 0.0 and model.has_latent:
-            adj = cumulative_leverage(rho, sx, gamma)
+            adj = cumulative_left_riemann(np.diff(gamma, axis=-1), rho * sx)
         else:
             adj = np.zeros_like(gamma)
         z_times = second_warp(u[:, :-1], u[:, -1:])
@@ -132,7 +133,7 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
     return IntervalQuantities(w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U, U + w.adj)
 
 
-def log_g_term(q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots):
+def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float], x_knots):
     """Girsanov term of the paths of ``q`` under ``params``, per interval."""
     x_knots = np.asarray(x_knots, dtype=float)
     with np.errstate(all="ignore"):
@@ -142,7 +143,7 @@ def log_g_term(q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_k
         return girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
 
 
-def log_gamma_term(model: ModelSpec, params: ParamVector, alpha, gamma, steps):
+def log_gamma_term(model: ModelSpec, params: dict[str, float], alpha, gamma, steps):
     """Latent term of the latent windows ``gamma``, with values ``alpha``,
     on knot steps ``steps``, per interval (zero without a latent path)."""
     gamma = np.asarray(gamma, dtype=float)
@@ -155,7 +156,7 @@ def log_gamma_term(model: ModelSpec, params: ParamVector, alpha, gamma, steps):
 
 
 def density_stage(
-    q: IntervalQuantities, model: ModelSpec, params: ParamVector, x_knots, steps, gamma, y_left
+    q: IntervalQuantities, model: ModelSpec, params: dict[str, float], x_knots, steps, gamma, y_left
 ) -> IntervalQuantities:
     """All three log densities of the warps and paths of ``q`` under
     ``params``; returns ``q`` with the density fields filled. The endpoint
@@ -171,7 +172,7 @@ def density_stage(
 
 def interval_quantities(
     model: ModelSpec,
-    params: ParamVector,
+    params: dict[str, float],
     x_knots: np.ndarray,
     steps: np.ndarray,
     gamma: np.ndarray,

@@ -45,7 +45,7 @@ from .errors import NumericsError, ValidationError
 from .likelihood import (
     IntervalQuantities, interval_quantities, log_g_term, log_gamma_term, path_stage, warp_stage,
 )
-from .models import ModelSpec, ParamVector
+from .models import ModelSpec
 from .paths import RandomStream
 from .timechange import centre_on_chord, refine_rows
 
@@ -64,15 +64,7 @@ class PriorSpec:
 
     @classmethod
     def from_model(cls, model: ModelSpec, overrides: Optional[dict] = None) -> "PriorSpec":
-        bounds = {}
-        for name in model.param_names:
-            sup = model.supports[name]
-            if sup.kind == "positive":
-                bounds[name] = (0.0, math.inf)
-            elif sup.kind == "interval":
-                bounds[name] = (sup.lo, sup.hi)
-            else:
-                bounds[name] = (-math.inf, math.inf)
+        bounds = {k: (model.supports[k].lo, model.supports[k].hi) for k in model.param_names}
         if overrides:
             for name, (lo, hi) in overrides.items():
                 if name not in bounds:
@@ -86,11 +78,10 @@ class PriorSpec:
                 bounds[name] = (lo, hi)
         return cls(bounds)
 
-    def in_support(self, params: ParamVector) -> bool:
-        return all(
-            self.bounds[k][0] < params[k] < self.bounds[k][1] if k in self.bounds else True
-            for k in params.names
-        ) and params.in_support()
+    def in_support(self, params: dict[str, float]) -> bool:
+        """Whether ``params`` lie inside the open box; every box lies inside
+        its parameter's support."""
+        return all(lo < params[k] < hi for k, (lo, hi) in self.bounds.items())
 
     def is_proper(self) -> bool:
         return all(math.isfinite(hi - lo) for lo, hi in self.bounds.values())
@@ -345,7 +336,7 @@ def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> Aug
 
 def init_state(
     model: ModelSpec,
-    params: ParamVector,
+    params: dict[str, float],
     obs_times,
     obs_values,
     m: int,
@@ -353,7 +344,7 @@ def init_state(
     fixed: Iterable[str] = (),
 ) -> AugmentedState:
     """Fresh state: latent path at zero, observed path on the data chords."""
-    params.validate()
+    model.validate(params)
     y, log_jac = _transform_observations(model, obs_values)
     state = AugmentedState(model, params, prior, obs_times, y, log_jac, m, tuple(fixed))
     frac = np.linspace(0.0, 1.0, m + 2)
@@ -363,7 +354,7 @@ def init_state(
 
 def state_from_skeleton(
     model: ModelSpec,
-    params: ParamVector,
+    params: dict[str, float],
     obs_times,
     x_values: np.ndarray,
     gamma_flat: np.ndarray,
@@ -376,7 +367,7 @@ def state_from_skeleton(
     ``x_values`` is (n, m+2) on the working coordinate with matching shared
     observation knots; ``gamma_flat`` is the latent path at every knot.
     """
-    params.validate()
+    model.validate(params)
     x_values = np.asarray(x_values, dtype=float)
     n, cols = x_values.shape
     m = cols - 2
@@ -482,14 +473,14 @@ def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomSt
     """A random-walk step of ``name`` on its unconstrained scale: the new
     parameters and the log Jacobian of the step, or (None, 0.0) when the
     candidate leaves the prior support."""
-    sup = state.params.supports[name]
+    sup = state.model.supports[name]
     cur = state.params[name]
     phi = sup.to_unconstrained(cur) + scale * float(rng.normal())
     try:
         cand = sup.from_unconstrained(phi)
     except OverflowError:
         return None, 0.0
-    params = state.params.replace(**{name: cand})
+    params = {**state.params, name: cand}
     if not state.prior.in_support(params):
         return None, 0.0
     return params, sup.log_jacobian(cand) - sup.log_jacobian(cur)

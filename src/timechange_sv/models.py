@@ -21,94 +21,48 @@ from .paths import Path, RandomStream, TimeGrid
 
 @dataclass(frozen=True)
 class ParamSupport:
-    """Support descriptor for one parameter: unbounded, positive, or an
-    open interval."""
+    """Support of one parameter: the open interval (lo, hi), unbounded,
+    bounded below, or bounded on both sides.
 
-    kind: str  # "real" | "positive" | "interval"
+    Random-walk proposals run on an unconstrained scale that follows from
+    which ends are finite: the identity, log(x - lo), or a scaled atanh. The
+    log-Jacobian |dx/dphi| enters Metropolis ratios for the non-linear ones.
+    """
+
     lo: float = -math.inf
     hi: float = math.inf
 
+    def __post_init__(self):
+        if not (self.lo < self.hi and (self.lo > -math.inf or self.hi == math.inf)):
+            raise ValidationError(f"support ({self.lo}, {self.hi}) must be nonempty and "
+                                  "bounded below if bounded above")
+
     def contains(self, x: float) -> bool:
-        if self.kind == "real":
-            return math.isfinite(x)
-        if self.kind == "positive":
-            return x > 0.0 and math.isfinite(x)
         return self.lo < x < self.hi
 
-    # Random-walk proposals run on an unconstrained scale; the log-Jacobian
-    # |dx/dphi| enters Metropolis ratios for non-linear transforms.
     def to_unconstrained(self, x: float) -> float:
-        if self.kind == "positive":
-            return math.log(x)
-        if self.kind == "interval":
-            u = 2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0
-            return math.atanh(u)
-        return x
+        if self.hi < math.inf:
+            return math.atanh(2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0)
+        return math.log(x - self.lo) if self.lo > -math.inf else x
 
     def from_unconstrained(self, phi: float) -> float:
-        if self.kind == "positive":
-            return math.exp(phi)
-        if self.kind == "interval":
+        if self.hi < math.inf:
             return self.lo + (self.hi - self.lo) * 0.5 * (math.tanh(phi) + 1.0)
-        return phi
+        return self.lo + math.exp(phi) if self.lo > -math.inf else phi
 
     def log_jacobian(self, x: float) -> float:
-        if self.kind == "positive":
-            return math.log(x)
-        if self.kind == "interval":
+        if self.hi < math.inf:
             return math.log((x - self.lo) * (self.hi - x)) - math.log(self.hi - self.lo)
-        return 0.0
+        return math.log(x - self.lo) if self.lo > -math.inf else 0.0
 
 
-REAL = ParamSupport("real")
-POSITIVE = ParamSupport("positive")
+REAL = ParamSupport()
+POSITIVE = ParamSupport(0.0)
 
 
 def interval(lo: float, hi: float) -> ParamSupport:
-    return ParamSupport("interval", lo, hi)
-
-
-class ParamVector:
-    """Named parameter values with per-name support descriptors.
-
-    Preserves declaration order; the order defines trace columns downstream.
-    """
-
-    def __init__(self, values: dict[str, float], supports: dict[str, ParamSupport]):
-        if set(values) != set(supports):
-            raise ValidationError("parameter values and supports name different sets")
-        self.names = tuple(values)
-        self.values = {k: float(v) for k, v in values.items()}
-        self.supports = dict(supports)
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-    def replace(self, **updates: float) -> "ParamVector":
-        vals = dict(self.values)
-        for k, v in updates.items():
-            if k not in vals:
-                raise ValidationError(f"unknown parameter {k!r}")
-            vals[k] = float(v)
-        return ParamVector(vals, self.supports)
-
-    def validate(self) -> None:
-        for k, v in self.values.items():
-            if not self.supports[k].contains(v):
-                raise ValidationError(f"parameter {k}={v} outside its support")
-
-    def in_support(self) -> bool:
-        return all(self.supports[k].contains(v) for k, v in self.values.items())
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v:.6g}" for k, v in self.values.items())
-        return f"ParamVector({inner})"
+    """The open interval (lo, hi) with finite ends."""
+    return ParamSupport(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -146,27 +100,31 @@ class ModelSpec:
     timescale_params: tuple[str, ...] = ()
     latent_drift_params: tuple[str, ...] = ()
 
-    def make_params(self, values: Optional[dict[str, float]] = None) -> ParamVector:
-        vals = dict(self.defaults)
-        if values:
-            unknown = set(values) - set(self.param_names)
-            if unknown:
-                raise ValidationError(f"unknown parameters for {self.name}: {sorted(unknown)}")
-            vals.update(values)
-        return ParamVector({k: vals[k] for k in self.param_names}, self.supports)
+    def make_params(self, values: Optional[dict[str, float]] = None) -> dict[str, float]:
+        """The defaults updated by ``values``, as floats in ``param_names`` order."""
+        vals = {**self.defaults, **(values or {})}
+        unknown = set(vals) - set(self.param_names)
+        if unknown:
+            raise ValidationError(f"unknown parameters for {self.name}: {sorted(unknown)}")
+        return {k: float(vals[k]) for k in self.param_names}
 
-    def latent_scale(self, params: ParamVector) -> float:
+    def validate(self, params: dict[str, float]) -> None:
+        for k in self.param_names:
+            if not self.supports[k].contains(params[k]):
+                raise ValidationError(f"parameter {k}={params[k]} outside its support")
+
+    def latent_scale(self, params: dict[str, float]) -> float:
         """Constant volatility of the latent diffusion."""
         if not self.has_latent:
             raise ValidationError(f"model {self.name} has no latent diffusion")
         return float(self.vol_alpha(params))
 
-    def latent_values(self, gamma, params: ParamVector) -> np.ndarray:
+    def latent_values(self, gamma, params: dict[str, float]) -> np.ndarray:
         """Latent path alpha = alpha0 + scale * gamma from its unit-diffusion,
         zero-start version gamma."""
         return params["alpha0"] + self.latent_scale(params) * np.asarray(gamma, dtype=float)
 
-    def rho(self, params: ParamVector) -> float:
+    def rho(self, params: dict[str, float]) -> float:
         return float(params[self.leverage]) if self.leverage else 0.0
 
 
@@ -300,7 +258,7 @@ def _euler_rows(rows, drift, incs, dts, start=0) -> None:
 
 def _euler_paths(
     model: ModelSpec,
-    params: ParamVector,
+    params: dict[str, float],
     x0: float,
     alpha0: float,
     grid: TimeGrid,
@@ -325,7 +283,7 @@ def _euler_paths(
     whole-array stages. A non-finite value persists along the path, so one
     check at the end raises ``ExplosionError`` at its first non-finite time.
     """
-    if not all(math.isfinite(v) for v in params.values.values()):
+    if not all(math.isfinite(v) for v in params.values()):
         raise ValidationError("simulation parameters must be finite")
     rho = model.rho(params)
     if abs(rho) > 1.0:
@@ -334,7 +292,6 @@ def _euler_paths(
         raise ValidationError("simulation start values x0 and alpha0 must be finite")
     n = len(grid)
     ts, dts = grid.times.tolist(), grid.steps.tolist()
-    p = params.values
     sq = np.sqrt(grid.steps)
     x, a = [x0] * n, [alpha0] * n  # the latent path of a model without one
     db = rng.normal(n - 1)
@@ -350,12 +307,12 @@ def _euler_paths(
             db *= math.sqrt(1.0 - rho * rho) * sq
             db += rho * dw
             dw *= model.vol_alpha(params)
-            _euler_rows(a, lambda i, ai: float(model.drift_alpha(ai, p)), dw.tolist(), dts)
+            _euler_rows(a, lambda i, ai: float(model.drift_alpha(ai, params)), dw.tolist(), dts)
         else:
             db *= sq
         # db becomes vol_x(alpha) * dB_total, with alpha left of each step
         db *= model.vol_x(np.array(a[:-1]), params)
-        _euler_rows(x, lambda i, xi: float(model.drift_x(ts[i], xi, a[i], p)),
+        _euler_rows(x, lambda i, xi: float(model.drift_x(ts[i], xi, a[i], params)),
                     db.tolist(), dts)
         x, a = np.array(x), np.array(a)
 
@@ -367,7 +324,7 @@ def _euler_paths(
 
 def euler_simulate(
     model: ModelSpec,
-    params: ParamVector,
+    params: dict[str, float],
     x0: float,
     alpha0: float,
     grid: TimeGrid,
@@ -380,15 +337,3 @@ def euler_simulate(
     """
     x, a = _euler_paths(model, params, float(x0), float(alpha0), grid, rng)
     return Path(grid, x), Path(grid, a)
-
-
-# ---------------------------------------------------------------------------
-# Leverage adjustment
-
-
-def cumulative_leverage(rho: float, sx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Cumulative sum of rho * sx * d(gamma) with left-point ``sx``, zero at
-    the first knot; batched over rows (last axis is time)."""
-    out = np.zeros_like(gamma)
-    np.cumsum(rho * sx[..., :-1] * np.diff(gamma, axis=-1), axis=-1, out=out[..., 1:])
-    return out

@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from timechange_sv.errors import ExplosionError, NumericsError, ValidationError
-from timechange_sv.models import ModelSpec, ParamSupport, ParamVector, POSITIVE, REAL
+from timechange_sv.models import ModelSpec, POSITIVE, REAL
 from timechange_sv.paths import Path, RandomStream, TimeGrid
 
 
@@ -62,7 +62,7 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng, ends_only=False)
     the noise one step at a time: row by row, ``standard_normal`` gives the
     numbers of one call for every step, so the ends are the same bits.
     """
-    if not all(math.isfinite(v) for v in params.values.values()):
+    if not all(math.isfinite(v) for v in params.values()):
         raise ValidationError("simulation parameters must be finite")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=float))
@@ -119,7 +119,7 @@ def set_cpus(monkeypatch, n):
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def euler_loglik(x_path: Path, alpha_path: Path, params: ParamVector, model: ModelSpec) -> float:
+def euler_loglik(x_path: Path, alpha_path: Path, params: dict, model: ModelSpec) -> float:
     """Transition-product log likelihood of a joint skeleton under the
     locally-Gaussian scheme, an oracle independent of the time-changed
     engine. The step covariance couples the two coordinates through the

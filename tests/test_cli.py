@@ -227,6 +227,26 @@ class TestExitCodes:
         assert "two draws" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"model": "const-vol-scalar", "fixed": ["sigma"],
+          "sampler": {"rw_scales": {"sigma": 0.1}}}, "rw_scales names no free parameter"),
+        ({"model": "const-vol-scalar", "fixed": ["sigmaa"]}, "unknown fixed parameters"),
+        ({"model": "ou-sv-leverage", "sampler": {"block_len": 4}}, "block_len exceeds"),
+        ({"model": "const-vol-scalar", "params": {"sigma": 3.0}, "prior": {"sigma": [0.5, 2.0]}},
+         "initial parameters violate the prior support"),
+    ], ids=["rw-scales", "fixed", "block-len", "start"])
+    def test_chain_config_error_leaves_no_output(self, tmp_path, capsys, doc, message):
+        # these are raised by the chain itself; the output directory is made
+        # only once the first chain has its trace
+        doc = {**doc, "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, **doc.get("sampler", {})}}
+        argv = ["fit", "--config", write_config(tmp_path / "config.json", doc),
+                "--data", tiny_data(tmp_path / "obs.csv"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("column,message", [
         # acf passes and iact fails: too short for an integrated autocorrelation
         ([0.1 * (i % 7) for i in range(50)], "at least 100 points"),
@@ -376,8 +396,10 @@ class TestParallelFit:
         assert err.count("\n") == 1 and "Traceback" not in err
         pid = int(err.split()[-1])
         assert (pid == os.getpid()) == (first % 2 == 0)
-        # as in a serial run, the chains before the failure have their files
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            f"{stem}_chain{c}.{ext}" for c in range(first)
-            for stem, ext in (("trace", "csv"), ("summary", "csv"), ("acceptance", "json"))
-        )
+        assert out.exists() == (first > 0)  # a failing chain 0 leaves no directory
+        if first:
+            # as in a serial run, the chains before the failure have their files
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                f"{stem}_chain{c}.{ext}" for c in range(first)
+                for stem, ext in (("trace", "csv"), ("summary", "csv"), ("acceptance", "json"))
+            )

@@ -85,7 +85,7 @@ class TestPriorRecovery:
             # a sweep, then a deterministic push of sigma up, capped in the box
             sweep(state, rng, self.CONFIG.rw_scales)
             sigma = min(1.05 * state.params["sigma"], 1.999)
-            state.params = state.params.replace(sigma=sigma)
+            state.params = {**state.params, "sigma": sigma}
             state.cache = state.quantities()
 
         p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, 2,

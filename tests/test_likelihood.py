@@ -220,7 +220,7 @@ class TestEulerLoglik:
 
     def test_singular_correlation_rejected(self):
         model = get_model("ou-sv-leverage")
-        params = model.make_params({"rho": 0.0}).replace(rho=1.0)
+        params = {**model.make_params({"rho": 0.0}), "rho": 1.0}
         x = Path.from_arrays([0.0, 1.0], [0.0, 0.3])
         a = Path.from_arrays([0.0, 1.0], [0.0, -0.6])
         with pytest.raises(NumericsError):
@@ -401,7 +401,7 @@ class TestEngineStages:
             if p in model.timescale_params:
                 continue
             sup = model.supports[p]
-            moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
+            moved = {**params, p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)}
             after = density_stage(state.cache, model, moved, *grid)
             declared = "log_gamma" if p in model.latent_drift_params else "log_g"
             for term in ("log_g", "log_f", "log_gamma"):
@@ -415,7 +415,7 @@ class TestEngineStages:
         before = warp_stage(model, params, state.x_steps, state.gamma_windows)
         for p in model.param_names:
             sup = model.supports[p]
-            moved = params.replace(**{p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)})
+            moved = {**params, p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)}
             after = warp_stage(model, moved, state.x_steps, state.gamma_windows)
             same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
             assert same == (p not in model.timescale_params), p

@@ -48,14 +48,14 @@ def arrays(state):
 
 def snapshot(state):
     return {name: arr.copy() for name, arr in arrays(state).items()} | {
-        "params": dict(state.params.values)
+        "params": dict(state.params)
     }
 
 
 def assert_state_equal(state, snap):
     for name, arr in arrays(state).items():
         assert np.array_equal(arr, snap[name]), name
-    assert dict(state.params.values) == snap["params"]
+    assert dict(state.params) == snap["params"]
 
 
 PATH_FIELDS = ("z", "U", "X", "log_g")  # what the path kernel writes
@@ -392,9 +392,7 @@ class TestDriftUpdate:
         model = decoupled_sv_model()
         base = model.make_params()
         c = 0.83
-        shifted = base.replace(
-            mu_alpha=base["mu_alpha"] + c, alpha0=base["alpha0"] + c
-        )
+        shifted = {**base, "mu_alpha": base["mu_alpha"] + c, "alpha0": base["alpha0"] + c}
         prior = PriorSpec.from_model(model)
         obs_times = np.arange(6.0)
         xv, gam = simulate_discrete_skeleton(
@@ -403,12 +401,10 @@ class TestDriftUpdate:
         s_base = state_from_skeleton(model, base, obs_times, xv, gam, prior)
         s_shift = state_from_skeleton(model, shifted, obs_times, xv, gam, prior)
         for d_mu, d_a0 in ((0.1, 0.0), (0.0, -0.2), (0.3, 0.3), (-0.5, 0.2)):
-            p_base = base.replace(
-                mu_alpha=base["mu_alpha"] + d_mu, alpha0=base["alpha0"] + d_a0
-            )
-            p_shift = shifted.replace(
-                mu_alpha=shifted["mu_alpha"] + d_mu, alpha0=shifted["alpha0"] + d_a0
-            )
+            p_base = {**base, "mu_alpha": base["mu_alpha"] + d_mu,
+                      "alpha0": base["alpha0"] + d_a0}
+            p_shift = {**shifted, "mu_alpha": shifted["mu_alpha"] + d_mu,
+                       "alpha0": shifted["alpha0"] + d_a0}
             r_base = state_from_skeleton(
                 model, p_base, obs_times, xv, gam, prior
             ).log_likelihood() - s_base.log_likelihood()
@@ -491,7 +487,7 @@ class TestRunChain:
         state = init_state(model, model.make_params(), data.times, data.values, 3, prior,
                            fixed=model.param_names[:1])
         rng = RandomStream(block_len)
-        start = dict(state.params.values)
+        start = dict(state.params)
         kernels = [lambda: _update_z_rows(state, rng)]
         if model.has_latent:
             *anchored, terminal = state.block_passes(block_len)

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,16 @@ from hypothesis import strategies as st
 from timechange_sv.cli import ingest_csv
 from timechange_sv.errors import ExplosionError, ValidationError
 from timechange_sv.likelihood import path_stage, warp_stage
-from timechange_sv.mcmc import _transform_observations
+from timechange_sv.mcmc import PriorSpec, _transform_observations
 from timechange_sv.models import (
     ModelSpec,
     POSITIVE,
     REAL,
+    ParamSupport,
     _euler_paths,
     euler_simulate,
     get_model,
+    interval,
     model_names,
 )
 from timechange_sv.paths import RandomStream, TimeGrid
@@ -65,16 +69,75 @@ class TestRegistry:
 
     def test_defaults_in_support(self):
         for name in model_names():
-            get_model(name).make_params().validate()
+            model = get_model(name)
+            model.validate(model.make_params())
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
             get_model("const-vol-scalar").make_params({"bogus": 1.0})
 
     def test_support_violation_detected(self):
-        params = get_model("ou-sv-leverage").make_params({"sigma": -1.0})
+        model = get_model("ou-sv-leverage")
+        params = model.make_params({"sigma": -1.0})
         with pytest.raises(ValidationError):
-            params.validate()
+            model.validate(params)
+
+    def test_make_params_floats_in_declared_order(self):
+        model = get_model("const-vol-scalar")
+        params = model.make_params({"sigma": 1})
+        assert list(params.items()) == [("theta", 0.0), ("sigma", 1.0)]
+        assert all(type(v) is float for v in params.values())
+
+
+SUPPORTS = [pytest.param(REAL, id="real"), pytest.param(POSITIVE, id="positive"),
+            pytest.param(interval(-1.0, 1.0), id="interval")]
+
+
+class TestParamSupport:
+    def test_positive_is_log_and_exp(self):
+        # the (0, inf) transforms must give the bits of log and exp, so that
+        # draws on a positive parameter do not depend on how its support is
+        # written down
+        xs = [5e-324, 1e-300, 1e-8, 0.3, 1.0, 2.764, 1e8, 1e300]
+        xs += np.exp(RandomStream(3).normal(200) * 5.0).tolist()
+        for x in xs:
+            assert POSITIVE.to_unconstrained(x) == math.log(x)
+            assert POSITIVE.log_jacobian(x) == math.log(x)
+        for phi in [-745.0, -700.0, -1.5, 0.0, 0.25, 700.0] + RandomStream(4).normal(200).tolist():
+            assert POSITIVE.from_unconstrained(phi) == math.exp(phi)
+
+    @pytest.mark.parametrize("sup", SUPPORTS)
+    def test_round_trip(self, sup):
+        for phi in np.linspace(-6.0, 6.0, 49).tolist():
+            x = sup.from_unconstrained(phi)
+            assert sup.contains(x)
+            assert sup.to_unconstrained(x) == pytest.approx(phi, rel=1e-9, abs=1e-9)
+            assert sup.from_unconstrained(sup.to_unconstrained(x)) == pytest.approx(x, rel=1e-12)
+
+    @pytest.mark.parametrize("sup", SUPPORTS)
+    def test_contains_is_open_and_finite(self, sup):
+        for x in (sup.lo, sup.hi, -math.inf, math.inf, math.nan):
+            assert not sup.contains(x)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (-math.inf, 1.0),
+                                       (math.nan, math.inf), (0.0, math.nan)])
+    def test_empty_or_unbounded_below_rejected(self, lo, hi):
+        with pytest.raises(ValidationError):
+            ParamSupport(lo, hi)
+
+    @pytest.mark.parametrize("name", model_names())
+    def test_default_prior_is_the_support(self, name):
+        model = get_model(name)
+        prior = PriorSpec.from_model(model)
+        params = model.make_params()
+        assert prior.in_support(params)
+        for k in model.param_names:
+            sup = model.supports[k]
+            outside = [-math.inf, math.inf, math.nan]
+            outside += [sup.lo, sup.lo - 0.5] if math.isfinite(sup.lo) else []
+            outside += [sup.hi, sup.hi + 0.5] if math.isfinite(sup.hi) else []
+            for x in outside:
+                assert not prior.in_support({**params, k: x}), (k, x)
 
 
 class TestEulerSimulate:
@@ -106,7 +169,7 @@ class TestEulerSimulate:
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_full_leverage_correlation(self, rho):
         model = get_model("ou-sv-leverage")
-        params = model.make_params({"rho": 0.0}).replace(rho=rho)  # bypass support check
+        params = {**model.make_params({"rho": 0.0}), "rho": rho}  # bypass support check
         grid = TimeGrid(np.linspace(0.0, 50.0, 50_001))
         x, a = _euler_paths(model, params, 0.0, -0.2, grid, RandomStream(8))
         dx = np.diff(x) / np.exp(0.5 * a[:-1])
@@ -145,7 +208,7 @@ class TestEulerSimulate:
         # with |rho| > 1 the leverage factor used to be clamped to 0, which
         # gave dB_total the variance rho^2 dt
         model = get_model("ou-sv-leverage")
-        params = model.make_params().replace(rho=rho)
+        params = {**model.make_params(), "rho": rho}
         grid = TimeGrid(np.linspace(0.0, 1.0, 11))
         with pytest.raises(ValidationError, match="outside"):
             euler_simulate(model, params, 0.1, -0.2, grid, RandomStream(0))
@@ -194,7 +257,7 @@ class TestEulerOracle:
     def test_bit_identical(self, model, updates, n_points):
         # float starts, as euler_simulate passes them, step on Python floats;
         # the loop takes them as a batch of one
-        params = model.make_params().replace(**updates)  # rho = +-1 bypasses support
+        params = {**model.make_params(), **updates}  # rho = +-1 bypasses support
         x0 = np.log(10.0) if model.obs_transform else 0.1
         a0 = params["alpha0"] if "alpha0" in params else 0.0
         grid = uneven_grid(n_points)
@@ -355,7 +418,7 @@ def leverage_round_trip(model, params, times, x, gamma):
 
 class TestLeverageAdjust:
     """The cumulative leverage adjustment of the engine's warp stage
-    (``cumulative_leverage``) and its inverse in the path stage."""
+    (``warp_stage``'s ``adj``) and its inverse in the path stage."""
 
     def _setup(self, rho=-0.5):
         model = get_model("ou-sv-leverage")
