@@ -10,7 +10,7 @@ from .models import ModelSpec, euler_simulate, get_model, model_names
 from .paths import Path, RandomStream, TimeGrid
 from .mcmc import AugmentedState, PriorSpec, SamplerConfig, Trace, run_chain
 from .diagnostics import (
-    SummaryTable,
+    SUMMARY_COLUMNS,
     acf,
     iact,
     kde_export,

@@ -15,54 +15,30 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path as FilePath
 from typing import Optional
 
 import numpy as np
 
-from .diagnostics import SummaryTable, acf, iact, kde_export, summarize
+from .diagnostics import SUMMARY_COLUMNS, acf, iact, kde_export, summarize
 from .errors import NumericsError, ValidationError
 from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
-from .paths import RandomStream, TimeGrid
-
-
-@dataclass(frozen=True)
-class Observations:
-    """Sorted (time, value) records; times in years."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.size != v.size:
-            raise ValidationError("times and values differ in length")
-        if t.size < 2:
-            raise ValidationError("need at least two observations")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValidationError("observations contain non-finite entries")
-        if not np.all(np.diff(t) > 0):
-            raise ValidationError("observation times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.times.size
+from .paths import Path, RandomStream, TimeGrid
 
 
 def ingest_csv(
     path,
     spacing: Optional[float] = None,
     require_positive: bool = False,
-) -> Observations:
-    """Read observations from CSV.
+) -> Path:
+    """Read observations from CSV as a ``Path`` of at least two points.
 
     With header ``time,value`` both columns are read; with header ``value``
     a ``spacing`` must be configured and times become 0, spacing, 2*spacing,
-    ... Malformed rows are reported with their line numbers.
+    ... Malformed rows are reported with their line numbers; ``Path`` rejects
+    non-finite times and values.
     """
     path = FilePath(path)
     if not path.exists():
@@ -112,7 +88,9 @@ def ingest_csv(
             prev_t = t
             times.append(t)
             values.append(v)
-    return Observations(np.asarray(times), np.asarray(values))
+    if len(times) < 2:
+        raise ValidationError(f"{path}: need at least two observations")
+    return Path.from_arrays(times, values)
 
 
 def _reject_unknown(section: str, doc: dict, allowed: tuple) -> None:
@@ -134,9 +112,6 @@ class RunConfig:
     data_schema: dict = field(default_factory=dict)
     init: str = "config"
 
-    _KEYS = ("model", "params", "fixed", "prior", "sampler", "simulate",
-             "data_schema", "init")
-
     @classmethod
     def load(cls, path) -> "RunConfig":
         path = FilePath(path)
@@ -149,7 +124,7 @@ class RunConfig:
                 raise ValidationError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        unknown = set(doc) - set(cls._KEYS)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
         if not isinstance(doc.get("model"), str):
@@ -177,6 +152,12 @@ class RunConfig:
                 raise ValidationError(
                     f"{path}: prior for {name!r} must be [lo, hi], got {bounds!r}"
                 )
+        _reject_unknown("data_schema", cfg.data_schema, ("spacing",))
+        spacing = cfg.data_schema.get("spacing", 1.0)  # optional, but a number if given
+        if not (is_number(spacing) and spacing > 0):
+            raise ValidationError(
+                f"{path}: 'data_schema' spacing must be a finite positive number, got {spacing!r}"
+            )
         if cfg.init not in ("config", "prior-midpoint"):
             raise ValidationError("init must be 'config' or 'prior-midpoint'")
         return cfg
@@ -305,7 +286,6 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     lowest-numbered failure wins. If chain 0 fails, ``out_dir`` is not made.
     """
     model = config.model_spec()
-    _reject_unknown("data_schema", config.data_schema, ("spacing",))
     spacing = config.data_schema.get("spacing")
     data = ingest_csv(
         data_path,
@@ -318,14 +298,13 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
         raise ValidationError("fit must keep at least two draws per chain for its summaries; "
                               "lower n_burn or thin, or raise n_iter")
     prior = config.prior_spec()
-    init = "prior-midpoint" if config.init == "prior-midpoint" else (config.params or None)
+    init = "prior-midpoint" if config.init == "prior-midpoint" else config.params
     n_chains = sampler.chains
 
     def fit_chain(c: int) -> Trace:
         # run_chain is looked up in this module at each call, so that a
         # wrapper on cli.run_chain sees the chains this process runs
-        return run_chain(replace(sampler, seed=sampler.seed + c, chains=1), data, model, prior,
-                         init)
+        return run_chain(replace(sampler, seed=sampler.seed + c), data, model, prior, init)
 
     out = FilePath(out_dir)
     produced = {}
@@ -337,10 +316,10 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
         trace_file = out / f"trace{suffix}.csv"
         write_trace_csv(trace_file, trace)
 
-        table = summarize(trace)
         summary_file = out / f"summary{suffix}.csv"
-        _write_csv(summary_file, ["parameter", *SummaryTable.columns],
-                   "%s" + ",%.12g" * len(SummaryTable.columns), table.as_rows())
+        _write_csv(summary_file, ["parameter", *SUMMARY_COLUMNS],
+                   "%s" + ",%.12g" * len(SUMMARY_COLUMNS),
+                   [(name, *row) for name, row in summarize(trace).items()])
 
         accept_file = out / f"acceptance{suffix}.json"
         with open(accept_file, "w") as fh:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,23 +24,12 @@ from .paths import RandomStream
 
 _KDE_CELLS = 1 << 14
 
-
-@dataclass(frozen=True)
-class SummaryTable:
-    """Per-parameter posterior summaries in report column order."""
-
-    columns = ("post_mean", "post_sd", "post_2.5", "post_median", "post_97.5")
-    rows: dict[str, tuple[float, float, float, float, float]]
-
-    def as_rows(self) -> list[tuple]:
-        return [(name, *vals) for name, vals in self.rows.items()]
-
-    def __getitem__(self, name: str):
-        return self.rows[name]
+SUMMARY_COLUMNS = ("post_mean", "post_sd", "post_2.5", "post_median", "post_97.5")
 
 
-def summarize(trace: Trace) -> SummaryTable:
-    """Sample moments and empirical quantiles of the posterior draws."""
+def summarize(trace: Trace) -> dict[str, tuple[float, ...]]:
+    """Sample moments and empirical quantiles of the posterior draws: per
+    parameter, a tuple of floats in ``SUMMARY_COLUMNS`` order."""
     if trace.n_rows < 2:
         raise ValidationError("summaries need at least two draws")
     rows = {}
@@ -52,7 +40,7 @@ def summarize(trace: Trace) -> SummaryTable:
             float(np.mean(col)), float(np.std(col, ddof=1)),
             float(q[0]), float(q[1]), float(q[2]),
         )
-    return SummaryTable(rows=rows)
+    return rows
 
 
 def acf(series, max_lag: int) -> np.ndarray:

@@ -24,7 +24,8 @@ Rejected proposals leave the state bit-identical. Only the m+2 knots per
 interval are ever persisted; finer retrospective draws are transient.
 
 What a sweep needs of the fixed knot grid is built once per state: the knot
-steps, and for each block length the ``LatentBlocks`` of every pass. An
+steps, and for each block length the ``LatentBlocks`` of every pass
+(``AugmentedState.block_passes``, which lays out the block schedule). An
 accepted move writes only the cache fields it changed (``_write_rows``): a
 move over all rows adopts its proposal's arrays; the path move, and latent
 blocks whose intervals are contiguous, copy their accepted rows in place
@@ -46,7 +47,7 @@ from .likelihood import (
     IntervalQuantities, interval_quantities, log_g_term, log_gamma_term, path_stage, warp_stage,
 )
 from .models import ModelSpec
-from .paths import RandomStream
+from .paths import Path, RandomStream
 from .timechange import centre_on_chord, refine_rows
 
 DEFAULT_RW_SCALE = 0.25  # random-walk scale of a parameter that rw_scales leaves out
@@ -83,9 +84,6 @@ class PriorSpec:
         its parameter's support."""
         return all(lo < params[k] < hi for k, (lo, hi) in self.bounds.items())
 
-    def is_proper(self) -> bool:
-        return all(math.isfinite(hi - lo) for lo, hi in self.bounds.values())
-
     def sample(self, rng: RandomStream, names: Iterable[str]) -> dict[str, float]:
         """One prior draw of each of ``names``, one uniform each, in that order."""
         bounds = {k: self.bounds[k] for k in names}
@@ -95,7 +93,7 @@ class PriorSpec:
         return {k: lo + (hi - lo) * float(rng.uniform()) for k, (lo, hi) in bounds.items()}
 
     def midpoint(self) -> dict[str, float]:
-        if not self.is_proper():
+        if not all(math.isfinite(hi - lo) for lo, hi in self.bounds.values()):
             raise ValidationError("prior midpoints need finite truncation bounds")
         return {k: 0.5 * (lo + hi) for k, (lo, hi) in self.bounds.items()}
 
@@ -176,7 +174,6 @@ class Trace:
     logliks: np.ndarray  # augmented log likelihood per recorded draw
     iters: np.ndarray
     acceptance: dict[str, float]
-    config: SamplerConfig
 
     def column(self, name: str) -> np.ndarray:
         return self.draws[:, self.param_names.index(name)]
@@ -231,19 +228,31 @@ class AugmentedState:
         return tuple(p for p in self.model.param_names if p not in self.fixed)
 
     def block_passes(self, block_len: int) -> tuple["LatentBlocks", ...]:
-        """The latent-block passes of a sweep at ``block_len``: each nonempty
-        parity class of the anchored blocks of ``gamma_block_plan``, then
-        the terminal block. Built once per block length."""
+        """The latent-block passes of a sweep: each nonempty parity class of
+        the anchored blocks, then the terminal block. Built once per block
+        length.
+
+        Blocks span L = min(block_len, n) observation intervals. Anchored
+        blocks start at intervals 0, L - 1, 2 (L - 1), ... below n - L, so
+        adjacent blocks share one observation knot and every interior
+        observation knot is interior to some block; the terminal block, from
+        interval n - L, has a free Brownian end and resamples the last knot.
+        Alternate anchored blocks touch disjoint intervals, so each parity
+        class runs as one batched update. Blocks of one interval would pin
+        every interior observation knot, so they are allowed only when there
+        is a single interval.
+        """
         passes = self._block_passes.get(block_len)
         if passes is None:
-            plan = gamma_block_plan(self.n_intervals, min(block_len, self.n_intervals))
-            starts = np.array([f for f, _l, a in plan if a], dtype=int)
-            first, length, _ = plan[-1]
-            # Alternate blocks of the sliding schedule touch disjoint
-            # intervals, so each parity class runs as one batched update.
+            n = self.n_intervals
+            if block_len < min(2, n):
+                raise ValidationError(
+                    f"block length must be at least {min(2, n)}, got {block_len}")
+            length = min(block_len, n)
+            starts = np.arange(0, n - length, max(length - 1, 1))
             passes = tuple(latent_blocks(self, parity, length, True)
                            for parity in (starts[0::2], starts[1::2]) if parity.size)
-            passes += (latent_blocks(self, np.array([first]), length, False),)
+            passes += (latent_blocks(self, np.array([n - length]), length, False),)
             self._block_passes[block_len] = passes
         return passes
 
@@ -524,29 +533,6 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
 # Latent-path blocks
 
 
-def gamma_block_plan(n_intervals: int, block_len: int) -> list[tuple[int, int, bool]]:
-    """(first interval, length, anchored right) for one sweep.
-
-    Anchored blocks slide by block_len - 1 intervals, so adjacent blocks
-    share one observation knot region and every interior observation knot is
-    interior to some block; a terminal block with a free Brownian end covers
-    the final stretch and resamples the last knot. Blocks of one interval
-    would pin every interior observation knot, so they are allowed only when
-    there is a single interval.
-    """
-    if not min(2, n_intervals) <= block_len <= n_intervals:
-        raise ValidationError(
-            f"block length must lie in [{min(2, n_intervals)}, {n_intervals}], got {block_len}"
-        )
-    plan = []
-    j = 0
-    while j + block_len < n_intervals:
-        plan.append((j, block_len, True))
-        j += block_len - 1
-    plan.append((n_intervals - block_len, block_len, False))
-    return plan
-
-
 @dataclass(frozen=True)
 class LatentBlocks:
     """Disjoint latent blocks of ``length`` observation intervals, and what
@@ -671,37 +657,33 @@ def run_chain(
 ) -> Trace:
     """Run one chain on ``data`` (an object with .times and .values).
 
-    ``init_params`` is a dict of starting values, the string
-    "prior-midpoint", or None for the model defaults. Draws are recorded
-    after burn-in at the configured thinning; the log-likelihood column is
-    the augmented log likelihood (flat-prior constants excluded).
+    The data are checked as a ``Path`` before any sweep: equal lengths,
+    finite entries, strictly increasing times. ``init_params`` is a dict of
+    starting values, the string "prior-midpoint", or None for the model
+    defaults. Draws are recorded after burn-in at the configured thinning;
+    the log-likelihood column is the augmented log likelihood (flat-prior
+    constants excluded). ``acceptance`` counts the sweeps after burn-in.
     """
     prior = prior if prior is not None else PriorSpec.from_model(model)
-    times = np.asarray(data.times, dtype=float)
-    values = np.asarray(data.values, dtype=float)
-    if times.size < 2:
+    data = Path.from_arrays(data.times, data.values)
+    if len(data) < 2:
         raise ValidationError("need at least two observations")
-    if model.has_latent and config.block_len > times.size - 1:
+    if model.has_latent and config.block_len > len(data) - 1:
         raise ValidationError("block_len exceeds the number of observation intervals")
 
-    if init_params == "prior-midpoint":
-        params = model.make_params(prior.midpoint())
-    elif init_params is None:
-        params = model.make_params()
-    else:
-        params = model.make_params(dict(init_params))
+    params = model.make_params(prior.midpoint() if init_params == "prior-midpoint"
+                               else init_params)
     if not prior.in_support(params):
         raise ValidationError("initial parameters violate the prior support")
 
     rng = RandomStream(config.seed)
-    state = init_state(model, params, times, values, config.m, prior, config.fixed)
+    state = init_state(model, params, data.times, data.values, config.m, prior, config.fixed)
 
     unknown = sorted(set(config.rw_scales) - set(state.free_names))
     if unknown:
         raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in state.free_names}
-    tallies_burn: dict = {}
-    tallies_main: dict = {}
+    tallies: dict = {}
 
     n_rows = len(range(config.n_burn, config.n_iter, config.thin))
     draws = np.empty((n_rows, len(state.free_names)))
@@ -711,9 +693,7 @@ def run_chain(
     row = 0
     for it in range(config.n_iter):
         burning = it < config.n_burn
-        flags = sweep(
-            state, rng, scales, tallies_burn if burning else tallies_main, config.block_len
-        )
+        flags = sweep(state, rng, scales, None if burning else tallies, config.block_len)
         if burning and config.adapt:
             eta = (it + 1.0) ** -0.6
             for name, acc in flags.items():
@@ -731,17 +711,12 @@ def run_chain(
             iters[row] = it
             row += 1
 
-    tallies = tallies_main if tallies_main else tallies_burn
-    acceptance = {
-        name: (rec[0] / rec[1] if rec[1] else 0.0) for name, rec in tallies.items()
-    }
     return Trace(
         param_names=state.free_names,
         draws=draws,
         logliks=logliks,
         iters=iters,
-        acceptance=acceptance,
-        config=config,
+        acceptance={name: acc / att for name, (acc, att) in tallies.items()},
     )
 
 

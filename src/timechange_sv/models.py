@@ -60,11 +60,6 @@ REAL = ParamSupport()
 POSITIVE = ParamSupport(0.0)
 
 
-def interval(lo: float, hi: float) -> ParamSupport:
-    """The open interval (lo, hi) with finite ends."""
-    return ParamSupport(lo, hi)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Drift/volatility bundle plus transform hooks for one model.
@@ -158,7 +153,7 @@ def _make_ou_sv_leverage() -> ModelSpec:
             "kappa_alpha": POSITIVE,
             "mu_alpha": REAL,
             "sigma": POSITIVE,
-            "rho": interval(-1.0, 1.0),
+            "rho": ParamSupport(-1.0, 1.0),
             "alpha0": REAL,
         },
         defaults={
@@ -256,16 +251,17 @@ def _euler_rows(rows, drift, incs, dts, start=0) -> None:
         _euler_rows(rows, drift, incs, dts, i)
 
 
-def _euler_paths(
+def euler_simulate(
     model: ModelSpec,
     params: dict[str, float],
     x0: float,
     alpha0: float,
     grid: TimeGrid,
     rng: RandomStream,
-):
-    """Joint Euler scheme for one path from float starts; returns (X, alpha),
-    two (n_points,) arrays.
+) -> tuple[Path, Path]:
+    """Simulate a joint (observed, latent) skeleton on ``grid`` by the Euler
+    scheme; returns the two ``Path``s. For models without a latent diffusion
+    the second path is identically ``alpha0``.
 
     Random numbers: the noise of dB, then that of dW for latent models only,
     each n_points - 1 standard normals drawn from ``rng`` in one call. Entry
@@ -283,6 +279,7 @@ def _euler_paths(
     whole-array stages. A non-finite value persists along the path, so one
     check at the end raises ``ExplosionError`` at its first non-finite time.
     """
+    x0, alpha0 = float(x0), float(alpha0)
     if not all(math.isfinite(v) for v in params.values()):
         raise ValidationError("simulation parameters must be finite")
     rho = model.rho(params)
@@ -319,21 +316,4 @@ def _euler_paths(
     finite = np.isfinite(x) & np.isfinite(a)
     if not finite[-1]:
         raise ExplosionError(ts[int(np.argmin(finite))])
-    return x, a
-
-
-def euler_simulate(
-    model: ModelSpec,
-    params: dict[str, float],
-    x0: float,
-    alpha0: float,
-    grid: TimeGrid,
-    rng: RandomStream,
-) -> tuple[Path, Path]:
-    """Simulate a joint (observed, latent) skeleton on ``grid``.
-
-    For models without a latent diffusion the second path is identically
-    ``alpha0``.
-    """
-    x, a = _euler_paths(model, params, float(x0), float(alpha0), grid, rng)
     return Path(grid, x), Path(grid, a)

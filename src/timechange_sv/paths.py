@@ -2,7 +2,11 @@
 
 Paths are stored as explicit (times, values) pairs because the time-change
 maps act on the times directly; increments are always recomputed on demand.
-All stochastic integrals and time integrals use the left-point (Ito) rule.
+``Path`` is the package's one series type: the Euler simulator returns its
+skeletons as ``Path``s, and the CLI's data files and ``run_chain``'s data
+are checked as one (equal lengths, finite entries, strictly increasing
+times). All stochastic integrals and time integrals use the left-point
+(Ito) rule.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Path:
-    """A piecewise-linearly interpolated diffusion skeleton."""
+    """A piecewise-linearly interpolated diffusion skeleton, or a series of
+    observations: finite values, one per point of its ``TimeGrid``."""
 
     grid: TimeGrid
     values: np.ndarray

@@ -48,7 +48,7 @@ def decoupled_sv_model() -> ModelSpec:
     )
 
 
-# The per-step Euler loop that models._euler_paths replaced, its arithmetic
+# The per-step Euler loop that models.euler_simulate replaced, its arithmetic
 # kept verbatim as the oracle: the rewrite must match its paths bit for bit,
 # consume the same random numbers and raise ExplosionError at the same grid
 # time. It stores the paths time-major, so that a step writes one contiguous

@@ -11,7 +11,7 @@ import pytest
 import timechange_sv
 from timechange_sv import cli
 from timechange_sv.cli import main
-from timechange_sv.diagnostics import SummaryTable
+from timechange_sv.diagnostics import SUMMARY_COLUMNS
 from timechange_sv.errors import NumericsError, ValidationError
 
 from _support import set_cpus
@@ -55,7 +55,7 @@ class TestRoundTrip:
             same_seed = [(out / f"trace_chain{chain}.csv").read_bytes() for out in fits]
             assert same_seed[0] == same_seed[1]
         with open(fits[0] / "summary_chain0.csv", newline="") as fh:
-            assert tuple(next(csv.reader(fh))) == ("parameter", *SummaryTable.columns)
+            assert tuple(next(csv.reader(fh))) == ("parameter", *SUMMARY_COLUMNS)
         with open(fits[0] / "trace_chain0.csv") as fh:
             assert len(fh.readlines()) == 1 + 120
 
@@ -276,6 +276,23 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "spacin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        "0,0.1\n1,nan\n2,0.3\n",
+        "0,0.1\n1,0.3\ninf,0.2\n",
+        "0,0.1\n",
+    ], ids=["nan-value", "inf-time", "one-row"])
+    def test_unusable_data_rejected(self, tmp_path, capsys, rows):
+        data = tmp_path / "obs.csv"
+        data.write_text("time,value\n" + rows)
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10, "n_burn": 2},
+        })
+        argv = ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc", [
         5,
         {"model": "const-vol-scalar", "prior": {"sigma": 5}},
@@ -322,6 +339,12 @@ class TestExitCodes:
         {"model": "const-vol-scalar", "params": {"sigma": 10**400}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": 10**400}}},
+        # the spacing of value-only data, checked whatever the data file holds
+        {"model": "const-vol-scalar", "data_schema": {"spacing": "x"}},
+        {"model": "const-vol-scalar", "data_schema": {"spacing": [1]}},
+        {"model": "const-vol-scalar", "data_schema": {"spacing": True}},
+        {"model": "const-vol-scalar", "data_schema": {"spacing": -1}},
+        {"model": "const-vol-scalar", "data_schema": {"spacing": 0}},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
         if isinstance(doc, dict):

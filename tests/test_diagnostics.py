@@ -59,9 +59,10 @@ def test_summarize_matches_numpy():
     draws = RandomStream(8).normal((500, 2)) * [1.0, 3.0] + [0.0, 5.0]
     trace = Trace(
         param_names=("a", "b"), draws=draws, logliks=np.zeros(500),
-        iters=np.arange(500), acceptance={}, config=SamplerConfig(m=1, n_iter=2, n_burn=0),
+        iters=np.arange(500), acceptance={},
     )
     table = summarize(trace)
+    assert list(table) == ["a", "b"]
     for j, name in enumerate(("a", "b")):
         col = draws[:, j]
         expected = (np.mean(col), np.std(col, ddof=1), *np.percentile(col, [2.5, 50.0, 97.5]))

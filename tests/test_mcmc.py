@@ -14,6 +14,7 @@ import timechange_sv
 from timechange_sv.errors import ValidationError
 from timechange_sv.likelihood import log_end_gaussian
 from timechange_sv.mcmc import (
+    AugmentedState,
     PriorSpec,
     SamplerConfig,
     _gamma_anchored_pass,
@@ -22,7 +23,6 @@ from timechange_sv.mcmc import (
     _update_param,
     _update_z_rows,
     _windows,
-    gamma_block_plan,
     init_state,
     latent_blocks,
     run_chain,
@@ -324,33 +324,53 @@ class TestGammaWindows:
         assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
 
 
+def block_state(n, m=2):
+    """A state of ``n`` intervals with ``m`` imputed points each and no
+    cache, enough for its block passes."""
+    model = get_model("ou-sv-leverage")
+    return AugmentedState(model, model.make_params(), PriorSpec.from_model(model),
+                          np.arange(n + 1.0), np.zeros(n + 1), np.zeros(n), m)
+
+
 class TestBlockPlan:
+    """``AugmentedState.block_passes``: the latent-block schedule of a sweep."""
+
     @pytest.mark.parametrize("n,block_len", [(5, 2), (10, 3), (400, 10), (2, 2), (7, 7), (1, 1)])
     def test_every_interior_knot_is_interior_to_a_block(self, n, block_len):
-        plan = gamma_block_plan(n, block_len)
-        covered = set()
-        for first, length, anchored in plan:
-            if anchored:
-                covered.update(range(first + 1, first + length))
-            else:
-                covered.update(range(first + 1, first + length + 1))
-        assert covered == set(range(1, n + 1))
+        state = block_state(n)
+        passes = state.block_passes(block_len)
+        moved = set()  # the gamma_flat indices that some block resamples
+        for blocks in passes:
+            moved.update(blocks.seg[:, 1:-1 if blocks.anchored else None].ravel().tolist())
+        knots = state.m + 1
+        assert {k * knots for k in range(1, n + 1)} <= moved
+        terminal = passes[-1]
+        assert not terminal.anchored and terminal.seg[-1, -1] == n * knots
+        assert all(blocks.anchored for blocks in passes[:-1])
 
     def test_terminal_block_is_free(self):
-        plan = gamma_block_plan(8, 3)
-        assert plan[-1] == (5, 3, False)
-        assert all(anchored for _f, _l, anchored in plan[:-1])
+        state = block_state(8)
+        *anchored, terminal = state.block_passes(3)
+        assert (terminal.seg.shape[0], terminal.length, terminal.anchored) == (1, 3, False)
+        assert terminal.rows == slice(5, 8)
+        # anchored blocks from intervals 0, 2, 4, run as two parity classes
+        assert [(b.seg[:, 0] // 3).tolist() for b in anchored] == [[0, 4], [2]]
 
-    def test_block_longer_than_data_rejected(self):
-        with pytest.raises(ValidationError):
-            gamma_block_plan(3, 4)
+    @pytest.mark.parametrize("n,block_len", [(3, 4), (5, 9), (1, 2)])
+    def test_block_longer_than_data_gives_whole_data_blocks(self, n, block_len):
+        long, whole = block_state(n).block_passes(block_len), block_state(n).block_passes(n)
+        assert len(long) == len(whole)
+        for a, b in zip(long, whole):
+            assert (a.length, a.anchored, a.rows) == (b.length, b.anchored, b.rows)
+            for name in ("seg", "sqrt_steps", "frac", "windows"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_one_interval_blocks_rejected(self, n):
         # anchored at both observation knots, they would pin the latent path
         # at every interior observation knot
         with pytest.raises(ValidationError):
-            gamma_block_plan(n, 1)
+            block_state(n).block_passes(1)
 
 
 class TestDriftUpdate:
@@ -510,6 +530,21 @@ class TestRunChain:
         cfg = SamplerConfig(m=3, n_iter=5, n_burn=1, seed=1, block_len=2)
         with pytest.raises(ValidationError):
             run_chain(cfg, data, get_model("ou-sv-leverage"))
+
+    @pytest.mark.parametrize("times,values", [
+        ([0.0, 1.0, 2.0], [0.1, 0.2]),
+        ([0.0, 2.0, 1.0], [0.1, 0.2, 0.3]),
+        ([0.0, 1.0, 2.0], [0.1, np.nan, 0.3]),
+    ], ids=["lengths-differ", "unsorted-times", "nan-value"])
+    def test_bad_data_rejected_before_any_sweep(self, monkeypatch, times, values):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept on bad data")
+
+        monkeypatch.setattr(timechange_sv.mcmc, "sweep", no_sweep)
+        cfg = SamplerConfig(m=2, n_iter=5, n_burn=1, seed=1)
+        with pytest.raises(ValidationError):
+            run_chain(cfg, SimpleNamespace(times=times, values=values),
+                      get_model("ou-sv-leverage"))
 
     def test_block_len_must_fit_data(self):
         data = self._data(3)

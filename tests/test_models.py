@@ -15,10 +15,8 @@ from timechange_sv.models import (
     POSITIVE,
     REAL,
     ParamSupport,
-    _euler_paths,
     euler_simulate,
     get_model,
-    interval,
     model_names,
 )
 from timechange_sv.paths import RandomStream, TimeGrid
@@ -53,7 +51,7 @@ def assert_explodes_as_step_loop(model, x0, alpha0):
     with pytest.raises(ExplosionError) as ref:
         euler_paths_reference(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
     with pytest.raises(ExplosionError) as got:
-        _euler_paths(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
+        euler_simulate(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
     k = int(np.searchsorted(grid.times, ref.value.time))
     assert 1 < k < len(grid) - 1
     assert got.value.time == ref.value.time == grid.times[k]
@@ -90,7 +88,7 @@ class TestRegistry:
 
 
 SUPPORTS = [pytest.param(REAL, id="real"), pytest.param(POSITIVE, id="positive"),
-            pytest.param(interval(-1.0, 1.0), id="interval")]
+            pytest.param(ParamSupport(-1.0, 1.0), id="interval")]
 
 
 class TestParamSupport:
@@ -171,9 +169,9 @@ class TestEulerSimulate:
         model = get_model("ou-sv-leverage")
         params = {**model.make_params({"rho": 0.0}), "rho": rho}  # bypass support check
         grid = TimeGrid(np.linspace(0.0, 50.0, 50_001))
-        x, a = _euler_paths(model, params, 0.0, -0.2, grid, RandomStream(8))
-        dx = np.diff(x) / np.exp(0.5 * a[:-1])
-        da = np.diff(a) / params["sigma"]
+        x, a = euler_simulate(model, params, 0.0, -0.2, grid, RandomStream(8))
+        dx = np.diff(x.values) / np.exp(0.5 * a.values[:-1])
+        da = np.diff(a.values) / params["sigma"]
         corr = np.corrcoef(dx, da)[0, 1]
         assert corr == pytest.approx(rho, abs=0.02)
 
@@ -201,7 +199,7 @@ class TestEulerSimulate:
         model = get_model("ou-sv-leverage")
         grid = TimeGrid(np.linspace(0.0, 1.0, 11))
         with pytest.raises(ValidationError, match="start values"):
-            _euler_paths(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
+            euler_simulate(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
 
     @pytest.mark.parametrize("rho", [1.5, -1.0000001])
     def test_correlation_outside_unit_interval_rejected(self, rho):
@@ -249,24 +247,23 @@ def simulated_models():
 
 
 class TestEulerOracle:
-    """``_euler_paths`` against the per-step loop it replaced
+    """``euler_simulate`` against the per-step loop it replaced
     (``euler_paths_reference``): the same bits, the same random numbers."""
 
     @pytest.mark.parametrize("n_points", [300, 1], ids=["scalar", "scalar-one-point"])
     @pytest.mark.parametrize("model,updates", simulated_models())
     def test_bit_identical(self, model, updates, n_points):
-        # float starts, as euler_simulate passes them, step on Python floats;
-        # the loop takes them as a batch of one
+        # float starts step on Python floats; the loop takes them as a batch of one
         params = {**model.make_params(), **updates}  # rho = +-1 bypasses support
         x0 = np.log(10.0) if model.obs_transform else 0.1
         a0 = params["alpha0"] if "alpha0" in params else 0.0
         grid = uneven_grid(n_points)
         ref_rng, rng = RandomStream(9), RandomStream(9)
         want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
-        got = _euler_paths(model, params, x0, a0, grid, rng)
+        got = euler_simulate(model, params, x0, a0, grid, rng)
         for g, w in zip(got, want):
-            assert g.shape == (n_points,)
-            assert g.tobytes() == w[0].tobytes()
+            assert g.values.shape == (n_points,)
+            assert g.values.tobytes() == w[0].tobytes()
         assert rng.normal() == ref_rng.normal()
 
     @pytest.mark.parametrize("name,updates,x0,grid", [
@@ -320,13 +317,13 @@ class TestEulerOracle:
             with pytest.raises(ExplosionError) as want:
                 reference(model, params, x0, alpha0, grid, ref_rng)
             with pytest.raises(ExplosionError) as got:
-                _euler_paths(model, params, x0, alpha0, grid, rng)
+                euler_simulate(model, params, x0, alpha0, grid, rng)
             assert got.value.time == want.value.time
         else:
             want = reference(model, params, x0, alpha0, grid, ref_rng)
-            got = _euler_paths(model, params, x0, alpha0, grid, rng)
+            got = euler_simulate(model, params, x0, alpha0, grid, rng)
             for g, w in zip(got, want):
-                assert g.tobytes() == w[0].tobytes()
+                assert g.values.tobytes() == w[0].tobytes()
             assert rng.normal() == ref_rng.normal()
         assert raised
 
