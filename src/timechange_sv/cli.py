@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path as FilePath
@@ -28,66 +29,58 @@ from .models import ModelSpec, euler_simulate, get_model
 from .paths import Path, RandomStream, TimeGrid
 
 
-def ingest_csv(
-    path,
-    spacing: Optional[float] = None,
-    require_positive: bool = False,
-) -> Path:
-    """Read observations from CSV as a ``Path`` of at least two points.
-
-    With header ``time,value`` both columns are read; with header ``value``
-    a ``spacing`` must be configured and times become 0, spacing, 2*spacing,
-    ... Malformed rows are reported with their line numbers; ``Path`` rejects
-    non-finite times and values.
-    """
-    path = FilePath(path)
+def _read_csv(path: FilePath, what: str):
+    """Yield the header of a CSV file of numbers, then ``(line, floats)`` per
+    nonblank row. A missing or empty file raises ``ValidationError``, and so
+    does a row of the wrong width or with an unparseable or non-finite field,
+    as ``<file>:<line>:``."""
     if not path.exists():
-        raise ValidationError(f"data file not found: {path}")
+        raise ValidationError(f"{what} file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if header == ["time", "value"]:
-            has_time = True
-        elif header == ["value"]:
-            has_time = False
-            if spacing is None:
-                raise ValidationError(
-                    f"{path}: value-only data needs a configured observation spacing"
-                )
-        else:
-            raise ValidationError(
-                f"{path}: expected header 'time,value' or 'value', got {','.join(header)}"
-            )
-        times, values = [], []
-        prev_t = None
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        yield header
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
                 raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                if has_time:
-                    t = float(row[0])
-                    v = float(row[1])
-                else:
-                    t = spacing * len(values)
-                    v = float(row[0])
+                floats = [float(v) for v in row]
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: unparseable row {row!r}") from None
-            if prev_t is not None and t <= prev_t:
-                raise ValidationError(
-                    f"{path}:{lineno}: time {t} not greater than previous {prev_t}"
-                )
-            if require_positive and v <= 0.0:
-                raise ValidationError(
-                    f"{path}:{lineno}: value {v} must be positive for this model"
-                )
-            prev_t = t
-            times.append(t)
-            values.append(v)
+            if not all(map(math.isfinite, floats)):
+                raise ValidationError(f"{path}:{lineno}: non-finite entry in {row!r}")
+            yield lineno, floats
+
+
+def ingest_csv(path, spacing: Optional[float] = None, require_positive: bool = False) -> Path:
+    """Read observations from CSV as a ``Path`` of at least two points.
+
+    With header ``time,value`` both columns are read; with header ``value``
+    a ``spacing`` must be configured and times become 0, spacing, 2*spacing,
+    ... Malformed rows, non-finite entries among them, are reported with
+    their line numbers.
+    """
+    path = FilePath(path)
+    rows = _read_csv(path, "data")
+    header = [h.strip().lower() for h in next(rows)]
+    if header not in (["time", "value"], ["value"]):
+        raise ValidationError(
+            f"{path}: expected header 'time,value' or 'value', got {','.join(header)}")
+    if header == ["value"] and spacing is None:
+        raise ValidationError(f"{path}: value-only data needs a configured observation spacing")
+    times, values = [], []
+    for lineno, row in rows:
+        t, v = row if len(row) == 2 else (spacing * len(values), row[0])
+        if times and t <= times[-1]:
+            raise ValidationError(f"{path}:{lineno}: time {t} not greater than previous {times[-1]}")
+        if require_positive and v <= 0.0:
+            raise ValidationError(f"{path}:{lineno}: value {v} must be positive for this model")
+        times.append(t)
+        values.append(v)
     if len(times) < 2:
         raise ValidationError(f"{path}: need at least two observations")
     return Path.from_arrays(times, values)
@@ -202,26 +195,15 @@ def write_trace_csv(path, trace: Trace) -> None:
 def read_trace_csv(path):
     """Trace file back as (param_names, iters, draws, logliks)."""
     path = FilePath(path)
-    if not path.exists():
-        raise ValidationError(f"trace file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "iter" or header[-1] != "loglik" or len(header) < 3:
-            raise ValidationError(f"{path}: malformed trace header")
-        names = tuple(header[1:-1])
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: unparseable row") from None
-    if not rows:
+    rows = _read_csv(path, "trace")
+    header = next(rows)
+    if len(header) < 3 or header[0] != "iter" or header[-1] != "loglik":
+        raise ValidationError(f"{path}: malformed trace header")
+    draws = [row for _, row in rows]
+    if not draws:
         raise ValidationError(f"{path}: trace has no draws")
-    arr = np.asarray(rows)
-    return names, arr[:, 0].astype(int), arr[:, 1:-1], arr[:, -1]
+    arr = np.asarray(draws)
+    return tuple(header[1:-1]), arr[:, 0].astype(int), arr[:, 1:-1], arr[:, -1]
 
 
 def cmd_simulate(config: RunConfig, out_dir) -> dict:
@@ -287,11 +269,8 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     """
     model = config.model_spec()
     spacing = config.data_schema.get("spacing")
-    data = ingest_csv(
-        data_path,
-        spacing=float(spacing) if spacing is not None else None,
-        require_positive=model.obs_transform is not None,
-    )
+    data = ingest_csv(data_path, None if spacing is None else float(spacing),
+                      require_positive=model.obs_transform is not None)
     sampler = config.sampler_config()
     # a bad sampler or prior section fails before any output
     if len(range(sampler.n_burn, sampler.n_iter, sampler.thin)) < 2:

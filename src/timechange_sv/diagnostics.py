@@ -151,15 +151,17 @@ def simulate_discrete_skeleton(
     return x_values, gamma
 
 
+# each prior-recovery replication simulates GATE_N_OBS observation intervals
+# of length GATE_SPACING, starting from x = GATE_X0
+GATE_N_OBS, GATE_SPACING, GATE_X0 = 6, 1.0, 0.0
+
+
 def prior_recovery_test(
     model: ModelSpec,
     prior: PriorSpec,
     config: SamplerConfig,
     replications: int,
     seed: int,
-    n_obs: int = 6,
-    spacing: float = 1.0,
-    x0: float = 0.0,
     sweeps: int = 50,
     transition: Optional[Callable] = None,
 ) -> dict[str, float]:
@@ -181,14 +183,15 @@ def prior_recovery_test(
     from scipy import stats  # slow to import, and only this harness needs it
 
     free = [p for p in model.param_names if p not in config.fixed]
-    obs_times = spacing * np.arange(n_obs + 1)
+    obs_times = GATE_SPACING * np.arange(GATE_N_OBS + 1)
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in free}
     step = transition or (lambda state, rng: sweep(state, rng, scales, block_len=config.block_len))
 
     def replicate(k: int) -> list[float]:
         rng = RandomStream(seed, stream=k)
         theta = model.make_params(prior.sample(rng, free))
-        x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m, x0, rng)
+        x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m,
+                                                          GATE_X0, rng)
         state = state_from_skeleton(model, theta, obs_times, x_values, gamma_flat, prior,
                                     config.fixed)
         for _ in range(sweeps):

@@ -84,23 +84,24 @@ class PriorSpec:
         its parameter's support."""
         return all(lo < params[k] < hi for k, (lo, hi) in self.bounds.items())
 
-    def sample(self, rng: RandomStream, names: Iterable[str]) -> dict[str, float]:
-        """One prior draw of each of ``names``, one uniform each, in that order."""
+    def _finite(self, names: Iterable[str]) -> dict[str, tuple[float, float]]:
+        """The boxes of ``names``, which must all be finite."""
         bounds = {k: self.bounds[k] for k in names}
         improper = [k for k, (lo, hi) in bounds.items() if not math.isfinite(hi - lo)]
         if improper:
-            raise ValidationError(f"cannot sample from the improper prior of {improper}")
-        return {k: lo + (hi - lo) * float(rng.uniform()) for k, (lo, hi) in bounds.items()}
+            raise ValidationError(f"the prior of {improper} is improper: give it finite bounds")
+        return bounds
+
+    def sample(self, rng: RandomStream, names: Iterable[str]) -> dict[str, float]:
+        """One prior draw of each of ``names``, one uniform each, in that order."""
+        return {k: lo + (hi - lo) * float(rng.uniform())
+                for k, (lo, hi) in self._finite(names).items()}
 
     def midpoint(self) -> dict[str, float]:
-        if not all(math.isfinite(hi - lo) for lo, hi in self.bounds.values()):
-            raise ValidationError("prior midpoints need finite truncation bounds")
-        return {k: 0.5 * (lo + hi) for k, (lo, hi) in self.bounds.items()}
+        return {k: 0.5 * (lo + hi) for k, (lo, hi) in self._finite(self.bounds).items()}
 
     def cdf(self, name: str, x) -> np.ndarray:
-        lo, hi = self.bounds[name]
-        if not math.isfinite(hi - lo):
-            raise ValidationError(f"no finite prior cdf for {name}")
+        lo, hi = self._finite([name])[name]
         return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
@@ -218,7 +219,7 @@ class AugmentedState:
         self.x_steps = np.diff(self.x_knots, axis=1)
         self.gamma_flat = np.zeros(n * (self.m + 1) + 1)
         self.gamma_windows = _windows(self.gamma_flat, self.m)
-        self.cache: Optional[IntervalQuantities] = None  # set by _canonicalise
+        self.cache: Optional[IntervalQuantities] = None  # set by state_from_skeleton
         self._block_passes: dict[int, tuple[LatentBlocks, ...]] = {}
 
     # -- views ------------------------------------------------------------
@@ -318,29 +319,10 @@ def _windows(flat: np.ndarray, m: int) -> np.ndarray:
 def _transform_observations(model: ModelSpec, raw_values: np.ndarray):
     raw = np.asarray(raw_values, dtype=float)
     if model.obs_transform is None:
-        return raw.copy(), np.zeros(raw.size - 1)
+        return raw, np.zeros(raw.size - 1)
     y = np.asarray(model.obs_transform(raw), dtype=float)
     log_jac = np.asarray(model.obs_log_jacobian(raw[1:]), dtype=float)
     return y, log_jac
-
-
-def _canonicalise(state: AugmentedState, x_values: np.ndarray, what: str) -> AugmentedState:
-    """Fill the cache from an explicit (n, m+2) skeleton.
-
-    The doubly-warped coordinates are derived from the skeleton, then the
-    cache is re-derived from them, so that later engine passes reproduce it
-    bit for bit.
-    """
-    w = state.warps()
-    with np.errstate(all="ignore"):
-        u1 = (state.y[1:] - w.adj[:, -1])[:, None]
-        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
-                            state.y[:-1, None], u1)
-    q = state.quantities(z=z, warps=w)
-    if not q.finite():
-        raise ValidationError(f"{what} is non-finite")
-    state.cache = q
-    return state
 
 
 def init_state(
@@ -353,12 +335,11 @@ def init_state(
     fixed: Iterable[str] = (),
 ) -> AugmentedState:
     """Fresh state: latent path at zero, observed path on the data chords."""
-    model.validate(params)
     y, log_jac = _transform_observations(model, obs_values)
-    state = AugmentedState(model, params, prior, obs_times, y, log_jac, m, tuple(fixed))
-    frac = np.linspace(0.0, 1.0, m + 2)
-    x_values = y[:-1, None] + frac[None, :] * (y[1:] - y[:-1])[:, None]
-    return _canonicalise(state, x_values, "initial augmented posterior")
+    x_values = y[:-1, None] + np.linspace(0.0, 1.0, m + 2) * (y[1:] - y[:-1])[:, None]
+    x_values[:, -1] = y[1:]
+    return state_from_skeleton(model, params, obs_times, x_values,
+                               np.zeros((y.size - 1) * (m + 1) + 1), prior, fixed, log_jac)
 
 
 def state_from_skeleton(
@@ -374,23 +355,34 @@ def state_from_skeleton(
     """State whose paths reproduce an explicit skeleton exactly.
 
     ``x_values`` is (n, m+2) on the working coordinate with matching shared
-    observation knots; ``gamma_flat`` is the latent path at every knot.
+    observation knots; ``gamma_flat`` is the latent path at every knot. The
+    doubly-warped coordinates are derived from the skeleton, then the cache
+    is re-derived from them, so that later engine passes reproduce it bit
+    for bit.
     """
     model.validate(params)
     x_values = np.asarray(x_values, dtype=float)
     n, cols = x_values.shape
-    m = cols - 2
-    if not np.allclose(x_values[1:, 0], x_values[:-1, -1], rtol=0, atol=0):
+    # equal NaNs pass here: a NaN observation is the non-finite check's below
+    if not np.array_equal(x_values[1:, 0], x_values[:-1, -1], equal_nan=True):
         raise ValidationError("interval skeletons disagree at shared observation knots")
     y = np.concatenate((x_values[:, 0], x_values[-1:, -1]))
-    jac = np.zeros(n) if log_jac is None else np.asarray(log_jac, dtype=float)
-    state = AugmentedState(model, params, prior, obs_times, y, jac, m, tuple(fixed))
+    jac = np.zeros(n) if log_jac is None else log_jac
+    state = AugmentedState(model, params, prior, obs_times, y, jac, cols - 2, tuple(fixed))
     if np.shape(gamma_flat) != state.gamma_flat.shape:
         raise ValidationError("latent path length does not match the knot grid")
     if gamma_flat[0] != 0.0:
         raise ValidationError("latent path must start at zero")
     state.gamma_flat[:] = gamma_flat
-    return _canonicalise(state, x_values, "augmented posterior of this skeleton")
+    w = state.warps()
+    with np.errstate(all="ignore"):
+        u1 = (y[1:] - w.adj[:, -1])[:, None]
+        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
+                            y[:-1, None], u1)
+    state.cache = state.quantities(z=z, warps=w)
+    if not state.cache.finite():
+        raise ValidationError("initial augmented posterior is non-finite")
+    return state
 
 
 # ---------------------------------------------------------------------------

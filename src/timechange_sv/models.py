@@ -82,7 +82,6 @@ class ModelSpec:
     defaults: dict[str, float]
     drift_x: Callable
     vol_x: Callable
-    has_latent: bool = True
     drift_alpha: Optional[Callable] = None
     vol_alpha: Optional[Callable] = None  # (params) -> float, constant in alpha
     leverage: Optional[str] = None  # name of the correlation parameter
@@ -107,6 +106,11 @@ class ModelSpec:
         for k in self.param_names:
             if not self.supports[k].contains(params[k]):
                 raise ValidationError(f"parameter {k}={params[k]} outside its support")
+
+    @property
+    def has_latent(self) -> bool:
+        """Whether there is a latent diffusion: there is one when it has a drift."""
+        return self.drift_alpha is not None
 
     def latent_scale(self, params: dict[str, float]) -> float:
         """Constant volatility of the latent diffusion."""
@@ -136,7 +140,6 @@ def _make_const_vol_scalar() -> ModelSpec:
         defaults={"theta": 0.0, "sigma": 1.0},
         drift_x=lambda t, x, a, p: p["theta"] + np.zeros_like(x),
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
-        has_latent=False,
         timescale_params=("sigma",),
     )
 
@@ -167,7 +170,6 @@ def _make_ou_sv_leverage() -> ModelSpec:
         },
         drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - x),
         vol_x=lambda a, p: np.exp(0.5 * a),
-        has_latent=True,
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - a),
         vol_alpha=lambda p: p["sigma"],
         leverage="rho",
@@ -202,7 +204,6 @@ def _make_tbill_logsv() -> ModelSpec:
         },
         drift_x=lambda t, x, a, p: p["theta0"] * np.exp(-x) - p["theta1"] - 0.5 * np.exp(a),
         vol_x=lambda a, p: np.exp(0.5 * a),
-        has_latent=True,
         drift_alpha=lambda a, p: p["kappa"] * (p["mu"] - a),
         vol_alpha=lambda p: p["sigma"],
         obs_transform=np.log,

@@ -91,9 +91,7 @@ def refine_rows(
     the same step takes t_c - t = span = 1 and v_c = 0, which is
     v_l + sqrt(t - t_l) z bit for bit (a v_l of -0.0 adds as +0.0).
     """
-    one_row = np.ndim(stored_times) == 1
-    S, V, Tn = (np.atleast_2d(np.asarray(a, dtype=float))
-                for a in (stored_times, stored_values, new_times))
+    S, V, Tn = (np.asarray(a, dtype=float) for a in (stored_times, stored_values, new_times))
     n, k = S.shape
     j = Tn.shape[1]
     # flat index of each new time's left knot: its merged position, less the
@@ -108,7 +106,7 @@ def refine_rows(
     out = Vf[at]
     todo = Sf[at] != Tn
     if not todo.any():
-        return out[0] if one_row else out
+        return out
     # rank >= 1: the new time before it is pending in the same bracket. A run
     # of them has consecutive flat indices and ranks 1, 2, ...; rank 0 keeps
     # its row-major order and only the later times are sorted by rank.
@@ -150,4 +148,4 @@ def refine_rows(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         s = slice(lo, hi)
         flat[fi[s]] = (pull[s] + d_c[s] * flat[src[s]]) / span[s] + noise[s]
-    return out[0] if one_row else out
+    return out

@@ -19,7 +19,6 @@ def scalar_ou_model(kappa=1.5, mu=0.3, sigma=0.8) -> ModelSpec:
         defaults={"kappa": kappa, "mu": mu, "sigma": sigma},
         drift_x=lambda t, x, a, p: p["kappa"] * (p["mu"] - np.asarray(x, dtype=float)),
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
-        has_latent=False,
         timescale_params=("sigma",),
     )
 
@@ -40,7 +39,6 @@ def decoupled_sv_model() -> ModelSpec:
         },
         drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - np.asarray(x, dtype=float)),
         vol_x=lambda a, p: np.ones(np.shape(a)),
-        has_latent=True,
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - np.asarray(a, dtype=float)),
         vol_alpha=lambda p: p["sigma"],
         timescale_params=("sigma", "alpha0"),
@@ -213,8 +211,6 @@ def refine_rows_reference(
     S = np.asarray(stored_times, dtype=float)
     V = np.asarray(stored_values, dtype=float)
     Tn = np.asarray(new_times, dtype=float)
-    if S.ndim == 1:
-        S, V, Tn = S[None, :], V[None, :], Tn[None, :]
     n, k = S.shape
     j = Tn.shape[1]
 
@@ -229,7 +225,7 @@ def refine_rows_reference(
 
     todo = ~hit
     if not todo.any():
-        return out if stored_times.ndim > 1 else out[0]
+        return out
 
     # Left stored bracket index for every new time (greatest stored <= t).
     left = (Tn[:, :, None] >= S[:, None, :]).sum(axis=2) - 1
@@ -271,4 +267,4 @@ def refine_rows_reference(
         prev_t[ri, ci] = t_b
         prev_v[ri, ci] = draw
 
-    return out if stored_times.ndim > 1 else out[0]
+    return out

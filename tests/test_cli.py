@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,7 +253,10 @@ class TestExitCodes:
         ([0.1 * (i % 7) for i in range(50)], "at least 100 points"),
         # acf fails on the second column, after the first one's rows
         ([0.5] * 200, "zero variance"),
-    ], ids=["short", "constant"])
+        # the header is line 1, so draw i is on line i + 2
+        ([math.nan if i == 60 else 0.1 * (i % 7) for i in range(150)],
+         "trace.csv:62: non-finite"),
+    ], ids=["short", "constant", "nan-draw"])
     def test_diagnose_failure_leaves_no_output(self, tmp_path, capsys, column, message):
         trace = tmp_path / "trace.csv"
         trace.write_text("iter,theta,sigma,loglik\n" + "".join(
@@ -276,12 +280,14 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "spacin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", [
-        "0,0.1\n1,nan\n2,0.3\n",
-        "0,0.1\n1,0.3\ninf,0.2\n",
-        "0,0.1\n",
-    ], ids=["nan-value", "inf-time", "one-row"])
-    def test_unusable_data_rejected(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("rows,line", [
+        ("0,0.1\n1,nan\n2,0.3\n", 3),
+        ("0,0.1\n1,0.3\ninf,0.2\n", 4),
+        # a NaN time would pass the ordering check: every comparison is false
+        ("0,0.1\nnan,0.3\n2,0.2\n", 3),
+        ("0,0.1\n", None),
+    ], ids=["nan-value", "inf-time", "nan-time", "one-row"])
+    def test_unusable_data_rejected(self, tmp_path, capsys, rows, line):
         data = tmp_path / "obs.csv"
         data.write_text("time,value\n" + rows)
         cfg = write_config(tmp_path / "config.json", {
@@ -291,7 +297,25 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        where = f"{data}: need at least two" if line is None else f"{data}:{line}: non-finite"
+        assert where in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", ": empty file"),
+        ("iter,theta,loglik\n", ": trace has no draws"),
+        ("iter,theta\n0,0.5\n", ": malformed trace header"),
+        ("iter,theta,loglik\n0,0.5\n", ":2: expected 3 fields"),
+        ("iter,theta,loglik\n0,0.5,-1.0\n1,x,-1.0\n", ":3: unparseable"),
+    ], ids=["empty", "no-draws", "header", "width", "unparseable"])
+    def test_malformed_trace_rejected(self, tmp_path, capsys, text, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        argv = ["diagnose", "--trace", str(trace), "--out", str(tmp_path / "diag")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{trace}{message}" in err
+        assert not (tmp_path / "diag").exists()
 
     @pytest.mark.parametrize("doc", [
         5,
@@ -355,6 +379,18 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    # data and trace files go through one reader, which skips blank lines
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iter,theta,loglik\n0,0.5,-1.0\n\n1,0.25,-2.0\n\n")
+    names, iters, draws, logliks = cli.read_trace_csv(trace)
+    assert names == ("theta",) and iters.tolist() == [0, 1]
+    assert draws.tolist() == [[0.5], [0.25]] and logliks.tolist() == [-1.0, -2.0]
+    data = tmp_path / "obs.csv"
+    data.write_text("time,value\n0,0.1\n\n1,0.3\n")
+    assert cli.ingest_csv(data).values.tolist() == [0.1, 0.3]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -638,8 +638,8 @@ class TestRefinementInvariance:
             for it in range(4200):
                 sweep(state, rng, scales, block_len=1)
                 if refine:
-                    new_times = state.cache.z_times[0, -1] * np.array([1.1, 2.0])
-                    refine_rows(state.cache.z_times[0], state.cache.z[0], new_times, rng)
+                    new_times = state.cache.z_times[:1, -1:] * np.array([1.1, 2.0])
+                    refine_rows(state.cache.z_times[:1], state.cache.z[:1], new_times, rng)
                 if it >= 200 and it % 40 == 0:
                     out.append(state.params["sigma"])
             return np.asarray(out)

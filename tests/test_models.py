@@ -37,7 +37,6 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
         name="blowup", param_names=("c",), supports={"c": REAL}, defaults={"c": 1.0},
         drift_x=drift_x or (lambda t, x, a, p: np.zeros(np.shape(x))),
         vol_x=vol_x or (lambda a, p: np.ones(np.shape(a))),
-        has_latent=drift_alpha is not None,
         drift_alpha=drift_alpha,
         vol_alpha=lambda p: 0.1,
     )

@@ -182,13 +182,14 @@ class TestRefineRetrospective:
         first is past the only stored knot, so each draw is an increment."""
         rng = RandomStream(seed)
         times = np.concatenate(([0.0], np.cumsum(rng.uniform(n - 1) + 0.05)))
-        return times, np.concatenate(([0.0], refine_rows(times[:1], [0.0], times[1:], rng)))
+        first = refine_rows(times[None, :1], [[0.0]], times[None, 1:], rng)[0]
+        return times, np.concatenate(([0.0], first))
 
     def test_subset_is_identity_no_randomness(self):
         zt, zv = self._zpath()
         rng = RandomStream(1)
         before = rng._gen.bit_generator.state
-        out = refine_rows(zt, zv, zt[[1, 3]], rng)
+        out = refine_rows(zt[None], zv[None], zt[None, [1, 3]], rng)[0]
         assert np.array_equal(out, zv[[1, 3]])
         assert rng._gen.bit_generator.state == before
 
@@ -209,7 +210,7 @@ class TestRefineRetrospective:
         rng = RandomStream(2)
         new_times = np.concatenate((zt[:-1] + 1e-3, [zt[-1] + 5.0]))
         requested = np.sort(np.concatenate((zt, new_times)))
-        out = refine_rows(zt, zv, requested, rng)
+        out = refine_rows(zt[None], zv[None], requested[None], rng)[0]
         assert np.array_equal(out[np.isin(requested, zt)], zv)
 
     def test_extension_beyond_last_is_brownian(self):
@@ -222,11 +223,11 @@ class TestRefineRetrospective:
     def test_multiple_points_in_one_bracket_joint_law(self):
         # two new points in a single bracket: the pair must have the joint
         # bridge covariance, not independent marginals
-        zt, zv = np.array([0.0, 3.0]), np.array([0.0, 0.0])
+        zt, zv = np.array([[0.0, 3.0]]), np.array([[0.0, 0.0]])
         rng = RandomStream(13)
         pair = np.empty((60_000, 2))
         for i in range(pair.shape[0]):
-            pair[i] = refine_rows(zt, zv, np.array([1.0, 2.0]), rng)
+            pair[i] = refine_rows(zt, zv, np.array([[1.0, 2.0]]), rng)[0]
         cov = np.cov(pair.T)
         # bridge on [0,3] pinned at 0: Cov(s,t) = s(3-t)/3
         th = np.array([[1.0 * 2.0 / 3.0, 1.0 * 1.0 / 3.0], [1.0 / 3.0, 2.0 * 1.0 / 3.0]])
@@ -235,7 +236,7 @@ class TestRefineRetrospective:
     def test_rejects_negative_times(self):
         zt, zv = self._zpath()
         with pytest.raises(ValidationError):
-            refine_rows(zt, zv, np.array([-0.5]), RandomStream(0))
+            refine_rows(zt[None], zv[None], np.array([[-0.5]]), RandomStream(0))
 
 
 # -- inverse-pair property tests (randomised) --------------------------------
@@ -365,15 +366,13 @@ def refine_cases(draw):
     values = draw(st.lists(finite_vals, min_size=n * k, max_size=n * k))
     S, Tn = stored * 0.125 * scale, new * 0.125 * scale
     V = np.reshape(values, (n, k))
-    if n == 1 and draw(st.booleans()):
-        return S[0], V[0], Tn[0]
     return S, V, Tn
 
 
 @given(refine_cases(), st.integers(0, 2**32 - 1))
 @example(  # four new times in one bracket, the first after an exact hit
-    (np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, -1.0]),
-     np.array([1.0, 1.25, 1.5, 1.5, 2.75, 3.0, 4.0, 5.0])), 3)
+    (np.array([[0.0, 1.0, 3.0]]), np.array([[0.0, 2.0, -1.0]]),
+     np.array([[1.0, 1.25, 1.5, 1.5, 2.75, 3.0, 4.0, 5.0]])), 3)
 @example(  # a hit between pending times, several rows
     (np.array([[0.0, 2.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, -1.0]]),
      np.array([[0.5, 2.0, 2.5], [0.25, 0.5, 1.0]])), 4)
@@ -384,8 +383,8 @@ def refine_cases(draw):
                [2.0, 2.5, 3.0, 3.5, 5.0, 6.0, 7.0],
                [0.5, 0.75, 1.0, 1.25, 1.75, 2.0, 2.25]])), 5)
 @example(  # a new time repeated at rank 1 and 2 in a bracket, and at rank 1 past it
-    (np.array([0.0, 2.0]), np.array([0.0, 1.0]),
-     np.array([0.5, 1.0, 1.0, 1.0, 1.5, 3.0, 3.0, 3.25])), 6)
+    (np.array([[0.0, 2.0]]), np.array([[0.0, 1.0]]),
+     np.array([[0.5, 1.0, 1.0, 1.0, 1.5, 3.0, 3.0, 3.25]])), 6)
 @settings(max_examples=300, deadline=None)
 def test_refine_rows_matches_reference(case, seed):
     S, V, Tn = case
