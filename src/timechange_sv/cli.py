@@ -75,6 +75,8 @@ def ingest_csv(path, spacing: Optional[float] = None, require_positive: bool = F
     times, values = [], []
     for lineno, row in rows:
         t, v = row if len(row) == 2 else (spacing * len(values), row[0])
+        if not math.isfinite(t):
+            raise ValidationError(f"{path}:{lineno}: time {t} is not finite")
         if times and t <= times[-1]:
             raise ValidationError(f"{path}:{lineno}: time {t} not greater than previous {times[-1]}")
         if require_positive and v <= 0.0:

@@ -19,8 +19,8 @@ from .mcmc import (
     state_from_skeleton,
     sweep,
 )
-from .models import ModelSpec
-from .paths import RandomStream
+from .models import ModelSpec, euler_simulate
+from .paths import RandomStream, TimeGrid
 
 _KDE_CELLS = 1 << 14
 
@@ -102,53 +102,18 @@ def kde_export(series, grid_points: int = 256) -> np.ndarray:
 # Sampler validation: joint-distribution (prior recovery) testing
 
 
-def simulate_discrete_skeleton(
-    model: ModelSpec,
-    params,
-    obs_times: np.ndarray,
-    m: int,
-    x0: float,
-    rng: RandomStream,
-):
-    """Simulate (x_values, gamma_flat) from the sampler's own discrete model.
-
-    The latent path advances with locally-Gaussian unit-diffusion steps; the
-    observed path conditional on it uses the same left-point scheme the
-    likelihood engine integrates, including the leverage coupling through
-    the latent increments. Sampling from exactly this joint makes prior
-    recovery an exact test of the transition kernels.
-    """
-    knots = _flat_knots(np.asarray(obs_times, dtype=float), m)
-    dt = np.diff(knots)
-    n_steps = dt.size
-
-    gamma = np.zeros(knots.size)
-    x = np.empty(knots.size)
-    x[0] = x0
-    rho = model.rho(params)
-    lev_sd = math.sqrt(1.0 - rho * rho)
-    eps_g = rng.normal(n_steps) if model.has_latent else None
-    eps_x = rng.normal(n_steps)
-    scale = model.latent_scale(params) if model.has_latent else 0.0
-
-    for i in range(n_steps):
-        if model.has_latent:
-            alpha_i = params["alpha0"] + scale * gamma[i]
-            d = float(model.drift_alpha(alpha_i, params)) / scale
-            dgam = d * dt[i] + math.sqrt(dt[i]) * eps_g[i]
-            gamma[i + 1] = gamma[i] + dgam
-        else:
-            alpha_i = 0.0
-            dgam = 0.0
-        sx = float(model.vol_x(alpha_i, params))
-        mx = float(model.drift_x(knots[i], x[i], alpha_i, params))
-        x[i + 1] = (
-            x[i] + mx * dt[i] + rho * sx * dgam
-            + lev_sd * sx * math.sqrt(dt[i]) * eps_x[i]
-        )
-
-    x_values = _windows(x, m).copy()
-    return x_values, gamma
+def simulate_discrete_skeleton(model: ModelSpec, params, obs_times: np.ndarray, m: int,
+                               x0: float, rng: RandomStream):
+    """Simulate (x_values, gamma_flat) on the sampler's knots by ``euler_simulate``:
+    the engine's densities are those of this Euler scheme on the knots (X coupled
+    to the latent noise dW), so prior recovery on these data is an exact test of
+    the transition kernels."""
+    grid = TimeGrid(_flat_knots(np.asarray(obs_times, dtype=float), m))
+    alpha0 = params.get("alpha0", 0.0)
+    x, alpha = euler_simulate(model, params, x0, alpha0, grid, rng)
+    gamma = ((alpha.values - alpha0) / model.latent_scale(params) if model.has_latent
+             else np.zeros(len(grid)))
+    return _windows(x.values, m), gamma
 
 
 # each prior-recovery replication simulates GATE_N_OBS observation intervals
@@ -168,7 +133,7 @@ def prior_recovery_test(
     """Joint-distribution validation of the Gibbs kernels.
 
     Each replication draws parameters from the (proper) prior, simulates
-    data and latents from the sampler's discrete model, runs ``sweeps`` full
+    data and latents by Euler on the sampler's knots, runs ``sweeps`` full
     sweeps, and retains the final parameters. If every kernel preserves the
     augmented posterior, the retained parameters are prior draws; returned
     are per-parameter Kolmogorov-Smirnov p-values against the prior.

@@ -26,7 +26,8 @@ the rest, which equal those of a fresh pass:
   its endpoint and latent terms do not read the interior path values;
 * a drift move of the observed path runs ``log_g_term`` alone, on the
   cached warps and paths; a move of a latent-drift parameter (the model's
-  ``latent_drift_params``) runs ``log_gamma_term`` alone;
+  ``latent_drift_params``) runs ``log_gamma_term``, and with leverage
+  ``log_g_term`` too, since U's drift then holds the latent drift;
 * time-scale moves and latent blocks run the warp stage once for the new
   doubly-warped times, refine, then hand those warps to
   ``interval_quantities``, which runs the path and density stages on them.
@@ -134,12 +135,16 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
 
 
 def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float], x_knots):
-    """Girsanov term of the paths of ``q`` under ``params``, per interval."""
+    """Girsanov term of the paths of ``q`` under ``params``, per interval; with
+    leverage U drifts at drift_x - rho * vol_x * (gamma's drift)."""
     x_knots = np.asarray(x_knots, dtype=float)
+    alpha = q.alpha[:, :-1]
     with np.errstate(all="ignore"):
-        drift = np.asarray(
-            model.drift_x(x_knots[:, :-1], q.X[:, :-1], q.alpha[:, :-1], params), dtype=float
-        )
+        drift = np.asarray(model.drift_x(x_knots[:, :-1], q.X[:, :-1], alpha, params), dtype=float)
+        rho = model.rho(params)
+        if rho != 0.0 and model.has_latent:
+            sx = model.vol_x(alpha, params)
+            drift = drift - rho * sx * unit_latent_drift(model, params, alpha)
         return girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
 
 

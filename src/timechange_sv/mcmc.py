@@ -18,8 +18,8 @@ move that warps time, a time-scale parameter or a latent block, proposes
 through ``_warped_proposal``: it draws the path values at the new warped
 times retrospectively, conditional on the stored knots. Every Metropolis
 ratio comes from ``_log_ratio``, over the density terms the move
-recomputes: the path move and a drift move recompute one term each
-(``likelihood`` says which) and keep the cached bits of the others.
+recomputes: the path move and a drift move recompute only the terms they
+move (``likelihood`` says which) and keep the cached bits of the others.
 Rejected proposals leave the state bit-identical. Only the m+2 knots per
 interval are ever persisted; finer retrospective draws are transient.
 
@@ -302,14 +302,9 @@ class AugmentedState:
 
 
 def _flat_knots(obs_times: np.ndarray, m: int) -> np.ndarray:
-    n = obs_times.size - 1
-    out = np.empty(n * (m + 1) + 1)
-    for k in range(n):
-        out[k * (m + 1): (k + 1) * (m + 1)] = np.linspace(
-            obs_times[k], obs_times[k + 1], m + 2
-        )[:-1]
-    out[-1] = obs_times[-1]
-    return out
+    """m evenly spaced knots inside each observation interval, and the observation times."""
+    return np.append(np.linspace(obs_times[:-1], obs_times[1:], m + 2, axis=1)[:, :-1],
+                     obs_times[-1])
 
 
 def _windows(flat: np.ndarray, m: int) -> np.ndarray:
@@ -320,6 +315,9 @@ def _transform_observations(model: ModelSpec, raw_values: np.ndarray):
     raw = np.asarray(raw_values, dtype=float)
     if model.obs_transform is None:
         return raw, np.zeros(raw.size - 1)
+    if not (raw > 0.0).all():  # checked before any log; a NaN fails too
+        i = int(np.argmin(raw > 0.0))
+        raise ValidationError(f"observation {i} is {raw[i]}: {model.name} needs positive values")
     y = np.asarray(model.obs_transform(raw), dtype=float)
     log_jac = np.asarray(model.obs_log_jacobian(raw[1:]), dtype=float)
     return y, log_jac
@@ -493,9 +491,9 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
 
     A parameter that deforms the warped time scales proposes through
     ``_warped_proposal``. A drift parameter reuses the cached warps and
-    paths and recomputes its one density term: ``log_gamma`` for the
-    model's latent-drift parameters, ``log_g`` for the others. An accepted
-    proposal becomes the cache.
+    paths and recomputes only the density terms it moves: ``log_gamma`` for
+    the model's latent-drift parameters, and ``log_g`` for the others and,
+    with leverage, for those too. An accepted proposal becomes the cache.
     """
     params, log_jac = _propose_param(state, name, scale, rng)
     if params is None:
@@ -504,16 +502,16 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
         q, log_ratio = _warped_proposal(state, rng, slice(None), params=params)
     else:
         cache = state.cache
-        if name in state.model.latent_drift_params:
-            term = "log_gamma"
-            value = log_gamma_term(state.model, params, cache.alpha, state.gamma_windows,
-                                   state.x_steps)
-        else:
-            term = "log_g"
-            value = log_g_term(cache, state.model, params, state.x_knots)
+        latent = name in state.model.latent_drift_params
+        terms = {}
+        if not latent or state.model.rho(params) != 0.0:
+            terms["log_g"] = log_g_term(cache, state.model, params, state.x_knots)
+        if latent:
+            terms["log_gamma"] = log_gamma_term(state.model, params, cache.alpha,
+                                                state.gamma_windows, state.x_steps)
         # the proposal shares every other array with the cache
-        q = IntervalQuantities(**{**vars(cache), term: value})
-        log_ratio = _log_ratio({term: value}, cache, slice(None))
+        q = IntervalQuantities(**{**vars(cache), **terms})
+        log_ratio = _log_ratio(terms, cache, slice(None))
     if not _accept_scalar(log_ratio.sum(keepdims=True) + log_jac, rng)[0]:
         return False
     state.params = params

@@ -89,8 +89,8 @@ class ModelSpec:
     obs_transform_inv: Optional[Callable] = None
     obs_log_jacobian: Optional[Callable] = None  # log|d transform / d y|
     # parameters that deform the warped time scales, and the drift parameters
-    # of the latent diffusion alone; any other parameter is a drift
-    # parameter of the observed diffusion
+    # of the latent diffusion (with leverage the observed path's density reads
+    # them too); any other parameter is a drift parameter of the observed one
     timescale_params: tuple[str, ...] = ()
     latent_drift_params: tuple[str, ...] = ()
 

@@ -301,6 +301,22 @@ class TestExitCodes:
         assert where in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_spacing_rejected(self, tmp_path, capsys):
+        # value-only times are spacing * k; one that overflows is named with
+        # its line, not left for the time grid to report without it
+        data = tmp_path / "obs.csv"
+        data.write_text("value\n0.1\n0.3\n0.2\n")
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar", "data_schema": {"spacing": 1e308},
+            "sampler": {"m": 2, "n_iter": 10, "n_burn": 2},
+        })
+        argv = ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{data}:4: time inf is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text,message", [
         ("", ": empty file"),
         ("iter,theta,loglik\n", ": trace has no draws"),

@@ -363,6 +363,16 @@ class TestReparametrisationInvariance:
 WARP_FIELDS = ("alpha", "veff2", "u", "adj", "z_times")
 
 
+def drift_params(model):
+    return [p for p in model.param_names if p not in model.timescale_params]
+
+
+def moved_params(model, params, p, step=0.7):
+    """``params`` with ``p`` moved by ``step`` on its unconstrained scale."""
+    sup = model.supports[p]
+    return {**params, p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + step)}
+
+
 def _skeleton_state(name, seed=8):
     """A state of model ``name`` on a simulated skeleton (nonzero latent path)."""
     model = get_model(name)
@@ -391,22 +401,22 @@ class TestEngineStages:
             assert np.array_equal(getattr(given, f.name), getattr(full, f.name)), f.name
 
     def test_drift_parameters_move_only_their_term(self, name):
-        # a drift move recomputes one density term and keeps the cached bits
-        # of the others: a latent-drift parameter must be listed in
-        # latent_drift_params, and every other drift parameter moves log_g
+        # a drift move recomputes only the density terms it moves and keeps
+        # the cached bits of the others: a latent-drift parameter must be
+        # listed in latent_drift_params and moves log_gamma, and with
+        # leverage log_g too (U's drift holds the latent drift); every other
+        # drift parameter moves log_g alone
         model, params, state = _skeleton_state(name)
         grid = (state.x_knots, state.x_steps, state.gamma_windows, state.y[:-1])
         before = density_stage(state.cache, model, params, *grid)
-        for p in model.param_names:
-            if p in model.timescale_params:
-                continue
-            sup = model.supports[p]
-            moved = {**params, p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)}
-            after = density_stage(state.cache, model, moved, *grid)
-            declared = "log_gamma" if p in model.latent_drift_params else "log_g"
+        for p in drift_params(model):
+            after = density_stage(state.cache, model, moved_params(model, params, p), *grid)
+            declared = {"log_g"}
+            if p in model.latent_drift_params:
+                declared = {"log_gamma"} | ({"log_g"} if model.rho(params) != 0.0 else set())
             for term in ("log_g", "log_f", "log_gamma"):
                 same = np.array_equal(getattr(after, term), getattr(before, term))
-                assert same == (term != declared), (p, term)
+                assert same == (term not in declared), (p, term)
 
     def test_only_timescale_parameters_move_the_warps(self, name):
         # drift moves reuse the cached warps: a parameter that moves them
@@ -414,8 +424,28 @@ class TestEngineStages:
         model, params, state = _skeleton_state(name)
         before = warp_stage(model, params, state.x_steps, state.gamma_windows)
         for p in model.param_names:
-            sup = model.supports[p]
-            moved = {**params, p: sup.from_unconstrained(sup.to_unconstrained(params[p]) + 0.7)}
-            after = warp_stage(model, moved, state.x_steps, state.gamma_windows)
+            after = warp_stage(model, moved_params(model, params, p), state.x_steps,
+                               state.gamma_windows)
             same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
             assert same == (p not in model.timescale_params), p
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in model_names()
+                                    for p in drift_params(get_model(name))])
+def test_drift_moves_match_the_euler_oracle(name, p):
+    # the engine scores the Euler scheme on the knots, the one that
+    # simulate_discrete_skeleton draws from: moving a drift parameter changes
+    # the augmented log likelihood by exactly the change of the Euler
+    # transition density, leverage included (X couples to dW, not dgamma)
+    model, params, state = _skeleton_state(name, seed=3)
+    moved = moved_params(model, params, p)
+    grid = TimeGrid(state.x_flat)
+    x = Path(grid, np.append(state.cache.X[:, :-1].ravel(), state.cache.X[-1, -1]))
+    alpha = Path(grid, model.latent_values(state.gamma_flat, params) if model.has_latent
+                 else np.zeros(len(grid)))
+    moved_q = density_stage(state.cache, model, moved, state.x_knots, state.x_steps,
+                            state.gamma_windows, state.y[:-1])
+    engine = state.log_likelihood(moved_q) - state.log_likelihood()
+    euler = euler_loglik(x, alpha, moved, model) - euler_loglik(x, alpha, params, model)
+    assert engine != 0.0
+    assert engine == pytest.approx(euler, rel=1e-9)

@@ -435,7 +435,7 @@ class TestDriftUpdate:
 
 
 def skeleton_data(model, n_obs, seed):
-    """Observations at weekly spacing from the sampler's own discrete model."""
+    """Observations at weekly spacing, simulated by Euler on the sampler's knots."""
     params = model.make_params()
     obs_times = (5.0 / 252.0) * np.arange(n_obs + 1)
     x0 = math.log(10.0) if model.obs_transform is not None else 0.0
@@ -546,6 +546,15 @@ class TestRunChain:
             run_chain(cfg, SimpleNamespace(times=times, values=values),
                       get_model("ou-sv-leverage"))
 
+    @pytest.mark.parametrize("value", [-0.02, 0.0])
+    def test_nonpositive_value_of_a_transformed_model_rejected(self, value):
+        # tbill-logsv logs its data: a value <= 0 is named before any log,
+        # so no RuntimeWarning is raised on the way
+        data = SimpleNamespace(times=[0.0, 0.02, 0.04, 0.06], values=[0.05, value, 0.04, 0.05])
+        cfg = SamplerConfig(m=2, n_iter=5, n_burn=1, seed=1)
+        with pytest.raises(ValidationError, match=rf"observation 1 is {value}"):
+            run_chain(cfg, data, get_model("tbill-logsv"))
+
     def test_block_len_must_fit_data(self):
         data = self._data(3)
         cfg = SamplerConfig(m=3, n_iter=5, n_burn=1, seed=1, block_len=9)
@@ -589,19 +598,19 @@ class TestRunChain:
 PINNED_CHAINS = [
     pytest.param(
         "tbill-logsv", 9, dict(m=3, n_iter=30, n_burn=6, thin=4, block_len=3, seed=1),
-        [-2.1990348689185635, -0.9909508462226998, 3.8069028502893225, -4.350813322015687,
-         3.5480290570756723, -4.549136714155258], 17.620026850107802, id="tbill-logsv"),
+        [13.077619822486291, 1.5424671956862746, 28.282487263004818, -4.3022794552404395,
+         6.410500940386137, -5.0263100858192], 2.6325789425282045, id="tbill-logsv"),
     pytest.param(
         "ou-sv-leverage", 7, dict(m=2, n_iter=30, n_burn=5, fixed=("rho",), seed=2),
-        [23.519393697421574, -0.5634726616235098, 3.9244223792948056, 6.914780059478707,
-         19.184910724452113, 0.6354063062681234], 88.34337879214651, id="ou-sv-leverage"),
+        [0.4573269432247769, 7.462018468962397, 5.127009115922363, 1.4389487251578736,
+         2.842430243859785, -0.7381589884353148], 138.82051675744847, id="ou-sv-leverage"),
     pytest.param(
         "const-vol-scalar", 5, dict(m=4, n_iter=40, n_burn=10, thin=3, seed=3),
         [-6.357072345545669, 2.0704072748269904], 35.5937397579539, id="const-vol-scalar"),
     pytest.param(
         "tbill-logsv", 30, dict(m=6, n_iter=30, n_burn=10, seed=5),
-        [0.40740538510006646, -0.07923230794077533, 14.335645890661414, -4.298444521958944,
-         2.703650291034678, -3.8112986776888773], 197.02926792412075, id="tbill-logsv-adapted"),
+        [-2.5654916875346787, -0.27796180666613446, 20.81178740899504, -3.8861866774974922,
+         1.4436879944276602, -3.498996600887107], 223.78488028635738, id="tbill-logsv-adapted"),
 ]
 
 
