@@ -13,7 +13,9 @@ standard Brownian motion. Updates:
 * drift parameters: plain random walks (no time scales move).
 
 ``sweep`` runs ``_update_z_rows``, ``_gamma_anchored_pass`` and
-``update_gamma_block`` (both ``_gamma_blocks``) and ``_update_param``. Every
+``update_gamma_block`` (both ``_gamma_blocks``) and ``_update_param``, and
+returns each kernel's accepted and attempted moves: ``run_chain`` adapts the
+random-walk scales from them in burn-in and counts them after it. Every
 move that warps time, a time-scale parameter or a latent block, proposes
 through ``_warped_proposal``: it draws the path values at the new warped
 times retrospectively, conditional on the stored knots. Every Metropolis
@@ -51,6 +53,7 @@ from .paths import Path, RandomStream
 from .timechange import centre_on_chord, refine_rows
 
 DEFAULT_RW_SCALE = 0.25  # random-walk scale of a parameter that rw_scales leaves out
+TARGET_ACCEPT = 0.3  # the acceptance rate burn-in steers each random-walk scale toward
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ def is_number(value) -> bool:
 
 @dataclass
 class SamplerConfig:
-    """Tuning knobs of one chain.
+    """Settings of one chain. Burn-in steers each random-walk scale, from
+    ``rw_scales`` or ``DEFAULT_RW_SCALE``, toward ``TARGET_ACCEPT``.
 
     ``block_len`` is the number of observation intervals per latent block;
     it is at least 2, so that every interior observation knot lies inside
@@ -132,8 +136,6 @@ class SamplerConfig:
     thin: int = 1
     seed: int = 0
     rw_scales: dict[str, float] = field(default_factory=dict)
-    adapt: bool = True
-    target_accept: float = 0.3
     fixed: tuple[str, ...] = ()
     validate_every: int = 0
     chains: int = 1
@@ -148,10 +150,6 @@ class SamplerConfig:
         if not (isinstance(self.rw_scales, dict) and all(
                 is_number(v) and v > 0.0 for v in self.rw_scales.values())):
             raise ValidationError("rw_scales must map parameter names to finite positive numbers")
-        if not (is_number(self.target_accept) and 0.0 < self.target_accept < 1.0):
-            raise ValidationError(f"target_accept must lie in (0, 1), got {self.target_accept!r}")
-        if not isinstance(self.adapt, bool):
-            raise ValidationError("adapt must be a bool")
         if self.validate_every < 0:
             raise ValidationError("validate_every must be >= 0")
         if self.m < 1:
@@ -610,32 +608,20 @@ def sweep(
     state: AugmentedState,
     rng: RandomStream,
     scales: dict[str, float],
-    tallies: Optional[dict] = None,
     block_len: int = 2,
-) -> dict[str, bool]:
-    """One full Gibbs sweep; returns the scalar-parameter accept flags."""
-
-    def tally(name, acc, att=1):
-        if tallies is not None:
-            rec = tallies.setdefault(name, [0, 0])
-            rec[0] += acc
-            rec[1] += att
-
-    acc_z = _update_z_rows(state, rng)
-    tally("z", int(acc_z.sum()), acc_z.size)
-
+) -> dict[str, tuple[int, int]]:
+    """One full Gibbs sweep; returns each kernel's (accepted, attempted)
+    moves: "z" has one per interval, "gamma" one per latent block of every
+    pass, and each free parameter one."""
+    acc = {"z": _update_z_rows(state, rng)}  # kernel -> accept flag of each move
     if state.model.has_latent:
         *anchored, terminal = state.block_passes(block_len)
-        for blocks in anchored:
-            acc = _gamma_anchored_pass(state, blocks, rng)
-            tally("gamma", int(acc.sum()), acc.size)
-        tally("gamma", int(update_gamma_block(state, terminal, rng)))
-
-    flags: dict[str, bool] = {}
+        acc["gamma"] = np.concatenate(
+            [*(_gamma_anchored_pass(state, blocks, rng) for blocks in anchored),
+             [update_gamma_block(state, terminal, rng)]])
     for name in _scalar_update_order(state):
-        flags[name] = _update_param(state, name, rng, scales.get(name, DEFAULT_RW_SCALE))
-        tally(name, int(flags[name]))
-    return flags
+        acc[name] = [_update_param(state, name, rng, scales.get(name, DEFAULT_RW_SCALE))]
+    return {name: (int(np.count_nonzero(flags)), len(flags)) for name, flags in acc.items()}
 
 
 def run_chain(
@@ -673,7 +659,7 @@ def run_chain(
     if unknown:
         raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in state.free_names}
-    tallies: dict = {}
+    counts: dict[str, tuple[int, int]] = {}  # kernel -> (accepted, attempted) after burn-in
 
     n_rows = len(range(config.n_burn, config.n_iter, config.thin))
     draws = np.empty((n_rows, len(state.free_names)))
@@ -682,31 +668,30 @@ def run_chain(
 
     row = 0
     for it in range(config.n_iter):
-        burning = it < config.n_burn
-        flags = sweep(state, rng, scales, None if burning else tallies, config.block_len)
-        if burning and config.adapt:
+        moves = sweep(state, rng, scales, config.block_len)
+        if it < config.n_burn:  # Robbins-Monro steps of each log scale
             eta = (it + 1.0) ** -0.6
-            for name, acc in flags.items():
-                scales[name] = float(
-                    np.clip(
-                        scales[name] * math.exp(eta * ((1.0 if acc else 0.0) - config.target_accept)),
-                        1e-8, 1e8,
-                    )
-                )
+            for name in scales:
+                scales[name] = float(np.clip(
+                    scales[name] * math.exp(eta * (moves[name][0] - TARGET_ACCEPT)), 1e-8, 1e8))
+        else:
+            for name, (acc, att) in moves.items():
+                total = counts.get(name, (0, 0))
+                counts[name] = (total[0] + acc, total[1] + att)
+            if (it - config.n_burn) % config.thin == 0:
+                draws[row] = [state.params[p] for p in state.free_names]
+                logliks[row] = state.log_likelihood()
+                iters[row] = it
+                row += 1
         if config.validate_every and (it + 1) % config.validate_every == 0:
             state.validate_cache()
-        if not burning and (it - config.n_burn) % config.thin == 0:
-            draws[row] = [state.params[p] for p in state.free_names]
-            logliks[row] = state.log_likelihood()
-            iters[row] = it
-            row += 1
 
     return Trace(
         param_names=state.free_names,
         draws=draws,
         logliks=logliks,
         iters=iters,
-        acceptance={name: acc / att for name, (acc, att) in tallies.items()},
+        acceptance={name: acc / att for name, (acc, att) in counts.items()},
     )
 
 

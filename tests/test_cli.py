@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from timechange_sv import cli
 from timechange_sv.cli import main
 from timechange_sv.diagnostics import SUMMARY_COLUMNS
 from timechange_sv.errors import NumericsError, ValidationError
+from timechange_sv.mcmc import PriorSpec, SamplerConfig
+from timechange_sv.models import get_model
 
 from _support import set_cpus
 
@@ -348,19 +351,13 @@ class TestExitCodes:
         {"model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10.5}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"theta": "x"}}},
+        # keys of earlier versions: an old config fails and names them
+        {"model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "adapt": True}},
         {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": "x"}},
-        {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": None}},
+         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": 0.3}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "block_len": 1}},
-        {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "adapt": "no"}},
         {"model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "seed": -1}},
-        {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": 3}},
-        {"model": "const-vol-scalar",
-         "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "target_accept": 0}},
         {"model": "const-vol-scalar",
          "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, "rw_scales": {"sigma": float("nan")}}},
         {"model": "const-vol-scalar",
@@ -395,6 +392,9 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        sampler = doc.get("sampler", {}) if isinstance(doc, dict) else {}
+        unknown = set(sampler) - {f.name for f in fields(SamplerConfig)}
+        assert all(repr(key) in err for key in unknown), err
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -407,6 +407,24 @@ def test_blank_lines_are_skipped(tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("time,value\n0,0.1\n\n1,0.3\n")
     assert cli.ingest_csv(data).values.tolist() == [0.1, 0.3]
+
+
+def test_prior_midpoint_init_starts_at_the_midpoint(tmp_path):
+    # "init": "prior-midpoint" writes the trace of a fit whose params are the
+    # midpoint of the prior box, which is not the model's default start
+    box = {"theta": [-1.0, 1.5], "sigma": [0.2, 1.3]}
+    mid = PriorSpec.from_model(get_model("const-vol-scalar"), box).midpoint()
+    data = tiny_data(tmp_path / "obs.csv")
+    traces = {}
+    for label, start in (("init", {"init": "prior-midpoint"}), ("params", {"params": mid}),
+                         ("default", {})):
+        doc = {"model": "const-vol-scalar", "prior": box,
+               "sampler": {"m": 2, "n_iter": 20, "n_burn": 4, "seed": 3}, **start}
+        cfg = write_config(tmp_path / f"{label}.json", doc)
+        out = tmp_path / label
+        assert main(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+        traces[label] = (out / "trace.csv").read_bytes()
+    assert traces["init"] == traces["params"] != traces["default"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

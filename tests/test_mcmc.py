@@ -324,6 +324,25 @@ class TestGammaWindows:
         assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
 
 
+@pytest.mark.parametrize("name,fixed", [
+    ("tbill-logsv", "kappa"), ("ou-sv-leverage", "rho"), ("const-vol-scalar", "sigma"),
+])
+def test_sweep_counts_every_move(name, fixed):
+    # one path move per interval, one latent move per block of the block
+    # plan (const-vol-scalar has no latent path), one move per free
+    # parameter; fixed parameters make none
+    state = sv_state(get_model(name), n_obs=6, fixed=(fixed,))
+    attempts = {"z": state.n_intervals, **{p: 1 for p in state.free_names}}
+    if name != "const-vol-scalar":
+        attempts["gamma"] = sum(blocks.seg.shape[0] for blocks in state.block_passes(2))
+    rng = RandomStream(8)
+    for _ in range(5):
+        moves = sweep(state, rng, {}, block_len=2)
+        assert {kernel: att for kernel, (_, att) in moves.items()} == attempts
+        assert fixed not in moves
+        assert all(0 <= acc <= att for acc, att in moves.values())
+
+
 def block_state(n, m=2):
     """A state of ``n`` intervals with ``m`` imputed points each and no
     cache, enough for its block passes."""
@@ -588,38 +607,53 @@ class TestRunChain:
         cfg = SamplerConfig(m=3, n_iter=3, n_burn=1, seed=1)
         tr = run_chain(cfg, data, model, prior, init_params="prior-midpoint")
         assert tr.n_rows == 2
+        explicit = run_chain(cfg, data, model, prior, init_params=prior.midpoint())
+        assert np.array_equal(tr.draws, explicit.draws)
+        assert np.array_equal(tr.logliks, explicit.logliks)
 
 
-# Small chains whose last draw and log-likelihood sum are pinned: a change
-# that claims the same draws is checked against these numbers. Each case is
-# (model, n_obs, SamplerConfig arguments, last draw, sum of the trace's
-# log likelihoods). The last one runs the bench's sampler settings: block
-# length 2, default step sizes, adapted during burn-in.
+# Small chains whose last draw, log-likelihood sum and acceptance rates are
+# pinned: a change that claims the same draws is checked against these
+# numbers. Each case is (model, n_obs, SamplerConfig arguments, last draw,
+# sum of the trace's log likelihoods, Trace.acceptance). The last one runs
+# the bench's sampler settings: block length 2, default step sizes, adapted
+# during burn-in.
 PINNED_CHAINS = [
     pytest.param(
         "tbill-logsv", 9, dict(m=3, n_iter=30, n_burn=6, thin=4, block_len=3, seed=1),
         [13.077619822486291, 1.5424671956862746, 28.282487263004818, -4.3022794552404395,
-         6.410500940386137, -5.0263100858192], 2.6325789425282045, id="tbill-logsv"),
+         6.410500940386137, -5.0263100858192], 2.6325789425282045,
+        {"z": 0.8981481481481481, "gamma": 0.5, "sigma": 0.25, "theta0": 0.875,
+         "theta1": 0.5416666666666666, "kappa": 0.4583333333333333, "mu": 0.6666666666666666,
+         "alpha0": 0.625}, id="tbill-logsv"),
     pytest.param(
         "ou-sv-leverage", 7, dict(m=2, n_iter=30, n_burn=5, fixed=("rho",), seed=2),
         [0.4573269432247769, 7.462018468962397, 5.127009115922363, 1.4389487251578736,
-         2.842430243859785, -0.7381589884353148], 138.82051675744847, id="ou-sv-leverage"),
+         2.842430243859785, -0.7381589884353148], 138.82051675744847,
+        {"z": 0.9885714285714285, "gamma": 0.7, "sigma": 0.68, "kappa_x": 0.72, "mu_x": 1.0,
+         "kappa_alpha": 0.84, "mu_alpha": 0.72, "alpha0": 0.56}, id="ou-sv-leverage"),
     pytest.param(
         "const-vol-scalar", 5, dict(m=4, n_iter=40, n_burn=10, thin=3, seed=3),
-        [-6.357072345545669, 2.0704072748269904], 35.5937397579539, id="const-vol-scalar"),
+        [-6.357072345545669, 2.0704072748269904], 35.5937397579539,
+        {"z": 1.0, "sigma": 0.4, "theta": 0.7}, id="const-vol-scalar"),
     pytest.param(
         "tbill-logsv", 30, dict(m=6, n_iter=30, n_burn=10, seed=5),
         [-2.5654916875346787, -0.27796180666613446, 20.81178740899504, -3.8861866774974922,
-         1.4436879944276602, -3.498996600887107], 223.78488028635738, id="tbill-logsv-adapted"),
+         1.4436879944276602, -3.498996600887107], 223.78488028635738,
+        {"z": 0.9866666666666667, "gamma": 0.8844827586206897, "sigma": 0.6, "theta0": 0.75,
+         "theta1": 0.5, "kappa": 0.5, "mu": 0.15, "alpha0": 0.35}, id="tbill-logsv-adapted"),
 ]
 
 
-@pytest.mark.parametrize("name,n_obs,kwargs,last_draw,loglik_sum", PINNED_CHAINS)
-def test_pinned_draws(name, n_obs, kwargs, last_draw, loglik_sum):
+@pytest.mark.parametrize("name,n_obs,kwargs,last_draw,loglik_sum,acceptance", PINNED_CHAINS)
+def test_pinned_draws(name, n_obs, kwargs, last_draw, loglik_sum, acceptance):
     model = get_model(name)
     tr = run_chain(SamplerConfig(**kwargs), skeleton_data(model, n_obs, 4), model)
     assert np.allclose(tr.draws[-1], last_draw, rtol=1e-9, atol=0)
     assert math.isclose(tr.logliks.sum(), loglik_sum, rel_tol=1e-9)
+    assert tr.acceptance.keys() == acceptance.keys()
+    for kernel, rate in acceptance.items():
+        assert math.isclose(tr.acceptance[kernel], rate, rel_tol=1e-12), kernel
 
 
 class TestRefinementInvariance:
@@ -666,10 +700,18 @@ def test_benchmark_hooks_find_every_kernel(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
+    model = get_model("tbill-logsv")
     try:
         assert tracing.install_layers(tracer, timechange_sv) == set()
+        # and each kernel is reached through its wrapped name: a kernel that
+        # sweep called some other way would read 0 as well
+        timechange_sv.mcmc.run_chain(SamplerConfig(m=2, n_iter=3, n_burn=1),
+                                     skeleton_data(model, 5, 4), model)
     finally:
         tracer.restore()
+    for span in ("mcmc.z_paths", "mcmc.gamma_anchored", "mcmc.gamma_terminal",
+                 "mcmc.timescale_param", "mcmc.drift_param", "mcmc.sweep"):
+        assert tracer.calls(span) > 0, span
 
 
 class TestRunJobs:
