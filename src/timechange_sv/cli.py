@@ -319,16 +319,16 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
         raise ValidationError(f"max_lag must be in [1, {n - 1}] for {n} draws")
     # every table is built before the output directory is made, so a trace
     # too short or too flat for one of them leaves no files behind
-    tables = {
-        "acf": (["parameter", "lag", "acf"], "%s,%d,%.12g",
-                [(name, lag, r) for j, name in enumerate(names)
-                 for lag, r in enumerate(acf(draws[:, j], max_lag).tolist())]),
-        "iact": (["parameter", "iact"], "%s,%.12g",
-                 [(name, iact(draws[:, j])) for j, name in enumerate(names)]),
-        "kde": (["parameter", "x", "density"], "%s,%.12g,%.12g",
-                [(name, x, d) for j, name in enumerate(names)
-                 for x, d in kde_export(draws[:, j]).tolist()]),
-    }
+    tables = {"acf": (["parameter", "lag", "acf"], "%s,%d,%.12g", []),
+              "iact": (["parameter", "iact"], "%s,%.12g", []),
+              "kde": (["parameter", "x", "density"], "%s,%.12g,%.12g", [])}
+    for name, column in zip(names, draws.T):
+        try:
+            tables["acf"][2].extend((name, lag, r) for lag, r in enumerate(acf(column, max_lag)))
+            tables["iact"][2].append((name, iact(column)))
+            tables["kde"][2].extend((name, x, d) for x, d in kde_export(column).tolist())
+        except ValidationError as exc:
+            raise ValidationError(f"{trace_path}: parameter {name}: {exc}") from None
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     produced = {}

@@ -116,9 +116,7 @@ def simulate_discrete_skeleton(model: ModelSpec, params, obs_times: np.ndarray, 
     return _windows(x.values, m), gamma
 
 
-# each prior-recovery replication simulates GATE_N_OBS observation intervals
-# of length GATE_SPACING, starting from x = GATE_X0
-GATE_N_OBS, GATE_SPACING, GATE_X0 = 6, 1.0, 0.0
+GATE_N_OBS = 6  # the observation intervals each prior-recovery replication simulates
 
 
 def prior_recovery_test(
@@ -129,17 +127,21 @@ def prior_recovery_test(
     seed: int,
     sweeps: int = 50,
     transition: Optional[Callable] = None,
+    *,
+    x0: float,
+    spacing: float,
 ) -> dict[str, float]:
     """Joint-distribution validation of the Gibbs kernels.
 
     Each replication draws parameters from the (proper) prior, simulates
-    data and latents by Euler on the sampler's knots, runs ``sweeps`` full
-    sweeps, and retains the final parameters. If every kernel preserves the
-    augmented posterior, the retained parameters are prior draws; returned
-    are per-parameter Kolmogorov-Smirnov p-values against the prior.
-    Replication k draws from ``RandomStream(seed, stream=k)`` and the
-    replications run through ``run_jobs``, so the p-values do not depend
-    on the number of processes.
+    data and latents by Euler on the sampler's knots, ``GATE_N_OBS``
+    intervals of length ``spacing`` from ``x = x0`` (the scale of the data
+    the model is fitted to), runs ``sweeps`` full sweeps, and retains the
+    final parameters. If every kernel preserves the augmented posterior,
+    the retained parameters are prior draws; returned are per-parameter
+    Kolmogorov-Smirnov p-values against the prior. Replication k draws from
+    ``RandomStream(seed, stream=k)`` and the replications run through
+    ``run_jobs``, so the p-values do not depend on the number of processes.
 
     ``transition`` overrides the sweep (signature ``(state, rng)``) and
     exists so the harness itself can be calibrated: a transition that does
@@ -148,7 +150,7 @@ def prior_recovery_test(
     from scipy import stats  # slow to import, and only this harness needs it
 
     free = [p for p in model.param_names if p not in config.fixed]
-    obs_times = GATE_SPACING * np.arange(GATE_N_OBS + 1)
+    obs_times = spacing * np.arange(GATE_N_OBS + 1)
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in free}
     step = transition or (lambda state, rng: sweep(state, rng, scales, block_len=config.block_len))
 
@@ -156,7 +158,7 @@ def prior_recovery_test(
         rng = RandomStream(seed, stream=k)
         theta = model.make_params(prior.sample(rng, free))
         x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m,
-                                                          GATE_X0, rng)
+                                                          x0, rng)
         state = state_from_skeleton(model, theta, obs_times, x_values, gamma_flat, prior,
                                     config.fixed)
         for _ in range(sweeps):

@@ -18,20 +18,23 @@ returns each kernel's accepted and attempted moves: ``run_chain`` adapts the
 random-walk scales from them in burn-in and counts them after it. Every
 move that warps time, a time-scale parameter or a latent block, proposes
 through ``_warped_proposal``: it draws the path values at the new warped
-times retrospectively, conditional on the stored knots. Every Metropolis
-ratio comes from ``_log_ratio``, over the density terms the move
-recomputes: the path move and a drift move recompute only the terms they
-move (``likelihood`` says which) and keep the cached bits of the others.
-Rejected proposals leave the state bit-identical. Only the m+2 knots per
+times retrospectively, conditional on the stored knots. The path move and a
+drift move recompute only the density terms they move (``likelihood`` says
+which) and keep the cached bits of the others. Only the m+2 knots per
 interval are ever persisted; finer retrospective draws are transient.
+
+Every kernel ends in ``_metropolis``, the one place the cache changes after
+construction. It forms each row's log ratio from the proposed density
+terms, accepts, and writes only the accepted rows of the proposed fields, so
+rejected proposals leave the state bit-identical. It has two uniform rules:
+a move of independent groups of rows (the path move, one row each; an
+anchored pass, one block each) draws one uniform per group, and a move
+accepted as a whole (the terminal block, a parameter) draws one only when
+its ratio is finite and negative.
 
 What a sweep needs of the fixed knot grid is built once per state: the knot
 steps, and for each block length the ``LatentBlocks`` of every pass
-(``AugmentedState.block_passes``, which lays out the block schedule). An
-accepted move writes only the cache fields it changed (``_write_rows``): a
-move over all rows adopts its proposal's arrays; the path move, and latent
-blocks whose intervals are contiguous, copy their accepted rows in place
-with a mask; other latent blocks write their rows by index, field by field.
+(``AugmentedState.block_passes``, which lays out the block schedule).
 """
 
 from __future__ import annotations
@@ -186,8 +189,8 @@ class AugmentedState:
     """Full MCMC state: per-interval warped paths, latent path, parameters.
 
     ``cache`` holds the engine outputs of the current state, one
-    ``IntervalQuantities`` whose arrays the state owns; an accepted move
-    adopts or writes in place the fields it changed. Other array shapes
+    ``IntervalQuantities`` whose arrays the state owns; after construction
+    only ``_metropolis`` changes it. Other array shapes
     (n = #intervals, m = imputed points per interval):
         x_flat, gamma_flat : (n (m+1) + 1,)
         x_knots            : (n, m+2), the knot times of each interval
@@ -385,63 +388,62 @@ def state_from_skeleton(
 # Metropolis pieces
 
 
-def _accept_mask(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
-    """Independent accept/reject per entry, one uniform each."""
-    return np.log(rng.uniform(log_ratio.shape)) < log_ratio
-
-
-def _accept_scalar(log_ratio: np.ndarray, rng: RandomStream) -> np.ndarray:
-    """``_accept_mask`` for a one-element ``log_ratio``, drawing its uniform
-    only when the ratio is finite and negative."""
-    r = float(log_ratio[0])
-    return np.array([math.isfinite(r) and (r >= 0.0 or math.log(float(rng.uniform())) < r)])
-
-
-def _log_ratio(terms: dict, cache: IntervalQuantities, rows) -> np.ndarray:
-    """Per-row change of the density terms ``terms`` (field name to per-row
-    values; the terms a move leaves alone are omitted) from the cached
-    ``rows``, summed left to right. A row with a non-finite term reads
-    -inf, so any sum over rows rejects, and none of it warns."""
+def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(None),
+                group: Optional[int] = None, log_jac: float = 0.0) -> np.ndarray:
+    """Accept or reject the proposal ``new`` (cache field name to the values
+    of the cache ``rows``) and write its accepted rows into the cache; returns
+    the accept flag of each run of ``group`` rows, or of the whole move. A
+    row's log ratio is its change of the density terms in ``new``, summed in
+    ``terms()`` order, -inf where not finite and without a warning; a whole
+    move adds ``log_jac``. A slice of rows is written with a mask, other rows
+    by index, and an accepted move over every row adopts the arrays of ``new``.
+    """
+    cache = state.cache
     with np.errstate(invalid="ignore", over="ignore"):
-        diffs = [value - getattr(cache, name)[rows] for name, value in terms.items()]
+        diffs = [new[name] - old[rows] for name, old in cache.terms().items() if name in new]
         log_ratio = sum(diffs[1:], diffs[0])
     log_ratio[~np.isfinite(log_ratio)] = -np.inf
-    return log_ratio
-
-
-def _write_rows(cache: IntervalQuantities, new: dict, rows, keep: np.ndarray) -> None:
-    """Write the rows ``keep`` of ``new`` (field name to the values of the
-    cache ``rows``) into the cache: in place with a masked copy when
-    ``rows`` is a slice, else by index."""
+    if group is None:
+        r = float(log_ratio.sum()) + log_jac
+        acc = np.array([math.isfinite(r) and (r >= 0.0 or math.log(float(rng.uniform())) < r)])
+        group = log_ratio.size
+    else:
+        ratios = log_ratio.reshape(-1, group).sum(axis=1)
+        acc = np.log(rng.uniform(ratios.shape)) < ratios
+    keep = np.repeat(acc, group)
     if not keep.any():
-        return
-    if isinstance(rows, slice):
+        return acc
+    if not isinstance(rows, slice):
+        for name, value in new.items():
+            getattr(cache, name)[rows[keep]] = value[keep]
+    elif rows == slice(None) and keep.all():
+        for name, value in new.items():
+            setattr(cache, name, value)
+    else:
         for name, value in new.items():
             np.copyto(getattr(cache, name)[rows], value,
                       where=keep.reshape(keep.shape + (1,) * (value.ndim - 1)))
-    else:
-        for name, value in new.items():
-            getattr(cache, name)[rows[keep]] = value[keep]
+    return acc
 
 
 def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None, gamma=None):
-    """Engine outputs and per-row log ratio of a move that warps time.
+    """The cache fields of ``rows`` under a move that warps time.
 
     The new ``params`` or latent windows ``gamma`` of ``rows`` (default: the
     state's own) give new doubly-warped times. The path values there are
     drawn retrospectively, conditional on the stored knots, and the path and
     density stages run on them. A row whose new times are not finite keeps
-    its stored times for the draw and gets a log ratio of -inf.
+    its stored times for the draw and gets a -inf endpoint term, so that
+    ``_metropolis`` rejects it.
     """
     cache = state.cache
     w = state.warps(params=params, gamma=gamma, rows=rows)
     bad = ~np.isfinite(w.z_times).all(axis=1)
     new_times = np.where(bad[:, None], cache.z_times[rows], w.z_times) if bad.any() else w.z_times
     z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
-    q = state.quantities(params=params, gamma=gamma, z=z_new, rows=rows, warps=w)
-    log_ratio = _log_ratio(q.terms(), cache, rows)
-    log_ratio[bad] = -np.inf
-    return q, log_ratio
+    new = vars(state.quantities(params=params, gamma=gamma, z=z_new, rows=rows, warps=w))
+    new["log_f"][bad] = -np.inf
+    return new
 
 
 def _update_z_rows(state: AugmentedState, rng: RandomStream) -> np.ndarray:
@@ -450,9 +452,8 @@ def _update_z_rows(state: AugmentedState, rng: RandomStream) -> np.ndarray:
 
     Proposals are standard Brownian motions at the intervals' current warped
     times, so only the Girsanov term of the ratio can change: the endpoint
-    and latent terms do not read the interior path values. Accepted rows of
-    the path fields and ``log_g`` are copied into the cache in place.
-    Returns the per-row acceptance mask.
+    and latent terms do not read the interior path values. Each row is
+    accepted on its own. Returns the per-row acceptance mask.
     """
     cache = state.cache
     steps = np.diff(cache.z_times, axis=1)
@@ -461,9 +462,7 @@ def _update_z_rows(state: AugmentedState, rng: RandomStream) -> np.ndarray:
 
     q = path_stage(cache, z_prop, state.y[:-1], state.y[1:])
     log_g = log_g_term(q, state.model, state.params, state.x_knots)
-    acc = _accept_mask(_log_ratio({"log_g": log_g}, cache, slice(None)), rng)
-    _write_rows(cache, {"z": q.z, "U": q.U, "X": q.X, "log_g": log_g}, slice(None), acc)
-    return acc
+    return _metropolis(state, rng, {"z": q.z, "U": q.U, "X": q.X, "log_g": log_g}, group=1)
 
 
 def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomStream):
@@ -491,29 +490,25 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
     ``_warped_proposal``. A drift parameter reuses the cached warps and
     paths and recomputes only the density terms it moves: ``log_gamma`` for
     the model's latent-drift parameters, and ``log_g`` for the others and,
-    with leverage, for those too. An accepted proposal becomes the cache.
+    with leverage, for those too. The move is accepted jointly across
+    intervals.
     """
     params, log_jac = _propose_param(state, name, scale, rng)
     if params is None:
         return False
     if name in state.model.timescale_params:
-        q, log_ratio = _warped_proposal(state, rng, slice(None), params=params)
+        new = _warped_proposal(state, rng, slice(None), params=params)
     else:
-        cache = state.cache
         latent = name in state.model.latent_drift_params
-        terms = {}
+        new = {}
         if not latent or state.model.rho(params) != 0.0:
-            terms["log_g"] = log_g_term(cache, state.model, params, state.x_knots)
+            new["log_g"] = log_g_term(state.cache, state.model, params, state.x_knots)
         if latent:
-            terms["log_gamma"] = log_gamma_term(state.model, params, cache.alpha,
-                                                state.gamma_windows, state.x_steps)
-        # the proposal shares every other array with the cache
-        q = IntervalQuantities(**{**vars(cache), **terms})
-        log_ratio = _log_ratio(terms, cache, slice(None))
-    if not _accept_scalar(log_ratio.sum(keepdims=True) + log_jac, rng)[0]:
+            new["log_gamma"] = log_gamma_term(state.model, params, state.cache.alpha,
+                                              state.gamma_windows, state.x_steps)
+    if not _metropolis(state, rng, new, log_jac=log_jac)[0]:
         return False
     state.params = params
-    state.cache = q
     return True
 
 
@@ -550,15 +545,13 @@ def latent_blocks(state: AugmentedState, firsts: np.ndarray, length: int,
                         windows, rows)
 
 
-def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, accept,
-                  rng: RandomStream) -> np.ndarray:
-    """Update of the latent ``blocks``; ``accept`` gives the per-block
-    acceptance mask.
+def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream) -> np.ndarray:
+    """Update of the latent ``blocks``; returns the per-block acceptance mask.
 
     Each block keeps its left knot. An anchored block keeps its right knot
     too and proposes a Brownian bridge; the terminal block proposes a free
     Brownian end. Either is the dominating-measure conditional, so the
-    ratio is the block's change of ``_log_ratio``. Blocks share at most
+    ratio is the block's change of the density terms. Blocks share at most
     their anchor knots, so one accept/reject per block composes exactly like
     updating them one at a time.
     """
@@ -571,25 +564,22 @@ def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, accept,
         seg_prop += blocks.frac * (seg_g[:, -1:] - seg_g[:, :1])
         seg_prop[:, -1] = seg_g[:, -1]
 
-    nb = blocks.seg.shape[0]
-    gamma = seg_prop[:, blocks.windows].reshape(nb * blocks.length, state.m + 2)
-    q, log_ratio = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
-    acc = accept(log_ratio.reshape(nb, blocks.length).sum(axis=1), rng)
-    if acc.any():
-        state.gamma_flat[blocks.seg[acc]] = seg_prop[acc]
-        _write_rows(state.cache, vars(q), blocks.rows, np.repeat(acc, blocks.length))
+    gamma = seg_prop[:, blocks.windows].reshape(-1, state.m + 2)
+    new = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
+    acc = _metropolis(state, rng, new, blocks.rows, blocks.length if blocks.anchored else None)
+    state.gamma_flat[blocks.seg[acc]] = seg_prop[acc]
     return acc
 
 
 def _gamma_anchored_pass(state: AugmentedState, blocks: LatentBlocks,
                          rng: RandomStream) -> np.ndarray:
     """One batched pass over disjoint anchored blocks (``_gamma_blocks``)."""
-    return _gamma_blocks(state, blocks, _accept_mask, rng)
+    return _gamma_blocks(state, blocks, rng)
 
 
 def update_gamma_block(state: AugmentedState, block: LatentBlocks, rng: RandomStream) -> bool:
     """The terminal block: a block with a free end that reaches the last knot."""
-    return bool(_gamma_blocks(state, block, _accept_scalar, rng)[0])
+    return bool(_gamma_blocks(state, block, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +645,8 @@ def run_chain(
     rng = RandomStream(config.seed)
     state = init_state(model, params, data.times, data.values, config.m, prior, config.fixed)
 
+    if not state.free_names:
+        raise ValidationError(f"every parameter of {model.name} is fixed: there is nothing to draw")
     unknown = sorted(set(config.rw_scales) - set(state.free_names))
     if unknown:
         raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")

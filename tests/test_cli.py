@@ -238,7 +238,10 @@ class TestExitCodes:
         ({"model": "ou-sv-leverage", "sampler": {"block_len": 4}}, "block_len exceeds"),
         ({"model": "const-vol-scalar", "params": {"sigma": 3.0}, "prior": {"sigma": [0.5, 2.0]}},
          "initial parameters violate the prior support"),
-    ], ids=["rw-scales", "fixed", "block-len", "start"])
+        # a trace of no parameter would be one its own diagnose rejects
+        ({"model": "const-vol-scalar", "fixed": ["theta", "sigma"]},
+         "every parameter of const-vol-scalar is fixed"),
+    ], ids=["rw-scales", "fixed", "block-len", "start", "all-fixed"])
     def test_chain_config_error_leaves_no_output(self, tmp_path, capsys, doc, message):
         # these are raised by the chain itself; the output directory is made
         # only once the first chain has its trace
@@ -253,9 +256,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("column,message", [
         # acf passes and iact fails: too short for an integrated autocorrelation
-        ([0.1 * (i % 7) for i in range(50)], "at least 100 points"),
-        # acf fails on the second column, after the first one's rows
-        ([0.5] * 200, "zero variance"),
+        ([0.1 * (i % 7) for i in range(50)], "trace.csv: parameter theta: integrated"),
+        # acf fails on the second column, after the first one's rows: a
+        # kernel that never accepted leaves such a column
+        ([0.5] * 200, "trace.csv: parameter sigma: series has zero variance"),
         # the header is line 1, so draw i is on line i + 2
         ([math.nan if i == 60 else 0.1 * (i % 7) for i in range(150)],
          "trace.csv:62: non-finite"),

@@ -12,13 +12,13 @@ from scipy import stats
 
 import timechange_sv
 from timechange_sv.errors import ValidationError
-from timechange_sv.likelihood import log_end_gaussian
+from timechange_sv.likelihood import IntervalQuantities, log_end_gaussian
 from timechange_sv.mcmc import (
     AugmentedState,
     PriorSpec,
     SamplerConfig,
     _gamma_anchored_pass,
-    _log_ratio,
+    _metropolis,
     _scalar_update_order,
     _update_param,
     _update_z_rows,
@@ -296,16 +296,102 @@ class TestNonFiniteWarps:
         assert partial >= 3
         state.validate_cache()
 
+
+def terms_state(n):
+    """A state whose cache holds only the three density terms of ``n``
+    rows, all zero."""
+    return SimpleNamespace(cache=IntervalQuantities(
+        *[None] * 5, log_g=np.zeros(n), log_f=np.zeros(n), log_gamma=np.zeros(n)))
+
+
+def uniforms_drawn(rng, seed):
+    """How many uniforms ``rng``, made as ``RandomStream(seed)``, has drawn,
+    up to 10."""
+    ahead = rng.uniform()
+    replay = RandomStream(seed).uniform(11)
+    return int(np.flatnonzero(replay == ahead)[0])
+
+
+class TestMetropolis:
+    """``_metropolis``: the ratio, the two uniform rules and the write."""
+
     def test_nonfinite_row_reads_minus_inf(self):
-        # so that a sum over rows is -inf, never inf - inf
-        cache = SimpleNamespace(log_g=np.zeros(3), log_f=np.zeros(3), log_gamma=np.zeros(3))
-        q = SimpleNamespace(log_g=np.array([np.inf, 1.0, np.nan]),
-                            log_f=np.array([-np.inf, 0.5, 0.0]), log_gamma=np.zeros(3))
+        # so that a sum over rows is -inf, never inf - inf, and nothing warns
+        new = {"log_g": np.array([np.inf, 1.0, np.nan]),
+               "log_f": np.array([-np.inf, 0.5, 0.0]), "log_gamma": np.zeros(3)}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            log_ratio = _log_ratio(vars(q), cache, slice(None))
-            assert log_ratio.tolist() == [-np.inf, 1.5, -np.inf]
-            assert log_ratio.sum() == -np.inf
+            state = terms_state(3)
+            acc = _metropolis(state, RandomStream(1), new, group=1)
+            assert acc.tolist() == [False, True, False]
+            assert state.cache.log_g.tolist() == [0.0, 1.0, 0.0]
+            rng = RandomStream(1)
+            assert not _metropolis(state, rng, new)[0]
+            assert uniforms_drawn(rng, 1) == 0
+
+    @pytest.mark.parametrize("delta,log_jac,drawn", [
+        (0.0, 0.0, 0), (0.2, -0.1, 0), (-0.3, 0.0, 1), (0.0, -2.0, 1), (-np.inf, 0.0, 0),
+    ])
+    def test_whole_move_draws_only_for_a_finite_negative_ratio(self, delta, log_jac, drawn):
+        state = terms_state(2)
+        rng = RandomStream(3)
+        _metropolis(state, rng, {"log_g": np.array([delta, 0.0])}, log_jac=log_jac)
+        assert uniforms_drawn(rng, 3) == drawn
+
+    @pytest.mark.parametrize("group,drawn", [(1, 6), (2, 3), (3, 2), (6, 1)])
+    def test_batched_move_draws_one_uniform_per_group(self, group, drawn):
+        state = terms_state(6)
+        rng = RandomStream(4)
+        acc = _metropolis(state, rng, {"log_g": np.full(6, 5.0)}, group=group)
+        assert acc.shape == (drawn,) and acc.all()
+        assert uniforms_drawn(rng, 4) == drawn
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(1, 5), np.array([0, 1, 4, 5])])
+    def test_rejected_rows_stay_and_accepted_rows_equal_the_proposal(self, rows):
+        # rows in pairs: the pairs whose ratio is +10 are accepted, -inf rejected
+        state = sv_state(n_obs=6)
+        snap = snapshot(state)
+        chosen = np.arange(state.n_intervals)[rows]
+        sign = np.resize([10.0, 10.0, -np.inf, -np.inf], chosen.size)
+        new = {name: snap[name][chosen] + 1.0 for name in ("z", "U", "X", "log_f")}
+        new["log_g"] = snap["log_g"][chosen] + sign
+        acc = _metropolis(state, RandomStream(5), new, rows, group=2)
+        assert acc.tolist() == np.isfinite(sign[::2]).tolist()
+        keep = np.repeat(acc, 2)
+        now = arrays(state)
+        for name, value in new.items():
+            assert np.array_equal(now[name][chosen[keep]], value[keep]), name
+            assert np.array_equal(now[name][chosen[~keep]], snap[name][chosen[~keep]]), name
+            others = np.setdiff1d(np.arange(state.n_intervals), chosen)
+            assert np.array_equal(now[name][others], snap[name][others]), name
+        for name in set(now) - set(new):
+            assert np.array_equal(now[name], snap[name]), name
+
+    def test_accepted_whole_move_adopts_the_proposal(self):
+        state = sv_state()
+        log_g = state.cache.log_g + 1.0
+        assert _metropolis(state, RandomStream(6), {"log_g": log_g})[0]
+        assert state.cache.log_g is log_g
+
+
+def test_sweep_calls_metropolis_once_per_kernel_call(monkeypatch):
+    # the path move, each anchored pass, the terminal block and each free
+    # parameter: every proposal of the model's own prior is in its support
+    state = sv_state(get_model("tbill-logsv"), n_obs=7)
+    calls = []
+    metropolis = timechange_sv.mcmc._metropolis
+
+    def spy(state, rng, new, rows=slice(None), group=None, log_jac=0.0):
+        calls.append(group)
+        return metropolis(state, rng, new, rows, group, log_jac)
+
+    monkeypatch.setattr(timechange_sv.mcmc, "_metropolis", spy)
+    *anchored, terminal = state.block_passes(2)
+    rng = RandomStream(9)
+    for _ in range(3):
+        calls.clear()
+        sweep(state, rng, {}, block_len=2)
+        assert calls == [1, *(2 for _ in anchored), None, *(None for _ in state.free_names)]
 
 
 class TestGammaWindows:
