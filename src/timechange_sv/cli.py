@@ -279,7 +279,9 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
         raise ValidationError("fit must keep at least two draws per chain for its summaries; "
                               "lower n_burn or thin, or raise n_iter")
     prior = config.prior_spec()
-    init = "prior-midpoint" if config.init == "prior-midpoint" else config.params
+    init = config.params
+    if config.init == "prior-midpoint":  # a fixed parameter stays at its params value
+        init = {**init, **prior.midpoint(p for p in model.param_names if p not in config.fixed)}
     n_chains = sampler.chains
 
     def fit_chain(c: int) -> Trace:

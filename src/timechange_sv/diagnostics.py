@@ -10,13 +10,13 @@ import numpy as np
 from .errors import ValidationError
 from .mcmc import (
     DEFAULT_RW_SCALE,
+    AugmentedState,
     PriorSpec,
     SamplerConfig,
     Trace,
     _flat_knots,
     _windows,
     run_jobs,
-    state_from_skeleton,
     sweep,
 )
 from .models import ModelSpec, euler_simulate
@@ -159,8 +159,8 @@ def prior_recovery_test(
         theta = model.make_params(prior.sample(rng, free))
         x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m,
                                                           x0, rng)
-        state = state_from_skeleton(model, theta, obs_times, x_values, gamma_flat, prior,
-                                    config.fixed)
+        state = AugmentedState(model, theta, obs_times, x_values, gamma_flat, prior,
+                               config.fixed)
         for _ in range(sweeps):
             step(state, rng)
         return [state.params[name] for name in free]

@@ -5,20 +5,19 @@ are formed as exp of log differences so that products over hundreds of
 observation intervals never underflow.
 
 The per-interval quantities are produced by one vectorised engine on
-(n_intervals, m+2) arrays, in three stages that ``interval_quantities``
-composes:
+(n_intervals, m+2) arrays, which ``interval_quantities`` runs:
 
 * ``warp_stage`` maps (params, gamma) to five warp fields: the latent
   values, the squared volatility, the warped times (the last is the warped
   interval length), the leverage adjustment and the doubly-warped times;
 * ``path_stage`` maps the doubly-warped path values z, on those warps, to
-  the path on the warped and observation scales;
-* ``density_stage`` evaluates the three density terms: the Girsanov term of
-  the path (``log_g_term``), the endpoint term and the latent term
+  the path U on the warped scale (the observation coordinate is U + adj);
+* then the three density terms: the Girsanov term of the path
+  (``log_g_term``), the endpoint term and the latent term
   (``log_gamma_term``).
 
-The knot times enter as the grid ``x_knots`` and its steps ``np.diff(x_knots,
-axis=1)``, which a sampler state computes once. The sampler runs only the
+The models are time-homogeneous, so the knot grid enters only through its
+steps, which a sampler state computes once. The sampler runs only the
 stages and terms whose inputs a move changes, and keeps the cached bits of
 the rest, which equal those of a fresh pass:
 
@@ -30,7 +29,8 @@ the rest, which equal those of a fresh pass:
   ``log_g_term`` too, since U's drift then holds the latent drift;
 * time-scale moves and latent blocks run the warp stage once for the new
   doubly-warped times, refine, then hand those warps to
-  ``interval_quantities``, which runs the path and density stages on them.
+  ``interval_quantities``, which runs the path stage and the densities on
+  them.
 
 The density formulas (``girsanov_sum``, ``log_end_gaussian``,
 ``unit_latent_drift``) and the warp formulas taken from ``timechange``,
@@ -58,9 +58,8 @@ class IntervalQuantities:
 
     Shapes: (n, m+2) for knot-level arrays, (n, m+1) for the finite
     doubly-warped knots, (n,) for per-interval scalars. The warp stage fills
-    the first five fields, the path stage the next three, the density stage
-    the last three. A sampler state caches one instance with every field
-    filled.
+    the first five fields, the path stage the next two, the densities the
+    last three. A sampler state caches one instance with every field filled.
     """
 
     alpha: np.ndarray  # latent values at the knots
@@ -70,7 +69,6 @@ class IntervalQuantities:
     z_times: np.ndarray  # finite doubly-warped times of the knots
     z: Optional[np.ndarray] = None  # path values on the doubly-warped scale
     U: Optional[np.ndarray] = None  # path values on the warped scale (leverage removed)
-    X: Optional[np.ndarray] = None  # path values on the observation coordinate
     log_g: Optional[np.ndarray] = None  # per-interval Girsanov sums
     log_f: Optional[np.ndarray] = None  # per-interval endpoint Gaussian terms (no Jacobian)
     log_gamma: Optional[np.ndarray] = None  # per-interval latent-marginal contributions
@@ -119,9 +117,8 @@ def warp_stage(model: ModelSpec, params: dict[str, float], steps, gamma) -> Inte
 
 
 def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
-    """Path values of ``z`` (n, m+1) on the warped and observation scales,
-    on the warps of ``w``; returns the warps of ``w`` with the path fields
-    filled."""
+    """Path values U of ``z`` (n, m+1) on the warped scale, on the warps of
+    ``w``; returns the warps of ``w`` with the path fields filled."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         u1 = np.asarray(y_right, dtype=float) - w.adj[:, -1]
@@ -131,16 +128,16 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
             u1[:, None],
         )
         U[:, -1] = u1
-    return IntervalQuantities(w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U, U + w.adj)
+    return IntervalQuantities(w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U)
 
 
-def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float], x_knots):
-    """Girsanov term of the paths of ``q`` under ``params``, per interval; with
+def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float]):
+    """Girsanov term of the paths of ``q`` under ``params``, per interval: the
+    drift is read at the path on the observation coordinate, U + adj; with
     leverage U drifts at drift_x - rho * vol_x * (gamma's drift)."""
-    x_knots = np.asarray(x_knots, dtype=float)
     alpha = q.alpha[:, :-1]
     with np.errstate(all="ignore"):
-        drift = np.asarray(model.drift_x(x_knots[:, :-1], q.X[:, :-1], alpha, params), dtype=float)
+        drift = np.asarray(model.drift_x(q.U[:, :-1] + q.adj[:, :-1], alpha, params), dtype=float)
         rho = model.rho(params)
         if rho != 0.0 and model.has_latent:
             sx = model.vol_x(alpha, params)
@@ -160,25 +157,9 @@ def log_gamma_term(model: ModelSpec, params: dict[str, float], alpha, gamma, ste
         )
 
 
-def density_stage(
-    q: IntervalQuantities, model: ModelSpec, params: dict[str, float], x_knots, steps, gamma, y_left
-) -> IntervalQuantities:
-    """All three log densities of the warps and paths of ``q`` under
-    ``params``; returns ``q`` with the density fields filled. The endpoint
-    term reads only the path's last value, which no path move changes."""
-    with np.errstate(all="ignore"):
-        log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])
-    return IntervalQuantities(
-        q.alpha, q.veff2, q.u, q.adj, q.z_times, q.z, q.U, q.X,
-        log_g_term(q, model, params, x_knots), log_f,
-        log_gamma_term(model, params, q.alpha, gamma, steps),
-    )
-
-
 def interval_quantities(
     model: ModelSpec,
     params: dict[str, float],
-    x_knots: np.ndarray,
     steps: np.ndarray,
     gamma: np.ndarray,
     y_left: np.ndarray,
@@ -186,15 +167,20 @@ def interval_quantities(
     z_values: np.ndarray,
     warps: Optional[IntervalQuantities] = None,
 ) -> IntervalQuantities:
-    """Evaluate all warped-scale quantities for a batch of intervals: the
-    three stages composed. The knots are ``x_knots`` (n, m+2) with steps
-    ``steps`` = ``np.diff(x_knots, axis=1)``; the path is given by its
-    doubly-warped values ``z_values`` (n, m+1). ``warps``, the output of
-    ``warp_stage`` on the same (params, steps, gamma), skips that stage.
-    Non-finite results are not raised here; callers inspect ``finite()``
-    and treat failures as zero-density.
+    """Evaluate all warped-scale quantities for a batch of intervals with knot
+    steps ``steps`` (n, m+1): the warp and path stages, then the three log
+    densities. The path is given by its doubly-warped values ``z_values``
+    (n, m+1). ``warps``, the output of ``warp_stage`` on the same (params,
+    steps, gamma), skips that stage. The endpoint term reads only the path's
+    last value, which no path move changes. Non-finite results are not
+    raised here; callers inspect ``finite()`` and treat failures as
+    zero-density.
     """
     if warps is None:
         warps = warp_stage(model, params, steps, gamma)
     q = path_stage(warps, z_values, y_left, y_right)
-    return density_stage(q, model, params, x_knots, steps, gamma, y_left)
+    with np.errstate(all="ignore"):
+        q.log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])
+    q.log_g = log_g_term(q, model, params)
+    q.log_gamma = log_gamma_term(model, params, q.alpha, gamma, steps)
+    return q

@@ -33,7 +33,8 @@ accepted as a whole (the terminal block, a parameter) draws one only when
 its ratio is finite and negative.
 
 What a sweep needs of the fixed knot grid is built once per state: the knot
-steps, and for each block length the ``LatentBlocks`` of every pass
+steps (the models are time-homogeneous, so no density reads the knot times
+themselves), and for each block length the ``LatentBlocks`` of every pass
 (``AugmentedState.block_passes``, which lays out the block schedule).
 """
 
@@ -103,8 +104,9 @@ class PriorSpec:
         return {k: lo + (hi - lo) * float(rng.uniform())
                 for k, (lo, hi) in self._finite(names).items()}
 
-    def midpoint(self) -> dict[str, float]:
-        return {k: 0.5 * (lo + hi) for k, (lo, hi) in self._finite(self.bounds).items()}
+    def midpoint(self, names: Iterable[str]) -> dict[str, float]:
+        """The box midpoint of each of ``names``."""
+        return {k: 0.5 * (lo + hi) for k, (lo, hi) in self._finite(names).items()}
 
     def cdf(self, name: str, x) -> np.ndarray:
         lo, hi = self._finite([name])[name]
@@ -129,7 +131,7 @@ class SamplerConfig:
 
     ``block_len`` is the number of observation intervals per latent block;
     it is at least 2, so that every interior observation knot lies inside
-    some block.
+    some block. A ``block_len`` past the data gives blocks of the whole data.
     """
 
     m: int
@@ -188,40 +190,60 @@ class Trace:
 class AugmentedState:
     """Full MCMC state: per-interval warped paths, latent path, parameters.
 
+    Built from an explicit skeleton, which its paths reproduce exactly:
+    ``x_values`` is (n, m+2) on the working coordinate with matching shared
+    observation knots; ``gamma_flat`` is the latent path at every knot. The
+    doubly-warped coordinates are derived from the skeleton, then the cache
+    from them, so that later engine passes reproduce it bit for bit.
+
     ``cache`` holds the engine outputs of the current state, one
     ``IntervalQuantities`` whose arrays the state owns; after construction
     only ``_metropolis`` changes it. Other array shapes
     (n = #intervals, m = imputed points per interval):
-        x_flat, gamma_flat : (n (m+1) + 1,)
-        x_knots            : (n, m+2), the knot times of each interval
-        x_steps            : (n, m+1), their steps
+        x_flat, gamma_flat : (n (m+1) + 1,), the knot times and latent values
+        x_steps            : (n, m+1), each interval's knot steps
         gamma_windows      : (n, m+2), a view of gamma_flat (written in place)
-        log_jac            : (n,)
+        y, log_jac         : (n + 1,) observations and (n,) their Jacobians
     """
 
-    def __init__(self, model, params, prior, obs_times, y, log_jac, m, fixed=()):
+    def __init__(self, model, params, obs_times, x_values, gamma_flat, prior, fixed=(),
+                 log_jac=None):
+        model.validate(params)
+        x_values = np.asarray(x_values, dtype=float)
+        n, cols = x_values.shape
+        # equal NaNs pass here: a NaN observation is the non-finite check's below
+        if not np.array_equal(x_values[1:, 0], x_values[:-1, -1], equal_nan=True):
+            raise ValidationError("interval skeletons disagree at shared observation knots")
         self.model = model
         self.params = params
         self.prior = prior
-        self.obs_times = np.asarray(obs_times, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.log_jac = np.asarray(log_jac, dtype=float)
-        self.m = int(m)
         self.fixed = frozenset(fixed)
         unknown = sorted(self.fixed - set(model.param_names))
         if unknown:
             raise ValidationError(f"unknown fixed parameters for {model.name}: {unknown}")
-        n = self.y.size - 1
         if n < 1:
             raise ValidationError("need at least two observations")
+        self.m = m = cols - 2
         self.n_intervals = n
-        self.x_flat = _flat_knots(self.obs_times, self.m)
-        self.x_knots = _windows(self.x_flat, self.m).copy()
-        self.x_steps = np.diff(self.x_knots, axis=1)
-        self.gamma_flat = np.zeros(n * (self.m + 1) + 1)
-        self.gamma_windows = _windows(self.gamma_flat, self.m)
-        self.cache: Optional[IntervalQuantities] = None  # set by state_from_skeleton
+        self.y = y = np.concatenate((x_values[:, 0], x_values[-1:, -1]))
+        self.log_jac = np.zeros(n) if log_jac is None else np.asarray(log_jac, dtype=float)
+        self.x_flat = _flat_knots(np.asarray(obs_times, dtype=float), m)
+        self.x_steps = np.diff(_windows(self.x_flat, m), axis=1)
+        if np.shape(gamma_flat) != (n * (m + 1) + 1,):
+            raise ValidationError("latent path length does not match the knot grid")
+        if gamma_flat[0] != 0.0:
+            raise ValidationError("latent path must start at zero")
+        self.gamma_flat = np.array(gamma_flat, dtype=float)
+        self.gamma_windows = _windows(self.gamma_flat, m)
         self._block_passes: dict[int, tuple[LatentBlocks, ...]] = {}
+        w = self.warps()
+        with np.errstate(all="ignore"):
+            u1 = (y[1:] - w.adj[:, -1])[:, None]
+            z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
+                                y[:-1, None], u1)
+        self.cache = self.quantities(z=z, warps=w)
+        if not self.cache.finite():
+            raise ValidationError("initial augmented posterior is non-finite")
 
     # -- views ------------------------------------------------------------
 
@@ -268,7 +290,6 @@ class AugmentedState:
         return interval_quantities(
             self.model,
             self.params if params is None else params,
-            self.x_knots[rows],
             self.x_steps[rows],
             self.gamma_windows[rows] if gamma is None else gamma,
             self.y[:-1][rows],
@@ -337,51 +358,8 @@ def init_state(
     y, log_jac = _transform_observations(model, obs_values)
     x_values = y[:-1, None] + np.linspace(0.0, 1.0, m + 2) * (y[1:] - y[:-1])[:, None]
     x_values[:, -1] = y[1:]
-    return state_from_skeleton(model, params, obs_times, x_values,
-                               np.zeros((y.size - 1) * (m + 1) + 1), prior, fixed, log_jac)
-
-
-def state_from_skeleton(
-    model: ModelSpec,
-    params: dict[str, float],
-    obs_times,
-    x_values: np.ndarray,
-    gamma_flat: np.ndarray,
-    prior: PriorSpec,
-    fixed: Iterable[str] = (),
-    log_jac: Optional[np.ndarray] = None,
-) -> AugmentedState:
-    """State whose paths reproduce an explicit skeleton exactly.
-
-    ``x_values`` is (n, m+2) on the working coordinate with matching shared
-    observation knots; ``gamma_flat`` is the latent path at every knot. The
-    doubly-warped coordinates are derived from the skeleton, then the cache
-    is re-derived from them, so that later engine passes reproduce it bit
-    for bit.
-    """
-    model.validate(params)
-    x_values = np.asarray(x_values, dtype=float)
-    n, cols = x_values.shape
-    # equal NaNs pass here: a NaN observation is the non-finite check's below
-    if not np.array_equal(x_values[1:, 0], x_values[:-1, -1], equal_nan=True):
-        raise ValidationError("interval skeletons disagree at shared observation knots")
-    y = np.concatenate((x_values[:, 0], x_values[-1:, -1]))
-    jac = np.zeros(n) if log_jac is None else log_jac
-    state = AugmentedState(model, params, prior, obs_times, y, jac, cols - 2, tuple(fixed))
-    if np.shape(gamma_flat) != state.gamma_flat.shape:
-        raise ValidationError("latent path length does not match the knot grid")
-    if gamma_flat[0] != 0.0:
-        raise ValidationError("latent path must start at zero")
-    state.gamma_flat[:] = gamma_flat
-    w = state.warps()
-    with np.errstate(all="ignore"):
-        u1 = (y[1:] - w.adj[:, -1])[:, None]
-        z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
-                            y[:-1, None], u1)
-    state.cache = state.quantities(z=z, warps=w)
-    if not state.cache.finite():
-        raise ValidationError("initial augmented posterior is non-finite")
-    return state
+    return AugmentedState(model, params, obs_times, x_values,
+                          np.zeros((y.size - 1) * (m + 1) + 1), prior, fixed, log_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +439,8 @@ def _update_z_rows(state: AugmentedState, rng: RandomStream) -> np.ndarray:
     np.cumsum(np.sqrt(steps) * rng.normal(steps.shape), axis=1, out=z_prop[:, 1:])
 
     q = path_stage(cache, z_prop, state.y[:-1], state.y[1:])
-    log_g = log_g_term(q, state.model, state.params, state.x_knots)
-    return _metropolis(state, rng, {"z": q.z, "U": q.U, "X": q.X, "log_g": log_g}, group=1)
+    log_g = log_g_term(q, state.model, state.params)
+    return _metropolis(state, rng, {"z": q.z, "U": q.U, "log_g": log_g}, group=1)
 
 
 def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomStream):
@@ -502,7 +480,7 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
         latent = name in state.model.latent_drift_params
         new = {}
         if not latent or state.model.rho(params) != 0.0:
-            new["log_g"] = log_g_term(state.cache, state.model, params, state.x_knots)
+            new["log_g"] = log_g_term(state.cache, state.model, params)
         if latent:
             new["log_gamma"] = log_gamma_term(state.model, params, state.cache.alpha,
                                               state.gamma_windows, state.x_steps)
@@ -625,20 +603,18 @@ def run_chain(
 
     The data are checked as a ``Path`` before any sweep: equal lengths,
     finite entries, strictly increasing times. ``init_params`` is a dict of
-    starting values, the string "prior-midpoint", or None for the model
-    defaults. Draws are recorded after burn-in at the configured thinning;
-    the log-likelihood column is the augmented log likelihood (flat-prior
-    constants excluded). ``acceptance`` counts the sweeps after burn-in.
+    starting values, or None for the model defaults; a ``block_len`` past
+    the data gives whole-data blocks. Draws are recorded after burn-in at
+    the configured thinning; the log-likelihood column is the augmented log
+    likelihood (flat-prior constants excluded). ``acceptance`` counts the
+    sweeps after burn-in.
     """
     prior = prior if prior is not None else PriorSpec.from_model(model)
     data = Path.from_arrays(data.times, data.values)
     if len(data) < 2:
         raise ValidationError("need at least two observations")
-    if model.has_latent and config.block_len > len(data) - 1:
-        raise ValidationError("block_len exceeds the number of observation intervals")
 
-    params = model.make_params(prior.midpoint() if init_params == "prior-midpoint"
-                               else init_params)
+    params = model.make_params(init_params)
     if not prior.in_support(params):
         raise ValidationError("initial parameters violate the prior support")
 

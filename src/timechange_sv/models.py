@@ -64,9 +64,10 @@ POSITIVE = ParamSupport(0.0)
 class ModelSpec:
     """Drift/volatility bundle plus transform hooks for one model.
 
-    ``drift_x(t, x, alpha, params)`` and ``vol_x(alpha, params)`` describe the
+    ``drift_x(x, alpha, params)`` and ``vol_x(alpha, params)`` describe the
     observed diffusion in the coordinate where its volatility does not depend
-    on the state itself.  When the natural observation scale has
+    on the state itself; the models are time-homogeneous, so no coefficient
+    reads the time.  When the natural observation scale has
     state-dependent volatility, ``obs_transform``/``obs_transform_inv`` map
     raw data into that coordinate and ``obs_log_jacobian`` supplies the
     density correction per observation.
@@ -138,7 +139,7 @@ def _make_const_vol_scalar() -> ModelSpec:
         param_names=("theta", "sigma"),
         supports={"theta": REAL, "sigma": POSITIVE},
         defaults={"theta": 0.0, "sigma": 1.0},
-        drift_x=lambda t, x, a, p: p["theta"] + np.zeros_like(x),
+        drift_x=lambda x, a, p: p["theta"] + np.zeros_like(x),
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
         timescale_params=("sigma",),
     )
@@ -168,7 +169,7 @@ def _make_ou_sv_leverage() -> ModelSpec:
             "rho": -0.5,
             "alpha0": -0.2,
         },
-        drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - x),
+        drift_x=lambda x, a, p: p["kappa_x"] * (p["mu_x"] - x),
         vol_x=lambda a, p: np.exp(0.5 * a),
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - a),
         vol_alpha=lambda p: p["sigma"],
@@ -202,7 +203,7 @@ def _make_tbill_logsv() -> ModelSpec:
             "sigma": 2.764,
             "alpha0": -3.966,
         },
-        drift_x=lambda t, x, a, p: p["theta0"] * np.exp(-x) - p["theta1"] - 0.5 * np.exp(a),
+        drift_x=lambda x, a, p: p["theta0"] * np.exp(-x) - p["theta1"] - 0.5 * np.exp(a),
         vol_x=lambda a, p: np.exp(0.5 * a),
         drift_alpha=lambda a, p: p["kappa"] * (p["mu"] - a),
         vol_alpha=lambda p: p["sigma"],
@@ -289,7 +290,7 @@ def euler_simulate(
     if not (math.isfinite(x0) and math.isfinite(alpha0)):
         raise ValidationError("simulation start values x0 and alpha0 must be finite")
     n = len(grid)
-    ts, dts = grid.times.tolist(), grid.steps.tolist()
+    dts = grid.steps.tolist()
     sq = np.sqrt(grid.steps)
     x, a = [x0] * n, [alpha0] * n  # the latent path of a model without one
     db = rng.normal(n - 1)
@@ -310,11 +311,10 @@ def euler_simulate(
             db *= sq
         # db becomes vol_x(alpha) * dB_total, with alpha left of each step
         db *= model.vol_x(np.array(a[:-1]), params)
-        _euler_rows(x, lambda i, xi: float(model.drift_x(ts[i], xi, a[i], params)),
-                    db.tolist(), dts)
+        _euler_rows(x, lambda i, xi: float(model.drift_x(xi, a[i], params)), db.tolist(), dts)
         x, a = np.array(x), np.array(a)
 
     finite = np.isfinite(x) & np.isfinite(a)
     if not finite[-1]:
-        raise ExplosionError(ts[int(np.argmin(finite))])
+        raise ExplosionError(grid.times[int(np.argmin(finite))])
     return Path(grid, x), Path(grid, a)

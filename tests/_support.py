@@ -17,7 +17,7 @@ def scalar_ou_model(kappa=1.5, mu=0.3, sigma=0.8) -> ModelSpec:
         param_names=("kappa", "mu", "sigma"),
         supports={"kappa": POSITIVE, "mu": REAL, "sigma": POSITIVE},
         defaults={"kappa": kappa, "mu": mu, "sigma": sigma},
-        drift_x=lambda t, x, a, p: p["kappa"] * (p["mu"] - np.asarray(x, dtype=float)),
+        drift_x=lambda x, a, p: p["kappa"] * (p["mu"] - np.asarray(x, dtype=float)),
         vol_x=lambda a, p: np.full(np.shape(a), p["sigma"], dtype=float),
         timescale_params=("sigma",),
     )
@@ -37,7 +37,7 @@ def decoupled_sv_model() -> ModelSpec:
             "kappa_x": 0.4, "mu_x": 0.0, "kappa_alpha": 0.5,
             "mu_alpha": -0.3, "sigma": 0.5, "alpha0": -0.3,
         },
-        drift_x=lambda t, x, a, p: p["kappa_x"] * (p["mu_x"] - np.asarray(x, dtype=float)),
+        drift_x=lambda x, a, p: p["kappa_x"] * (p["mu_x"] - np.asarray(x, dtype=float)),
         vol_x=lambda a, p: np.ones(np.shape(a)),
         drift_alpha=lambda a, p: p["kappa_alpha"] * (p["mu_alpha"] - np.asarray(a, dtype=float)),
         vol_alpha=lambda p: p["sigma"],
@@ -90,7 +90,7 @@ def euler_paths_reference(model, params, x0, alpha0, grid, rng, ends_only=False)
             dt = steps[i]
             sq = math.sqrt(dt)
             sx = model.vol_x(ai, params)
-            mx = model.drift_x(times[i], xi, ai, params)
+            mx = model.drift_x(xi, ai, params)
             nb = rng.normal(n_paths) if by_step else noise_b[i]
             if model.has_latent:
                 dw = sq * noise_w[i]
@@ -132,7 +132,7 @@ def euler_loglik(x_path: Path, alpha_path: Path, params: dict, model: ModelSpec)
     xv = x_path.values
     av = alpha_path.values
 
-    mx = np.asarray(model.drift_x(t[:-1], xv[:-1], av[:-1], params), dtype=float)
+    mx = np.asarray(model.drift_x(xv[:-1], av[:-1], params), dtype=float)
     sx = np.asarray(model.vol_x(av[:-1], params), dtype=float)
     rx = np.diff(xv) - mx * dt
 

@@ -235,13 +235,12 @@ class TestExitCodes:
         ({"model": "const-vol-scalar", "fixed": ["sigma"],
           "sampler": {"rw_scales": {"sigma": 0.1}}}, "rw_scales names no free parameter"),
         ({"model": "const-vol-scalar", "fixed": ["sigmaa"]}, "unknown fixed parameters"),
-        ({"model": "ou-sv-leverage", "sampler": {"block_len": 4}}, "block_len exceeds"),
         ({"model": "const-vol-scalar", "params": {"sigma": 3.0}, "prior": {"sigma": [0.5, 2.0]}},
          "initial parameters violate the prior support"),
         # a trace of no parameter would be one its own diagnose rejects
         ({"model": "const-vol-scalar", "fixed": ["theta", "sigma"]},
          "every parameter of const-vol-scalar is fixed"),
-    ], ids=["rw-scales", "fixed", "block-len", "start", "all-fixed"])
+    ], ids=["rw-scales", "fixed", "start", "all-fixed"])
     def test_chain_config_error_leaves_no_output(self, tmp_path, capsys, doc, message):
         # these are raised by the chain itself; the output directory is made
         # only once the first chain has its trace
@@ -417,11 +416,21 @@ def test_prior_midpoint_init_starts_at_the_midpoint(tmp_path):
     # "init": "prior-midpoint" writes the trace of a fit whose params are the
     # midpoint of the prior box, which is not the model's default start
     box = {"theta": [-1.0, 1.5], "sigma": [0.2, 1.3]}
-    mid = PriorSpec.from_model(get_model("const-vol-scalar"), box).midpoint()
+    mid = PriorSpec.from_model(get_model("const-vol-scalar"), box).midpoint(box)
     data = tiny_data(tmp_path / "obs.csv")
     traces = {}
-    for label, start in (("init", {"init": "prior-midpoint"}), ("params", {"params": mid}),
-                         ("default", {})):
+    # a fixed parameter stays at its params value, and its prior box may be
+    # improper: only the free ones start at their midpoints
+    fixed = {"fixed": ["sigma"], "prior": {"theta": box["theta"]}}
+    starts = {
+        "init": {"init": "prior-midpoint"},
+        "params": {"params": mid},
+        "default": {},
+        "fixed-0.7": {**fixed, "init": "prior-midpoint", "params": {"sigma": 0.7}},
+        "fixed-1.9": {**fixed, "init": "prior-midpoint", "params": {"sigma": 1.9}},
+        "fixed-params": {**fixed, "params": {"theta": mid["theta"], "sigma": 1.9}},
+    }
+    for label, start in starts.items():
         doc = {"model": "const-vol-scalar", "prior": box,
                "sampler": {"m": 2, "n_iter": 20, "n_burn": 4, "seed": 3}, **start}
         cfg = write_config(tmp_path / f"{label}.json", doc)
@@ -429,6 +438,7 @@ def test_prior_midpoint_init_starts_at_the_midpoint(tmp_path):
         assert main(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
         traces[label] = (out / "trace.csv").read_bytes()
     assert traces["init"] == traces["params"] != traces["default"]
+    assert traces["fixed-1.9"] == traces["fixed-params"] != traces["fixed-0.7"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -27,7 +27,6 @@ from timechange_sv.mcmc import (
     latent_blocks,
     run_chain,
     run_jobs,
-    state_from_skeleton,
     sweep,
     update_gamma_block,
 )
@@ -58,7 +57,7 @@ def assert_state_equal(state, snap):
     assert dict(state.params) == snap["params"]
 
 
-PATH_FIELDS = ("z", "U", "X", "log_g")  # what the path kernel writes
+PATH_FIELDS = ("z", "U", "log_g")  # what the path kernel writes
 
 
 def anchored_block(state, first, n_block, rng):
@@ -91,7 +90,7 @@ def sv_state(model=None, params=None, n_obs=5, m=4, seed=2, prior=None, fixed=()
     xv, gam = simulate_discrete_skeleton(
         model, params, obs_times, m, 0.0, RandomStream(seed)
     )
-    return state_from_skeleton(model, params, obs_times, xv, gam, prior, fixed)
+    return AugmentedState(model, params, obs_times, xv, gam, prior, fixed)
 
 
 class TestZUpdate:
@@ -162,7 +161,7 @@ class TestTimescaleUpdate:
         obs_times = np.array([0.0, 1.0, 2.0])
         x_values = np.array([[0.0, 0.9], [0.9, -0.4]])
         gamma = np.zeros(3)
-        state = state_from_skeleton(model, params, obs_times, x_values, gamma, prior)
+        state = AugmentedState(model, params, obs_times, x_values, gamma, prior)
         assert state.m == 0
         assert np.all(state.cache.log_g == 0.0)
         rng = RandomStream(14)
@@ -201,7 +200,7 @@ class TestGammaBlockUpdate:
             else:
                 terminal_block(state, first, 2, rng)
             now = arrays(state)
-            for name in ("z", "z_times", "u", "U", "X", "log_g", "log_f"):
+            for name in ("z", "z_times", "u", "U", "log_g", "log_f"):
                 assert np.array_equal(now[name], snap[name]), name
 
     def test_rejection_restores_caches(self):
@@ -255,7 +254,7 @@ def capped_vol_state(n_obs=4, m=3, cap=1.0):
     gamma = np.ones(n_obs * (m + 1) + 1)
     gamma[0] = 0.0
     gamma[1: m + 1] = -1.0
-    return state_from_skeleton(model, params, obs_times, xv, gamma, PriorSpec.from_model(model))
+    return AugmentedState(model, params, obs_times, xv, gamma, PriorSpec.from_model(model))
 
 
 class TestNonFiniteWarps:
@@ -353,7 +352,7 @@ class TestMetropolis:
         snap = snapshot(state)
         chosen = np.arange(state.n_intervals)[rows]
         sign = np.resize([10.0, 10.0, -np.inf, -np.inf], chosen.size)
-        new = {name: snap[name][chosen] + 1.0 for name in ("z", "U", "X", "log_f")}
+        new = {name: snap[name][chosen] + 1.0 for name in ("z", "U", "log_f")}
         new["log_g"] = snap["log_g"][chosen] + sign
         acc = _metropolis(state, RandomStream(5), new, rows, group=2)
         assert acc.tolist() == np.isfinite(sign[::2]).tolist()
@@ -430,11 +429,12 @@ def test_sweep_counts_every_move(name, fixed):
 
 
 def block_state(n, m=2):
-    """A state of ``n`` intervals with ``m`` imputed points each and no
-    cache, enough for its block passes."""
+    """A state of ``n`` intervals with ``m`` imputed points each, on a flat
+    path, enough for its block passes."""
     model = get_model("ou-sv-leverage")
-    return AugmentedState(model, model.make_params(), PriorSpec.from_model(model),
-                          np.arange(n + 1.0), np.zeros(n + 1), np.zeros(n), m)
+    return AugmentedState(model, model.make_params(), np.arange(n + 1.0),
+                          np.zeros((n, m + 2)), np.zeros(n * (m + 1) + 1),
+                          PriorSpec.from_model(model))
 
 
 class TestBlockPlan:
@@ -491,7 +491,7 @@ class TestDriftUpdate:
         snap = snapshot(state)
         drift_moves(state, rng, {n: 0.5 for n in state.free_names})
         now = arrays(state)
-        for name in ("z", "z_times", "u", "U", "X", "gamma_flat"):
+        for name in ("z", "z_times", "u", "U", "gamma_flat"):
             assert np.array_equal(now[name], snap[name]), name
         state.validate_cache()
 
@@ -523,17 +523,17 @@ class TestDriftUpdate:
         xv, gam = simulate_discrete_skeleton(
             model, base, obs_times, 4, 0.0, RandomStream(40)
         )
-        s_base = state_from_skeleton(model, base, obs_times, xv, gam, prior)
-        s_shift = state_from_skeleton(model, shifted, obs_times, xv, gam, prior)
+        s_base = AugmentedState(model, base, obs_times, xv, gam, prior)
+        s_shift = AugmentedState(model, shifted, obs_times, xv, gam, prior)
         for d_mu, d_a0 in ((0.1, 0.0), (0.0, -0.2), (0.3, 0.3), (-0.5, 0.2)):
             p_base = {**base, "mu_alpha": base["mu_alpha"] + d_mu,
                       "alpha0": base["alpha0"] + d_a0}
             p_shift = {**shifted, "mu_alpha": shifted["mu_alpha"] + d_mu,
                        "alpha0": shifted["alpha0"] + d_a0}
-            r_base = state_from_skeleton(
+            r_base = AugmentedState(
                 model, p_base, obs_times, xv, gam, prior
             ).log_likelihood() - s_base.log_likelihood()
-            r_shift = state_from_skeleton(
+            r_shift = AugmentedState(
                 model, p_shift, obs_times, xv, gam, prior
             ).log_likelihood() - s_shift.log_likelihood()
             assert r_shift == pytest.approx(r_base, abs=1e-10)
@@ -660,11 +660,20 @@ class TestRunChain:
         with pytest.raises(ValidationError, match=rf"observation 1 is {value}"):
             run_chain(cfg, data, get_model("tbill-logsv"))
 
-    def test_block_len_must_fit_data(self):
-        data = self._data(3)
-        cfg = SamplerConfig(m=3, n_iter=5, n_burn=1, seed=1, block_len=9)
-        with pytest.raises(ValidationError):
-            run_chain(cfg, data, get_model("ou-sv-leverage"))
+    def test_two_observation_latent_fit_runs(self):
+        # one interval: the block length 2 that SamplerConfig requires is
+        # clamped to the one interval there is, a terminal block alone
+        cfg = SamplerConfig(m=3, n_iter=20, n_burn=5, seed=1)
+        tr = run_chain(cfg, self._data(1), get_model("ou-sv-leverage"))
+        assert tr.n_rows == 15 and np.all(np.isfinite(tr.draws))
+        assert tr.acceptance["gamma"] > 0.0
+
+    def test_block_longer_than_data_gives_whole_data_draws(self):
+        data, model = self._data(3), get_model("ou-sv-leverage")
+        long, whole = (run_chain(SamplerConfig(m=3, n_iter=20, n_burn=5, seed=1, block_len=b),
+                                 data, model) for b in (9, 3))
+        assert np.array_equal(long.draws, whole.draws)
+        assert np.array_equal(long.logliks, whole.logliks)
 
     def test_unknown_fixed_name_rejected(self):
         data = self._data(3)
@@ -683,19 +692,23 @@ class TestRunChain:
             SamplerConfig(m=3, n_iter=10, n_burn=1, block_len=1)
 
     def test_prior_midpoint_init(self):
+        # the midpoints of the named parameters only, so a parameter left
+        # out (a fixed one) may have an improper box; a chain starts there
         data = self._data(5)
         model = get_model("ou-sv-leverage")
         prior = PriorSpec.from_model(model, {
-            "kappa_x": (0.1, 0.5), "mu_x": (-1, 1), "kappa_alpha": (0.1, 0.5),
-            "mu_alpha": (-1, 1), "sigma": (0.2, 0.6), "rho": (-0.9, 0.9),
-            "alpha0": (-1, 1),
+            "mu_x": (-1, 1), "kappa_alpha": (0.1, 0.5), "mu_alpha": (-1, 1),
+            "sigma": (0.2, 0.6), "rho": (-0.9, 0.9), "alpha0": (-1, 1),
         })
-        cfg = SamplerConfig(m=3, n_iter=3, n_burn=1, seed=1)
-        tr = run_chain(cfg, data, model, prior, init_params="prior-midpoint")
-        assert tr.n_rows == 2
-        explicit = run_chain(cfg, data, model, prior, init_params=prior.midpoint())
-        assert np.array_equal(tr.draws, explicit.draws)
-        assert np.array_equal(tr.logliks, explicit.logliks)
+        free = [p for p in model.param_names if p != "kappa_x"]
+        mid = prior.midpoint(free)
+        assert list(mid) == free
+        assert (mid["sigma"], mid["mu_x"]) == (0.4, 0.0)
+        with pytest.raises(ValidationError, match="improper"):
+            prior.midpoint(model.param_names)
+        cfg = SamplerConfig(m=3, n_iter=3, n_burn=1, seed=1, fixed=("kappa_x",))
+        tr = run_chain(cfg, data, model, prior, init_params={**mid, "kappa_x": 0.2})
+        assert tr.n_rows == 2 and tr.param_names == tuple(free)
 
 
 # Small chains whose last draw, log-likelihood sum and acceptance rates are

@@ -35,7 +35,7 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
     a latent diffusion of scale 0.1 that the observed one ignores."""
     return ModelSpec(
         name="blowup", param_names=("c",), supports={"c": REAL}, defaults={"c": 1.0},
-        drift_x=drift_x or (lambda t, x, a, p: np.zeros(np.shape(x))),
+        drift_x=drift_x or (lambda x, a, p: np.zeros(np.shape(x))),
         vol_x=vol_x or (lambda a, p: np.ones(np.shape(a))),
         drift_alpha=drift_alpha,
         vol_alpha=lambda p: 0.1,
@@ -175,7 +175,7 @@ class TestEulerSimulate:
         assert corr == pytest.approx(rho, abs=0.02)
 
     def test_explosion_reports_time(self):
-        model = blowup_model(drift_x=lambda t, x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6)
+        model = blowup_model(drift_x=lambda x, a, p: np.asarray(x, dtype=float) ** 3 * 1e6)
         assert_explodes_as_step_loop(model, 1.0, 0.0)
 
     def test_explosion_time_of_latent_drift(self):
@@ -187,7 +187,7 @@ class TestEulerSimulate:
         # the drift explodes above 2 only, through np.where, which gives a
         # 0-d array on a float; the path from 3 starts where it does
         model = blowup_model(
-            drift_x=lambda t, x, a, p: np.where(x > 2.0, np.asarray(x, dtype=float) ** 3, 0.0),
+            drift_x=lambda x, a, p: np.where(x > 2.0, np.asarray(x, dtype=float) ** 3, 0.0),
             vol_x=lambda a, p: np.full(np.shape(a), 0.1),
         )
         assert_explodes_as_step_loop(model, 3.0, 0.0)
@@ -285,11 +285,11 @@ class TestEulerOracle:
 
     @pytest.mark.parametrize("coefs,x0,alpha0,explodes", [
         # x ** 3 overflows a float (OverflowError) as the path explodes
-        ({"drift_x": lambda t, x, a, p: x ** 3 * 1e6}, 1.0, 0.0, True),
+        ({"drift_x": lambda x, a, p: x ** 3 * 1e6}, 1.0, 0.0, True),
         # 1.0 / 0.0 is a ZeroDivisionError, numpy's inf an explosion at the first step
-        ({"drift_x": lambda t, x, a, p: 1.0 / x}, 0.0, 0.0, True),
+        ({"drift_x": lambda x, a, p: 1.0 / x}, 0.0, 0.0, True),
         # numpy's x ** 3 = inf gives a drift 1.0 / inf = 0: the path stays finite
-        ({"drift_x": lambda t, x, a, p: x + 1.0 / x ** 3}, 1e102, 0.0, False),
+        ({"drift_x": lambda x, a, p: x + 1.0 / x ** 3}, 1e102, 0.0, False),
         ({"drift_alpha": lambda a, p: a ** 3 * 1e4}, 0.0, 1.0, True),
     ], ids=["cube-overflow", "reciprocal-at-zero", "inverse-cube", "latent-cube-overflow"])
     def test_coefficients_that_raise_on_floats(self, coefs, x0, alpha0, explodes):
@@ -409,7 +409,7 @@ def leverage_round_trip(model, params, times, x, gamma):
     U = x - w.adj[0]
     z = centre_on_chord(U[:-1], w.u[0, :-1], w.u[0, -1], x[0], U[-1])
     q = path_stage(w, z[None, :], x[:1], x[-1:])
-    return w.adj[0], q.X[0]
+    return w.adj[0], q.U[0] + w.adj[0]
 
 
 class TestLeverageAdjust:
