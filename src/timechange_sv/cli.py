@@ -2,7 +2,7 @@
 
 All exchange formats are plain CSV plus one JSON config document; outputs
 are deterministic functions of (config, seed, input files). Exit codes:
-0 success, 1 validation error, 2 numerical failure.
+0 success, 1 validation or file-system error, 2 numerical failure.
 
 ``fit`` runs its chains in parallel, one process per usable CPU: the
 command's own process and forked workers. Its files are written only once
@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path as FilePath
@@ -178,6 +180,16 @@ class RunConfig:
         return PriorSpec.from_model(self.model_spec(), overrides or None)
 
 
+def _out_dir(path) -> FilePath:
+    """``path`` as an output directory that the command makes once its work
+    is done; a file at or above it is an error before the work."""
+    out = FilePath(path)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(nearest))
+    return out
+
+
 def _write_csv(path, header, fmt: str, rows) -> None:
     """``header``, then the line ``fmt % row`` for each tuple of ``rows``;
     every line ends in ``\r\n``. These are the bytes ``csv.writer`` writes
@@ -229,8 +241,14 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     params = model.make_params(config.params)
     model.validate(params)
     alpha0 = params["alpha0"] if "alpha0" in params else 0.0
+    out = _out_dir(out_dir)
+    try:
+        steps = np.arange(n_steps + 1)
+    except (MemoryError, ValueError):  # numpy's "too big" and "maximum size exceeded"
+        raise ValidationError(f"simulate cannot allocate a grid of n_steps={n_steps} "
+                              "steps") from None
 
-    grid = TimeGrid(delta * np.arange(n_steps + 1))
+    grid = TimeGrid(delta * steps)
     x_path, a_path = euler_simulate(model, params, x0, alpha0, grid, RandomStream(seed))
 
     obs_t = grid.times[::stride]
@@ -239,7 +257,6 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
         obs_v = model.obs_transform_inv(obs_x) if model.obs_transform_inv else obs_x
     if not np.isfinite(obs_v).all():
         raise NumericsError("simulated observations are not finite on the observation scale")
-    out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     obs_file = out / "obs.csv"
     _write_csv(obs_file, ["time", "value"], "%.12g,%.12g", zip(obs_t.tolist(), obs_v.tolist()))
@@ -283,13 +300,13 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     if config.init == "prior-midpoint":  # a fixed parameter stays at its params value
         init = {**init, **prior.midpoint(p for p in model.param_names if p not in config.fixed)}
     n_chains = sampler.chains
+    out = _out_dir(out_dir)
 
     def fit_chain(c: int) -> Trace:
         # run_chain is looked up in this module at each call, so that a
         # wrapper on cli.run_chain sees the chains this process runs
         return run_chain(replace(sampler, seed=sampler.seed + c), data, model, prior, init)
 
-    out = FilePath(out_dir)
     produced = {}
     for chain, trace in enumerate(run_jobs(fit_chain, n_chains)):
         if isinstance(trace, Exception):
@@ -315,6 +332,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
 
 def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
     """Per-parameter autocorrelations, mixing times and kernel densities."""
+    out = _out_dir(out_dir)
     names, _iters, draws, _loglik = read_trace_csv(trace_path)
     n = draws.shape[0]
     if max_lag < 1 or max_lag >= n:
@@ -331,7 +349,6 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
             tables["kde"][2].extend((name, x, d) for x, d in kde_export(column).tolist())
         except ValidationError as exc:
             raise ValidationError(f"{trace_path}: parameter {name}: {exc}") from None
-    out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     produced = {}
     for stem, (header, fmt, rows) in tables.items():
@@ -374,6 +391,10 @@ def main(argv=None) -> int:
             print("wrote " + ", ".join(str(v) for v in out.values()))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path the command cannot read or make
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

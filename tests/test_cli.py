@@ -88,6 +88,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{data}:3:" in err and "unparseable" in err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_simulate_out_at_a_file(self, tmp_path, capsys, under):
+        # a file, or a path below one, as the output directory: one error
+        # line naming the file, not a FileExistsError or NotADirectoryError
+        cfg = write_config(tmp_path / "config.json", OU_CONFIG)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "sim" if under else blocker
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {blocker}: Not a directory\n"
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_fit_out_at_a_file_rejected_before_the_chains(self, tmp_path, capsys,
+                                                          monkeypatch, under):
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar", "sampler": {"m": 2, "n_iter": 10, "n_burn": 2},
+        })
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        ran = []
+        monkeypatch.setattr(cli, "run_chain", lambda *args: ran.append(args))
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(blocker / "fit" if under else blocker)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {blocker}: Not a directory\n"
+        assert not ran and blocker.read_text() == "keep"
+
+    def test_diagnose_trace_that_is_a_directory(self, tmp_path, capsys):
+        argv = ["diagnose", "--trace", str(tmp_path), "--out", str(tmp_path / "diag")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "diag").exists()
+
+    @pytest.mark.parametrize("n_steps", [10**17, 10**20], ids=["memory", "numpy-limit"])
+    def test_simulate_grid_too_long_to_allocate(self, tmp_path, capsys, n_steps):
+        # sizes no 64-bit address space holds, so the allocation fails at once
+        cfg = write_config(tmp_path / "config.json", {
+            "model": "const-vol-scalar", "simulate": {"n_steps": n_steps},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_steps" in err and err.count("\n") == 1
+        assert not (tmp_path / "sim").exists()
+
     def test_exploding_simulation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",

@@ -1,4 +1,7 @@
 
+import collections
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -236,13 +239,77 @@ class TestEulerSimulate:
         assert qv == pytest.approx(integral, rel=0.05)
 
 
-def simulated_models():
-    cases = [pytest.param(get_model(n), {}, id=n) for n in model_names()]
-    cases += [pytest.param(get_model("ou-sv-leverage"), {"rho": r}, id=f"ou-sv-rho{r:+.0f}")
-              for r in (1.0, -1.0)]
-    cases += [pytest.param(scalar_ou_model(), {}, id="scalar-ou"),
-              pytest.param(decoupled_sv_model(), {}, id="decoupled-sv")]
+def simulated_cases():
+    """(id, model, parameter updates) of the registered and test models."""
+    cases = [(n, get_model(n), {}) for n in model_names()]
+    cases += [(f"ou-sv-rho{r:+.0f}", get_model("ou-sv-leverage"), {"rho": r}) for r in (1.0, -1.0)]
+    cases += [("scalar-ou", scalar_ou_model(), {}), ("decoupled-sv", decoupled_sv_model(), {})]
     return cases
+
+
+def simulated_models():
+    return [pytest.param(model, updates, id=name) for name, model, updates in simulated_cases()]
+
+
+def assert_simulates_as_step_loop(model, params, x0, alpha0, grid, seed, simulated=None):
+    """``euler_simulate`` gives the per-step loop's paths bit for bit and
+    leaves the stream where the loop does, or both raise ``ExplosionError``
+    at the same grid time; returns that time, or None. ``simulated``, if
+    given, is the same model as ``model`` for ``euler_simulate`` alone."""
+    simulated = simulated or model
+    ref_rng, rng = RandomStream(seed), RandomStream(seed)
+    try:
+        want = np.errstate(divide="ignore")(euler_paths_reference)(
+            model, params, x0, alpha0, grid, ref_rng)
+    except ExplosionError as exc:
+        with pytest.raises(ExplosionError) as got:
+            euler_simulate(simulated, params, x0, alpha0, grid, rng)
+        assert got.value.time == exc.time
+        return exc.time
+    got = euler_simulate(simulated, params, x0, alpha0, grid, rng)
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w[0].tobytes()
+    assert rng.normal() == ref_rng.normal()
+    return None
+
+
+def counting_drifts(model):
+    """``model`` with drifts that count their calls by kind and coordinate:
+    ``calls["x", "sweep"]`` counts the observed drift's calls on arrays (one
+    per fixed-point sweep), ``calls["x", "float"]`` those on scalars (one
+    per float step); likewise ``"alpha"`` for the latent drift."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def g(x, *rest):
+            calls[name, "sweep" if np.ndim(x) else "float"] += 1
+            return f(x, *rest)
+        return g
+
+    return dataclasses.replace(
+        model, drift_x=counted("x", model.drift_x),
+        drift_alpha=model.drift_alpha and counted("alpha", model.drift_alpha),
+    ), calls
+
+
+# the bench's tbill grid: weekly observations, 50 steps each
+BENCH_TBILL_GRID = TimeGrid(5.0 / 252.0 / 50 * np.arange(24_951))
+# ou-sv-leverage whose drifts change by half the state's change per step
+STIFF_UPDATES = {"kappa_x": 2.0, "kappa_alpha": 3.0}
+STIFF_GRID = TimeGrid(0.25 * np.arange(2001))
+
+
+def stiffening_model():
+    """Latent alpha rising at 0.3 per unit time, observed drift -exp(alpha) x:
+    on a step of 1e-3 the drift moves with x by 1e-3 per step at first and by
+    6e-3 after 6 time units."""
+    return ModelSpec(
+        name="stiffening", param_names=("c",), supports={"c": REAL}, defaults={"c": 0.3},
+        drift_x=lambda x, a, p: -np.exp(a) * x,
+        vol_x=lambda a, p: np.ones(np.shape(a)),
+        drift_alpha=lambda a, p: p["c"] + 0.0 * a,
+        vol_alpha=lambda p: 0.1,
+    )
 
 
 class TestEulerOracle:
@@ -257,31 +324,79 @@ class TestEulerOracle:
         x0 = np.log(10.0) if model.obs_transform else 0.1
         a0 = params["alpha0"] if "alpha0" in params else 0.0
         grid = uneven_grid(n_points)
-        ref_rng, rng = RandomStream(9), RandomStream(9)
-        want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
-        got = euler_simulate(model, params, x0, a0, grid, rng)
-        for g, w in zip(got, want):
-            assert g.values.shape == (n_points,)
-            assert g.values.tobytes() == w[0].tobytes()
-        assert rng.normal() == ref_rng.normal()
+        assert assert_simulates_as_step_loop(model, params, x0, a0, grid, 9) is None
+
+    def test_numpy_properties_the_sweeps_rest_on(self):
+        # a sweep reads the drifts on whole windows and adds the steps by
+        # cumsum: a ufunc gives an element the bits it gives it alone or as
+        # a float, whatever the array's length and alignment, and cumsum
+        # adds left to right as the float loop does
+        v = 5.0 * RandomStream(4).normal(2100)
+        for f in (np.exp, np.expm1, np.tanh, lambda u: np.log(np.abs(u))):
+            alone = [float(f(u)) for u in v.tolist()]
+            for lo, hi in ((0, 1), (1, 8), (3, 67), (0, 2048), (5, 2100)):
+                assert f(v[lo:hi]).tolist() == alone[lo:hi]
+        assert np.cumsum(v).tolist() == list(itertools.accumulate(v.tolist()))
 
     @pytest.mark.parametrize("name,updates,x0,grid", [
-        # the bench's tbill grid: weekly observations, 50 steps each
-        ("tbill-logsv", {}, np.log(10.0), TimeGrid(5.0 / 252.0 / 50 * np.arange(24_951))),
+        ("tbill-logsv", {}, np.log(10.0), BENCH_TBILL_GRID),
         ("ou-sv-leverage", {"rho": -0.7}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
         ("const-vol-scalar", {"theta": 0.3}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
-    ], ids=["tbill-bench-grid", "ou-sv-leverage", "const-vol-scalar"])
+        ("ou-sv-leverage", STIFF_UPDATES, 0.1, STIFF_GRID),
+        # windows of 64, 128, ..., 1024 steps, then the last 16 steps
+        ("const-vol-scalar", {}, 0.1, TimeGrid(1e-3 * np.arange(2001))),
+    ], ids=["tbill-bench-grid", "ou-sv-leverage", "const-vol-scalar", "stiff",
+            "const-vol-scalar-short-last-window"])
     def test_long_one_path(self, name, updates, x0, grid):
-        # the rows euler_simulate steps on, over grids as long as the bench's
+        # over grids as long as the bench's, which sweep, and a stiff one,
+        # which takes float steps
         model = get_model(name)
         params = model.make_params(updates)
         a0 = params["alpha0"] if "alpha0" in params else 0.0
-        ref_rng, rng = RandomStream(21), RandomStream(21)
-        want = euler_paths_reference(model, params, x0, a0, grid, ref_rng)
-        got = euler_simulate(model, params, x0, a0, grid, rng)
-        for g, w in zip(got, want):
-            assert g.values.tobytes() == w[0].tobytes()
-        assert rng.normal() == ref_rng.normal()
+        assert assert_simulates_as_step_loop(model, params, x0, a0, grid, 21) is None
+
+    def test_sweeps_hand_off_to_float_steps(self):
+        # the observed drift stiffens as alpha rises: its path sweeps for
+        # thousands of steps, then goes on in float steps
+        model = stiffening_model()
+        counted, calls = counting_drifts(model)
+        grid = TimeGrid(1e-3 * np.arange(6001))
+        assert assert_simulates_as_step_loop(model, model.make_params(), 1.0, 0.0, grid, 3,
+                                             counted) is None
+        assert calls["x", "sweep"] > 0 and 1000 < calls["x", "float"] < 5000
+
+    @pytest.mark.parametrize("coefs,coord", [
+        # a drift of 1 below 5, nan above: the path crosses 5 some 5000 steps in
+        ({"drift_x": lambda x, a, p: np.where(x < 5.0, 1.0, np.nan)}, "x"),
+        ({"drift_alpha": lambda a, p: np.where(a < 5.0, 1.0, np.inf)}, "alpha"),
+    ], ids=["observed", "latent"])
+    def test_late_explosion(self, coefs, coord):
+        # a path that turns non-finite in the middle of a sweep's window
+        model = blowup_model(**coefs)
+        counted, calls = counting_drifts(model)
+        grid = TimeGrid(1e-3 * np.arange(20_001))
+        time = assert_simulates_as_step_loop(model, model.make_params(), 0.0, 0.0, grid, 5,
+                                             counted)
+        assert time is not None and 2.0 < time < 6.0
+        assert calls["x", "float"] + calls["alpha", "float"] == 0
+        # the sweeps stop there: about 10 of them reach it, and the 15 000
+        # steps after it would take 15 more
+        assert calls[coord, "sweep"] <= 12
+
+    @given(
+        st.sampled_from(simulated_cases()),
+        st.floats(1e-4, 0.3),
+        st.integers(1, 3000),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_step_and_length(self, case, dt, n_points, seed):
+        _, model, updates = case
+        params = {**model.make_params(), **updates}
+        x0 = np.log(10.0) if model.obs_transform else 0.1
+        a0 = params["alpha0"] if "alpha0" in params else 0.0
+        grid = TimeGrid(dt * np.arange(n_points))
+        assert_simulates_as_step_loop(model, params, x0, a0, grid, seed)
 
     @pytest.mark.parametrize("coefs,x0,alpha0,explodes", [
         # x ** 3 overflows a float (OverflowError) as the path explodes
@@ -325,6 +440,39 @@ class TestEulerOracle:
                 assert g.values.tobytes() == w[0].tobytes()
             assert rng.normal() == ref_rng.normal()
         assert raised
+
+
+class TestEulerRegimes:
+    """Which paths ``euler_simulate`` sweeps and which it steps on floats,
+    counted by the drift calls rather than timed."""
+
+    def test_bench_grid_sweeps(self):
+        model, calls = counting_drifts(get_model("tbill-logsv"))
+        params = model.make_params()
+        euler_simulate(model, params, np.log(10.0), params["alpha0"], BENCH_TBILL_GRID,
+                       RandomStream(1))
+        for coord in ("x", "alpha"):
+            assert calls[coord, "float"] < 0.01 * (len(BENCH_TBILL_GRID) - 1)
+            assert 0 < calls[coord, "sweep"] < 400
+
+    def test_stiff_grid_stops_sweeping(self):
+        model, calls = counting_drifts(get_model("ou-sv-leverage"))
+        params = model.make_params(STIFF_UPDATES)
+        euler_simulate(model, params, 0.1, params["alpha0"], STIFF_GRID, RandomStream(1))
+        for coord in ("x", "alpha"):
+            assert calls[coord, "sweep"] <= 3
+            assert calls[coord, "float"] > 0.99 * (len(STIFF_GRID) - 1)
+
+    @pytest.mark.parametrize("name", model_names())
+    def test_gate_skeleton_takes_no_sweep(self, name):
+        # the exactness gates' skeletons: 25 points
+        model, calls = counting_drifts(get_model(name))
+        params = model.make_params()
+        a0 = params["alpha0"] if "alpha0" in params else 0.0
+        euler_simulate(model, params, 0.1, a0, TimeGrid(np.linspace(0.0, 2.0, 25)),
+                       RandomStream(1))
+        assert calls["x", "sweep"] == calls["alpha", "sweep"] == 0
+        assert calls["x", "float"] == 24
 
 
 class TestLatentTransforms:
