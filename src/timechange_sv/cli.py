@@ -213,10 +213,14 @@ def read_trace_csv(path):
     header = next(rows)
     if len(header) < 3 or header[0] != "iter" or header[-1] != "loglik":
         raise ValidationError(f"{path}: malformed trace header")
-    draws = [row for _, row in rows]
-    if not draws:
+    if repeated := sorted({p for p in header[1:-1] if header[1:-1].count(p) > 1}):
+        raise ValidationError(f"{path}:1: repeated parameter names {repeated}")
+    numbered = list(rows)  # (line, row) of each draw
+    if not numbered:
         raise ValidationError(f"{path}: trace has no draws")
-    arr = np.asarray(draws)
+    if bad := next(((line, row[0]) for line, row in numbered if not row[0].is_integer()), None):
+        raise ValidationError(f"{path}:{bad[0]}: iter {bad[1]} is not a whole number")
+    arr = np.asarray([row for _, row in numbered])
     return tuple(header[1:-1]), arr[:, 0].astype(int), arr[:, 1:-1], arr[:, -1]
 
 

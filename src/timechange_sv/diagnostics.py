@@ -104,16 +104,17 @@ def kde_export(series, grid_points: int = 256) -> np.ndarray:
 
 def simulate_discrete_skeleton(model: ModelSpec, params, obs_times: np.ndarray, m: int,
                                x0: float, rng: RandomStream):
-    """Simulate (x_values, gamma_flat) on the sampler's knots by ``euler_simulate``:
-    the engine's densities are those of this Euler scheme on the knots (X coupled
-    to the latent noise dW), so prior recovery on these data is an exact test of
+    """Simulate the (n, m+2) windows (x_values, gamma) of the observed and
+    latent paths on the sampler's knots by ``euler_simulate``: the engine's
+    densities are those of this Euler scheme on the knots (X coupled to the
+    latent noise dW), so prior recovery on these data is an exact test of
     the transition kernels."""
     grid = TimeGrid(_flat_knots(np.asarray(obs_times, dtype=float), m))
     alpha0 = params.get("alpha0", 0.0)
     x, alpha = euler_simulate(model, params, x0, alpha0, grid, rng)
     gamma = ((alpha.values - alpha0) / model.latent_scale(params) if model.has_latent
              else np.zeros(len(grid)))
-    return _windows(x.values, m), gamma
+    return _windows(x.values, m), _windows(gamma, m)
 
 
 GATE_N_OBS = 6  # the observation intervals each prior-recovery replication simulates
@@ -157,10 +158,8 @@ def prior_recovery_test(
     def replicate(k: int) -> list[float]:
         rng = RandomStream(seed, stream=k)
         theta = model.make_params(prior.sample(rng, free))
-        x_values, gamma_flat = simulate_discrete_skeleton(model, theta, obs_times, config.m,
-                                                          x0, rng)
-        state = AugmentedState(model, theta, obs_times, x_values, gamma_flat, prior,
-                               config.fixed)
+        x_values, gamma = simulate_discrete_skeleton(model, theta, obs_times, config.m, x0, rng)
+        state = AugmentedState(model, theta, obs_times, x_values, gamma, prior, config.fixed)
         for _ in range(sweeps):
             step(state, rng)
         return [state.params[name] for name in free]

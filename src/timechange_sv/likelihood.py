@@ -7,9 +7,9 @@ observation intervals never underflow.
 The per-interval quantities are produced by one vectorised engine on
 (n_intervals, m+2) arrays, which ``interval_quantities`` runs:
 
-* ``warp_stage`` maps (params, gamma) to five warp fields: the latent
-  values, the squared volatility, the warped times (the last is the warped
-  interval length), the leverage adjustment and the doubly-warped times;
+* ``warp_stage`` maps (params, gamma) to six warp fields: gamma itself, the
+  latent values, the squared volatility, the warped times (the last is the
+  warped length), the leverage adjustment and the doubly-warped times;
 * ``path_stage`` maps the doubly-warped path values z, on those warps, to
   the path U on the warped scale (the observation coordinate is U + adj);
 * then the three density terms: the Girsanov term of the path
@@ -58,10 +58,11 @@ class IntervalQuantities:
 
     Shapes: (n, m+2) for knot-level arrays, (n, m+1) for the finite
     doubly-warped knots, (n,) for per-interval scalars. The warp stage fills
-    the first five fields, the path stage the next two, the densities the
+    the first six fields, the path stage the next two, the densities the
     last three. A sampler state caches one instance with every field filled.
     """
 
+    gamma: np.ndarray  # unit-diffusion latent path at the knots, neighbours sharing a knot
     alpha: np.ndarray  # latent values at the knots
     veff2: np.ndarray  # squared leverage-reduced volatility at the knots
     u: np.ndarray  # warped knot times, u[:, 0] = 0; u[:, -1] is the warped length T
@@ -113,7 +114,7 @@ def warp_stage(model: ModelSpec, params: dict[str, float], steps, gamma) -> Inte
         else:
             adj = np.zeros_like(gamma)
         z_times = second_warp(u[:, :-1], u[:, -1:])
-    return IntervalQuantities(alpha, veff2, u, adj, z_times)
+    return IntervalQuantities(gamma, alpha, veff2, u, adj, z_times)
 
 
 def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
@@ -128,7 +129,7 @@ def path_stage(w: IntervalQuantities, z, y_left, y_right) -> IntervalQuantities:
             u1[:, None],
         )
         U[:, -1] = u1
-    return IntervalQuantities(w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U)
+    return IntervalQuantities(w.gamma, w.alpha, w.veff2, w.u, w.adj, w.z_times, z, U)
 
 
 def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float]):
@@ -145,16 +146,14 @@ def log_g_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float]
         return girsanov_sum(drift / q.veff2[:, :-1], np.diff(q.U, axis=1), np.diff(q.u, axis=1))
 
 
-def log_gamma_term(model: ModelSpec, params: dict[str, float], alpha, gamma, steps):
-    """Latent term of the latent windows ``gamma``, with values ``alpha``,
+def log_gamma_term(q: IntervalQuantities, model: ModelSpec, params: dict[str, float], steps):
+    """Latent term of the latent windows of ``q``, with values ``q.alpha``,
     on knot steps ``steps``, per interval (zero without a latent path)."""
-    gamma = np.asarray(gamma, dtype=float)
     if not model.has_latent:
-        return np.zeros(gamma.shape[0])
+        return np.zeros(q.gamma.shape[0])
     with np.errstate(all="ignore"):
-        return girsanov_sum(
-            unit_latent_drift(model, params, alpha[:, :-1]), np.diff(gamma, axis=1), steps
-        )
+        return girsanov_sum(unit_latent_drift(model, params, q.alpha[:, :-1]),
+                            np.diff(q.gamma, axis=1), steps)
 
 
 def interval_quantities(
@@ -182,5 +181,5 @@ def interval_quantities(
     with np.errstate(all="ignore"):
         q.log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])
     q.log_g = log_g_term(q, model, params)
-    q.log_gamma = log_gamma_term(model, params, q.alpha, gamma, steps)
+    q.log_gamma = log_gamma_term(q, model, params, steps)
     return q

@@ -23,9 +23,10 @@ drift move recompute only the density terms they move (``likelihood`` says
 which) and keep the cached bits of the others. Only the m+2 knots per
 interval are ever persisted; finer retrospective draws are transient.
 
-Every kernel ends in ``_metropolis``, the one place the cache changes after
-construction. It forms each row's log ratio from the proposed density
-terms, accepts, and writes only the accepted rows of the proposed fields, so
+Every kernel ends in ``_metropolis``, the one place the state (the cache,
+latent path included, and the parameters) changes after construction. It
+forms each row's log ratio from the proposed density terms, accepts, and
+writes only the accepted rows of the proposed fields (and parameters), so
 rejected proposals leave the state bit-identical. It has two uniform rules:
 a move of independent groups of rows (the path move, one row each; an
 anchored pass, one block each) draws one uniform per group, and a move
@@ -86,10 +87,11 @@ class PriorSpec:
                 bounds[name] = (lo, hi)
         return cls(bounds)
 
-    def in_support(self, params: dict[str, float]) -> bool:
-        """Whether ``params`` lie inside the open box; every box lies inside
-        its parameter's support."""
-        return all(lo < params[k] < hi for k, (lo, hi) in self.bounds.items())
+    def outside(self, params: dict[str, float]) -> list[str]:
+        """Each of ``params`` outside its open box, as "name = value not in (lo,
+        hi)"; every box lies inside its parameter's support."""
+        return [f"{k} = {params[k]} not in ({lo}, {hi})"
+                for k, (lo, hi) in self.bounds.items() if not lo < params[k] < hi]
 
     def _finite(self, names: Iterable[str]) -> dict[str, tuple[float, float]]:
         """The boxes of ``names``, which must all be finite."""
@@ -155,8 +157,12 @@ class SamplerConfig:
         if not (isinstance(self.rw_scales, dict) and all(
                 is_number(v) and v > 0.0 for v in self.rw_scales.values())):
             raise ValidationError("rw_scales must map parameter names to finite positive numbers")
-        if self.validate_every < 0:
-            raise ValidationError("validate_every must be >= 0")
+        fixed = self.fixed
+        if not (isinstance(fixed, (list, tuple)) and all(isinstance(p, str) for p in fixed)):
+            raise ValidationError(f"fixed must be a list or tuple of names, got {fixed!r}")
+        for name in ("seed", "validate_every"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.m < 1:
             raise ValidationError("need at least one imputed point per interval")
         if self.n_iter <= 0 or self.n_burn < 0 or self.n_burn >= self.n_iter:
@@ -191,28 +197,30 @@ class AugmentedState:
     """Full MCMC state: per-interval warped paths, latent path, parameters.
 
     Built from an explicit skeleton, which its paths reproduce exactly:
-    ``x_values`` is (n, m+2) on the working coordinate with matching shared
-    observation knots; ``gamma_flat`` is the latent path at every knot. The
+    (n, m+2) windows of ``x_values`` on the working coordinate and of the
+    latent path ``gamma``, neighbours sharing their observation knot. The
     doubly-warped coordinates are derived from the skeleton, then the cache
     from them, so that later engine passes reproduce it bit for bit.
 
-    ``cache`` holds the engine outputs of the current state, one
-    ``IntervalQuantities`` whose arrays the state owns; after construction
-    only ``_metropolis`` changes it. Other array shapes
-    (n = #intervals, m = imputed points per interval):
-        x_flat, gamma_flat : (n (m+1) + 1,), the knot times and latent values
-        x_steps            : (n, m+1), each interval's knot steps
-        gamma_windows      : (n, m+2), a view of gamma_flat (written in place)
-        y, log_jac         : (n + 1,) observations and (n,) their Jacobians
+    ``cache`` holds the latent windows and the engine outputs of the current
+    state, one ``IntervalQuantities`` whose arrays the state owns; after
+    construction only ``_metropolis`` changes it, or ``params``. Other array
+    shapes (n = #intervals, m = imputed points per interval):
+        x_flat, x_steps : (n (m+1) + 1,) knot times and (n, m+1) their steps
+        y, log_jac      : (n + 1,) observations and (n,) their Jacobians
     """
 
-    def __init__(self, model, params, obs_times, x_values, gamma_flat, prior, fixed=(),
+    def __init__(self, model, params, obs_times, x_values, gamma, prior, fixed=(),
                  log_jac=None):
         model.validate(params)
         x_values = np.asarray(x_values, dtype=float)
+        gamma = np.array(gamma, dtype=float)
         n, cols = x_values.shape
+        if gamma.shape != x_values.shape:
+            raise ValidationError("latent windows do not match the path windows")
         # equal NaNs pass here: a NaN observation is the non-finite check's below
-        if not np.array_equal(x_values[1:, 0], x_values[:-1, -1], equal_nan=True):
+        both = np.stack((x_values, gamma))
+        if not np.array_equal(both[:, 1:, 0], both[:, :-1, -1], equal_nan=True):
             raise ValidationError("interval skeletons disagree at shared observation knots")
         self.model = model
         self.params = params
@@ -223,20 +231,16 @@ class AugmentedState:
             raise ValidationError(f"unknown fixed parameters for {model.name}: {unknown}")
         if n < 1:
             raise ValidationError("need at least two observations")
+        if gamma[0, 0] != 0.0:
+            raise ValidationError("latent path must start at zero")
         self.m = m = cols - 2
         self.n_intervals = n
         self.y = y = np.concatenate((x_values[:, 0], x_values[-1:, -1]))
         self.log_jac = np.zeros(n) if log_jac is None else np.asarray(log_jac, dtype=float)
         self.x_flat = _flat_knots(np.asarray(obs_times, dtype=float), m)
         self.x_steps = np.diff(_windows(self.x_flat, m), axis=1)
-        if np.shape(gamma_flat) != (n * (m + 1) + 1,):
-            raise ValidationError("latent path length does not match the knot grid")
-        if gamma_flat[0] != 0.0:
-            raise ValidationError("latent path must start at zero")
-        self.gamma_flat = np.array(gamma_flat, dtype=float)
-        self.gamma_windows = _windows(self.gamma_flat, m)
         self._block_passes: dict[int, tuple[LatentBlocks, ...]] = {}
-        w = self.warps()
+        w = self.warps(gamma=gamma)
         with np.errstate(all="ignore"):
             u1 = (y[1:] - w.adj[:, -1])[:, None]
             z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
@@ -282,16 +286,16 @@ class AugmentedState:
 
     # -- engine and cache management ----------------------------------------
 
-    def quantities(self, params=None, gamma=None, z=None, rows=slice(None), warps=None):
-        """Engine outputs for ``rows``; ``params``, the latent windows
-        ``gamma`` and the path values ``z`` default to the state's own.
-        ``warps``, the output of ``self.warps`` for the same params, gamma
-        and rows, skips the warp stage."""
+    def quantities(self, params=None, z=None, rows=slice(None), warps=None):
+        """Engine outputs for ``rows``; ``params`` and the path values ``z``
+        default to the state's own. ``warps``, the output of ``self.warps``
+        for the same params and rows, skips the warp stage and gives the
+        latent windows, which are otherwise the state's own."""
         return interval_quantities(
             self.model,
             self.params if params is None else params,
             self.x_steps[rows],
-            self.gamma_windows[rows] if gamma is None else gamma,
+            self.cache.gamma[rows] if warps is None else warps.gamma,
             self.y[:-1][rows],
             self.y[1:][rows],
             z_values=self.cache.z[rows] if z is None else z,
@@ -304,7 +308,7 @@ class AugmentedState:
             self.model,
             self.params if params is None else params,
             self.x_steps[rows],
-            self.gamma_windows[rows] if gamma is None else gamma,
+            self.cache.gamma[rows] if gamma is None else gamma,
         )
 
     def log_likelihood(self, q=None) -> float:
@@ -330,7 +334,7 @@ def _flat_knots(obs_times: np.ndarray, m: int) -> np.ndarray:
 
 
 def _windows(flat: np.ndarray, m: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(flat, m + 2)[:: m + 1]
+    return np.lib.stride_tricks.sliding_window_view(flat, m + 2, axis=-1)[..., :: m + 1, :]
 
 
 def _transform_observations(model: ModelSpec, raw_values: np.ndarray):
@@ -358,8 +362,8 @@ def init_state(
     y, log_jac = _transform_observations(model, obs_values)
     x_values = y[:-1, None] + np.linspace(0.0, 1.0, m + 2) * (y[1:] - y[:-1])[:, None]
     x_values[:, -1] = y[1:]
-    return AugmentedState(model, params, obs_times, x_values,
-                          np.zeros((y.size - 1) * (m + 1) + 1), prior, fixed, log_jac)
+    return AugmentedState(model, params, obs_times, x_values, np.zeros_like(x_values), prior,
+                          fixed, log_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +371,16 @@ def init_state(
 
 
 def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(None),
-                group: Optional[int] = None, log_jac: float = 0.0) -> np.ndarray:
+                group: Optional[int] = None, log_jac: float = 0.0, *,
+                params: Optional[dict] = None) -> np.ndarray:
     """Accept or reject the proposal ``new`` (cache field name to the values
     of the cache ``rows``) and write its accepted rows into the cache; returns
     the accept flag of each run of ``group`` rows, or of the whole move. A
     row's log ratio is its change of the density terms in ``new``, summed in
     ``terms()`` order, -inf where not finite and without a warning; a whole
-    move adds ``log_jac``. A slice of rows is written with a mask, other rows
-    by index, and an accepted move over every row adopts the arrays of ``new``.
+    move adds ``log_jac`` and once accepted sets ``params``, if given. A
+    slice of rows is written with a mask, other rows by index, and an
+    accepted move over every row adopts the arrays of ``new``.
     """
     cache = state.cache
     with np.errstate(invalid="ignore", over="ignore"):
@@ -391,6 +397,8 @@ def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(
     keep = np.repeat(acc, group)
     if not keep.any():
         return acc
+    if params is not None:
+        state.params = params
     if not isinstance(rows, slice):
         for name, value in new.items():
             getattr(cache, name)[rows[keep]] = value[keep]
@@ -419,7 +427,7 @@ def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None
     bad = ~np.isfinite(w.z_times).all(axis=1)
     new_times = np.where(bad[:, None], cache.z_times[rows], w.z_times) if bad.any() else w.z_times
     z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
-    new = vars(state.quantities(params=params, gamma=gamma, z=z_new, rows=rows, warps=w))
+    new = vars(state.quantities(params=params, z=z_new, rows=rows, warps=w))
     new["log_f"][bad] = -np.inf
     return new
 
@@ -455,7 +463,7 @@ def _propose_param(state: AugmentedState, name: str, scale: float, rng: RandomSt
     except OverflowError:
         return None, 0.0
     params = {**state.params, name: cand}
-    if not state.prior.in_support(params):
+    if state.prior.outside(params):
         return None, 0.0
     return params, sup.log_jacobian(cand) - sup.log_jacobian(cur)
 
@@ -468,8 +476,7 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
     ``_warped_proposal``. A drift parameter reuses the cached warps and
     paths and recomputes only the density terms it moves: ``log_gamma`` for
     the model's latent-drift parameters, and ``log_g`` for the others and,
-    with leverage, for those too. The move is accepted jointly across
-    intervals.
+    with leverage, for those too.
     """
     params, log_jac = _propose_param(state, name, scale, rng)
     if params is None:
@@ -482,12 +489,8 @@ def _update_param(state: AugmentedState, name: str, rng: RandomStream, scale: fl
         if not latent or state.model.rho(params) != 0.0:
             new["log_g"] = log_g_term(state.cache, state.model, params)
         if latent:
-            new["log_gamma"] = log_gamma_term(state.model, params, state.cache.alpha,
-                                              state.gamma_windows, state.x_steps)
-    if not _metropolis(state, rng, new, log_jac=log_jac)[0]:
-        return False
-    state.params = params
-    return True
+            new["log_gamma"] = log_gamma_term(state.cache, state.model, params, state.x_steps)
+    return bool(_metropolis(state, rng, new, log_jac=log_jac, params=params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +504,8 @@ class LatentBlocks:
 
     length: int
     anchored: bool  # keeps its right knot (a bridge), or has a free end
-    seg: np.ndarray  # (blocks, length (m+1) + 1) indices of each block's knots in gamma_flat
-    sqrt_steps: np.ndarray  # square roots of each block's knot steps
+    sqrt_steps: np.ndarray  # (blocks, length (m+1)) square roots of each block's knot steps
     frac: np.ndarray  # each knot's fraction of its block's time span
-    windows: np.ndarray  # (length, m+2) columns of each interval's window in a block
     rows: "slice | np.ndarray"  # the blocks' intervals, block-major; a slice if contiguous
 
 
@@ -512,15 +513,12 @@ def latent_blocks(state: AugmentedState, firsts: np.ndarray, length: int,
                   anchored: bool) -> LatentBlocks:
     """The blocks of ``length`` intervals from each of ``firsts``."""
     m = state.m
-    seg = (firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)[None, :]
-    seg_t = state.x_flat[seg]
+    seg_t = state.x_flat[(firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)]
     frac = (seg_t - seg_t[:, :1]) / (seg_t[:, -1:] - seg_t[:, :1])
-    windows = (np.arange(length) * (m + 1))[:, None] + np.arange(m + 2)[None, :]
     rows = (firsts[:, None] + np.arange(length)[None, :]).ravel()
     if np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
         rows = slice(int(rows[0]), int(rows[-1]) + 1)
-    return LatentBlocks(length, anchored, seg, np.sqrt(seg_t[:, 1:] - seg_t[:, :-1]), frac,
-                        windows, rows)
+    return LatentBlocks(length, anchored, np.sqrt(seg_t[:, 1:] - seg_t[:, :-1]), frac, rows)
 
 
 def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream) -> np.ndarray:
@@ -533,8 +531,9 @@ def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream
     their anchor knots, so one accept/reject per block composes exactly like
     updating them one at a time.
     """
-    seg_g = state.gamma_flat[blocks.seg]
-    w = np.zeros(blocks.seg.shape)
+    g = state.cache.gamma[blocks.rows].reshape(-1, blocks.length, state.m + 2)
+    seg_g = np.concatenate((g[:, :, :-1].reshape(len(g), -1), g[:, -1, -1:]), axis=1)
+    w = np.zeros(seg_g.shape)
     np.cumsum(blocks.sqrt_steps * rng.normal(blocks.sqrt_steps.shape), axis=1, out=w[:, 1:])
     seg_prop = seg_g[:, :1] + w  # w[:, 0] = 0 keeps the left knot exactly
     if blocks.anchored:
@@ -542,11 +541,9 @@ def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream
         seg_prop += blocks.frac * (seg_g[:, -1:] - seg_g[:, :1])
         seg_prop[:, -1] = seg_g[:, -1]
 
-    gamma = seg_prop[:, blocks.windows].reshape(-1, state.m + 2)
+    gamma = _windows(seg_prop, state.m).reshape(-1, state.m + 2)
     new = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
-    acc = _metropolis(state, rng, new, blocks.rows, blocks.length if blocks.anchored else None)
-    state.gamma_flat[blocks.seg[acc]] = seg_prop[acc]
-    return acc
+    return _metropolis(state, rng, new, blocks.rows, blocks.length if blocks.anchored else None)
 
 
 def _gamma_anchored_pass(state: AugmentedState, blocks: LatentBlocks,
@@ -615,8 +612,8 @@ def run_chain(
         raise ValidationError("need at least two observations")
 
     params = model.make_params(init_params)
-    if not prior.in_support(params):
-        raise ValidationError("initial parameters violate the prior support")
+    if outside := prior.outside(params):
+        raise ValidationError(f"initial parameters violate the prior support: {'; '.join(outside)}")
 
     rng = RandomStream(config.seed)
     state = init_state(model, params, data.times, data.values, config.m, prior, config.fixed)

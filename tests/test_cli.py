@@ -375,7 +375,12 @@ class TestExitCodes:
         ("iter,theta\n0,0.5\n", ": malformed trace header"),
         ("iter,theta,loglik\n0,0.5\n", ":2: expected 3 fields"),
         ("iter,theta,loglik\n0,0.5,-1.0\n1,x,-1.0\n", ":3: unparseable"),
-    ], ids=["empty", "no-draws", "header", "width", "unparseable"])
+        # read as two parameters called a
+        ("iter,a,a,loglik\n0,0.5,0.6,-1.0\n", ":1: repeated parameter names ['a']"),
+        # read as iter 1
+        ("iter,theta,loglik\n0,0.5,-1.0\n1.7,0.4,-1.0\n", ":3: iter 1.7 is not a whole number"),
+    ], ids=["empty", "no-draws", "header", "width", "unparseable", "repeated-name",
+            "fractional-iter"])
     def test_malformed_trace_rejected(self, tmp_path, capsys, text, message):
         trace = tmp_path / "trace.csv"
         trace.write_text(text)

@@ -152,11 +152,12 @@ class TestPriorRecoveryLatent:
     def test_ratio_without_the_latent_term_is_caught(self, monkeypatch, name):
         metropolis = mcmc._metropolis
 
-        def without_log_gamma(state, rng, new, rows=slice(None), group=None, log_jac=0.0):
+        def without_log_gamma(state, rng, new, rows=slice(None), group=None, log_jac=0.0,
+                              **kwargs):
             if "z_times" not in new:  # the path and drift moves keep their ratio
-                return metropolis(state, rng, new, rows, group, log_jac)
+                return metropolis(state, rng, new, rows, group, log_jac, **kwargs)
             log_gamma = new.pop("log_gamma")
-            acc = metropolis(state, rng, new, rows, group, log_jac)
+            acc = metropolis(state, rng, new, rows, group, log_jac, **kwargs)
             # the latent term is still computed and written with the move
             keep = np.repeat(acc, group or log_gamma.size)
             state.cache.log_gamma[np.arange(state.n_intervals)[rows][keep]] = log_gamma[keep]

@@ -34,7 +34,7 @@ def engine_log_g(model, params, path):
     """The engine's Girsanov term for one interval whose observed skeleton
     is ``path`` (evenly spaced knots, a model without a latent path)."""
     state = AugmentedState(
-        model, params, path.times[[0, -1]], path.values[None, :], np.zeros(len(path)),
+        model, params, path.times[[0, -1]], path.values[None, :], np.zeros((1, len(path))),
         PriorSpec.from_model(model),
     )
     return float(state.cache.log_g[0])
@@ -132,7 +132,7 @@ class TestLatentMarginal:
         x_values = np.array([[0.0, 0.2, 0.1]])
         with pytest.raises(ValidationError, match="start at zero"):
             AugmentedState(model, model.make_params(), [0.0, 1.0], x_values,
-                           np.array([0.5, 0.7, 0.6]), PriorSpec.from_model(model))
+                           np.array([[0.5, 0.7, 0.6]]), PriorSpec.from_model(model))
 
     def test_euler_oracle_identity(self):
         # exp(latent marginal) * BM density of the unit-diffusion path equals
@@ -294,7 +294,7 @@ class TestAugmentedPosterior:
         for k in range(2):
             q = interval_quantities(
                 model, params, state.x_steps[k: k + 1],
-                state.gamma_windows[k: k + 1],
+                state.cache.gamma[k: k + 1],
                 state.y[k: k + 1], state.y[k + 1: k + 2],
                 z_values=cache.z[k: k + 1],
             )
@@ -313,9 +313,7 @@ class TestAugmentedPosterior:
         model = get_model("ou-sv-leverage")
         params = model.make_params()
         state, _ = self._state(model, params)
-        cached = {"gamma_flat": state.gamma_flat} | {
-            f.name: getattr(state.cache, f.name) for f in fields(IntervalQuantities)
-        }
+        cached = {f.name: getattr(state.cache, f.name) for f in fields(IntervalQuantities)}
         before = {name: arr.copy() for name, arr in cached.items()}
         total = state.log_likelihood()
         new_times = state.cache.z_times[:, -1:] + np.array([1.0, 10.0])
@@ -389,7 +387,7 @@ class TestEngineStages:
         # the engine is the warp stage, the path stage, then the densities;
         # warps handed in give the same bits as warps it computes
         model, params, state = _skeleton_state(name)
-        steps, gamma, y0, y1 = state.x_steps, state.gamma_windows, state.y[:-1], state.y[1:]
+        steps, gamma, y0, y1 = state.x_steps, state.cache.gamma, state.y[:-1], state.y[1:]
         w = warp_stage(model, params, steps, gamma)
         z = state.cache.z
         q = path_stage(w, z, y0, y1)
@@ -421,10 +419,10 @@ class TestEngineStages:
         # drift moves reuse the cached warps: a parameter that moves them
         # must be listed in timescale_params
         model, params, state = _skeleton_state(name)
-        before = warp_stage(model, params, state.x_steps, state.gamma_windows)
+        before = warp_stage(model, params, state.x_steps, state.cache.gamma)
         for p in model.param_names:
             after = warp_stage(model, moved_params(model, params, p), state.x_steps,
-                               state.gamma_windows)
+                               state.cache.gamma)
             same = all(np.array_equal(getattr(after, f), getattr(before, f)) for f in WARP_FIELDS)
             assert same == (p not in model.timescale_params), p
 
@@ -441,7 +439,8 @@ def test_drift_moves_match_the_euler_oracle(name, p):
     grid = TimeGrid(state.x_flat)
     X = state.cache.U + state.cache.adj  # the path on the observation coordinate
     x = Path(grid, np.append(X[:, :-1].ravel(), X[-1, -1]))
-    alpha = Path(grid, model.latent_values(state.gamma_flat, params) if model.has_latent
+    gamma = np.append(state.cache.gamma[:, :-1].ravel(), state.cache.gamma[-1, -1])
+    alpha = Path(grid, model.latent_values(gamma, params) if model.has_latent
                  else np.zeros(len(grid)))
     moved_q = state.quantities(params=moved)
     engine = state.log_likelihood(moved_q) - state.log_likelihood()

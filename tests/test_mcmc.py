@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,7 +23,6 @@ from timechange_sv.mcmc import (
     _scalar_update_order,
     _update_param,
     _update_z_rows,
-    _windows,
     init_state,
     latent_blocks,
     run_chain,
@@ -39,10 +39,8 @@ from _support import decoupled_sv_model, scalar_ou_model, set_cpus
 
 
 def arrays(state):
-    """The latent path and every cached engine output, by name."""
-    return {"gamma_flat": state.gamma_flat} | {
-        f.name: getattr(state.cache, f.name) for f in fields(state.cache)
-    }
+    """The latent windows and every cached engine output, by name."""
+    return {f.name: getattr(state.cache, f.name) for f in fields(state.cache)}
 
 
 def snapshot(state):
@@ -112,7 +110,6 @@ class TestZUpdate:
             for f in fields(state.cache):
                 arr = getattr(state.cache, f.name)
                 assert np.array_equal(arr[~acc], snap[f.name][~acc]), f.name
-            assert np.array_equal(state.gamma_flat, snap["gamma_flat"])
         assert rejections > 0
 
     def test_acceptance_changes_only_that_interval(self):
@@ -160,7 +157,7 @@ class TestTimescaleUpdate:
         prior = PriorSpec.from_model(model)
         obs_times = np.array([0.0, 1.0, 2.0])
         x_values = np.array([[0.0, 0.9], [0.9, -0.4]])
-        gamma = np.zeros(3)
+        gamma = np.zeros((2, 2))
         state = AugmentedState(model, params, obs_times, x_values, gamma, prior)
         assert state.m == 0
         assert np.all(state.cache.log_g == 0.0)
@@ -217,22 +214,21 @@ class TestGammaBlockUpdate:
     def test_anchors_never_move(self):
         state = sv_state(seed=12)
         rng = RandomStream(13)
-        m = state.m
         for _ in range(100):
-            left = state.gamma_flat[1 * (m + 1)]
-            right = state.gamma_flat[3 * (m + 1)]
+            left = state.cache.gamma[1, 0]
+            right = state.cache.gamma[3, 0]
             anchored_block(state, 1, 2, rng)
-            assert state.gamma_flat[1 * (m + 1)] == left
-            assert state.gamma_flat[3 * (m + 1)] == right
+            assert state.cache.gamma[1, 0] == left
+            assert state.cache.gamma[3, 0] == right
 
     def test_terminal_block_moves_last_knot(self):
         state = sv_state(seed=3)
         rng = RandomStream(19)
-        end_before = state.gamma_flat[-1]
+        end_before = state.cache.gamma[-1, -1]
         moved = False
         for _ in range(50):
             if terminal_block(state, 3, 2, rng):
-                moved = state.gamma_flat[-1] != end_before
+                moved = state.cache.gamma[-1, -1] != end_before
                 if moved:
                     break
         assert moved
@@ -251,9 +247,10 @@ def capped_vol_state(n_obs=4, m=3, cap=1.0):
     params = model.make_params()
     obs_times = np.arange(n_obs + 1, dtype=float)
     xv, _ = simulate_discrete_skeleton(model, params, obs_times, m, 0.0, RandomStream(5))
-    gamma = np.ones(n_obs * (m + 1) + 1)
-    gamma[0] = 0.0
-    gamma[1: m + 1] = -1.0
+    gamma = np.ones((n_obs, m + 2))
+    gamma[0] = -1.0
+    gamma[0, 0] = 0.0
+    gamma[0, -1] = 1.0
     return AugmentedState(model, params, obs_times, xv, gamma, PriorSpec.from_model(model))
 
 
@@ -300,7 +297,7 @@ def terms_state(n):
     """A state whose cache holds only the three density terms of ``n``
     rows, all zero."""
     return SimpleNamespace(cache=IntervalQuantities(
-        *[None] * 5, log_g=np.zeros(n), log_f=np.zeros(n), log_gamma=np.zeros(n)))
+        *[None] * 6, log_g=np.zeros(n), log_f=np.zeros(n), log_gamma=np.zeros(n)))
 
 
 def uniforms_drawn(rng, seed):
@@ -380,9 +377,9 @@ def test_sweep_calls_metropolis_once_per_kernel_call(monkeypatch):
     calls = []
     metropolis = timechange_sv.mcmc._metropolis
 
-    def spy(state, rng, new, rows=slice(None), group=None, log_jac=0.0):
+    def spy(state, rng, new, rows=slice(None), group=None, log_jac=0.0, **kwargs):
         calls.append(group)
-        return metropolis(state, rng, new, rows, group, log_jac)
+        return metropolis(state, rng, new, rows, group, log_jac, **kwargs)
 
     monkeypatch.setattr(timechange_sv.mcmc, "_metropolis", spy)
     *anchored, terminal = state.block_passes(2)
@@ -393,20 +390,63 @@ def test_sweep_calls_metropolis_once_per_kernel_call(monkeypatch):
         assert calls == [1, *(2 for _ in anchored), None, *(None for _ in state.free_names)]
 
 
-class TestGammaWindows:
-    """``state.gamma_windows``: the (n, m+2) latent windows, a view built once
-    over ``gamma_flat`` that every in-place write keeps current."""
+@pytest.mark.parametrize("block_len", [2, 3])
+@pytest.mark.parametrize("name", ["tbill-logsv", "ou-sv-leverage"])
+def test_only_metropolis_writes_the_state(monkeypatch, name, block_len):
+    # the cache's arrays are read-only except inside _metropolis, so any
+    # other write to them raises; between two _metropolis calls neither the
+    # cache, its arrays nor the parameters may be replaced or changed. A
+    # rejected move leaves the parameters as they were; an accepted move
+    # that carries parameters makes them the state's
+    model = get_model(name)
+    obs_times = (5.0 / 252.0) * np.arange(8)
+    x0 = math.log(10.0) if model.obs_transform is not None else 0.0
+    xv, gam = simulate_discrete_skeleton(model, model.make_params(), obs_times, 3, x0,
+                                         RandomStream(4))
+    state = AugmentedState(model, model.make_params(), obs_times, xv, gam,
+                           PriorSpec.from_model(model))
+    cache, metropolis = state.cache, timechange_sv.mcmc._metropolis
+    left = {}  # the arrays and parameters the last _metropolis left
 
-    def test_view_follows_skeleton_and_sweeps(self):
-        state = sv_state()
-        skeleton = state.gamma_flat.copy()
-        assert np.any(skeleton != 0.0)
-        assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
-        rng = RandomStream(5)
-        for _ in range(20):
-            sweep(state, rng, {})
-        assert not np.array_equal(state.gamma_flat, skeleton)
-        assert np.array_equal(state.gamma_windows, _windows(state.gamma_flat, state.m))
+    def cached():
+        return {f.name: getattr(cache, f.name) for f in fields(cache)}
+
+    def lock(writeable):
+        for arr in cached().values():
+            arr.flags.writeable = writeable
+
+    def remember():
+        left.update(arrays=cached(), params=state.params, values=dict(state.params))
+
+    def untouched():
+        assert state.cache is cache
+        assert all(arr is left["arrays"][k] for k, arr in cached().items())
+        assert state.params is left["params"] and state.params == left["values"]
+
+    def guarded(state_, rng, new, *args, params=None, **kwargs):
+        untouched()
+        lock(True)
+        try:
+            acc = metropolis(state_, rng, new, *args, params=params, **kwargs)
+        finally:
+            lock(False)
+        if not acc.any():
+            assert state.params is left["params"] and state.params == left["values"]
+        elif params is not None:
+            assert state.params is params
+        remember()
+        return acc
+
+    lock(False)
+    remember()
+    monkeypatch.setattr(timechange_sv.mcmc, "_metropolis", guarded)
+    start, rng, accepted = cached()["gamma"].copy(), RandomStream(block_len), {}
+    for _ in range(20):
+        for kernel, (acc, _att) in sweep(state, rng, {}, block_len=block_len).items():
+            accepted[kernel] = accepted.get(kernel, 0) + acc
+        untouched()
+    assert all(accepted.values()), accepted
+    assert not np.array_equal(cache.gamma, start)
 
 
 @pytest.mark.parametrize("name,fixed", [
@@ -419,7 +459,7 @@ def test_sweep_counts_every_move(name, fixed):
     state = sv_state(get_model(name), n_obs=6, fixed=(fixed,))
     attempts = {"z": state.n_intervals, **{p: 1 for p in state.free_names}}
     if name != "const-vol-scalar":
-        attempts["gamma"] = sum(blocks.seg.shape[0] for blocks in state.block_passes(2))
+        attempts["gamma"] = sum(len(blocks.frac) for blocks in state.block_passes(2))
     rng = RandomStream(8)
     for _ in range(5):
         moves = sweep(state, rng, {}, block_len=2)
@@ -433,8 +473,15 @@ def block_state(n, m=2):
     path, enough for its block passes."""
     model = get_model("ou-sv-leverage")
     return AugmentedState(model, model.make_params(), np.arange(n + 1.0),
-                          np.zeros((n, m + 2)), np.zeros(n * (m + 1) + 1),
+                          np.zeros((n, m + 2)), np.zeros((n, m + 2)),
                           PriorSpec.from_model(model))
+
+
+def block_knots(state, blocks):
+    """(blocks, length (m+1) + 1) indices of each block's knots on the flat
+    knot grid."""
+    firsts = np.arange(state.n_intervals)[blocks.rows][:: blocks.length]
+    return (firsts * (state.m + 1))[:, None] + np.arange(blocks.length * (state.m + 1) + 1)
 
 
 class TestBlockPlan:
@@ -444,22 +491,23 @@ class TestBlockPlan:
     def test_every_interior_knot_is_interior_to_a_block(self, n, block_len):
         state = block_state(n)
         passes = state.block_passes(block_len)
-        moved = set()  # the gamma_flat indices that some block resamples
+        moved = set()  # the flat knot indices that some block resamples
         for blocks in passes:
-            moved.update(blocks.seg[:, 1:-1 if blocks.anchored else None].ravel().tolist())
+            seg = block_knots(state, blocks)
+            moved.update(seg[:, 1:-1 if blocks.anchored else None].ravel().tolist())
         knots = state.m + 1
         assert {k * knots for k in range(1, n + 1)} <= moved
         terminal = passes[-1]
-        assert not terminal.anchored and terminal.seg[-1, -1] == n * knots
+        assert not terminal.anchored and block_knots(state, terminal)[-1, -1] == n * knots
         assert all(blocks.anchored for blocks in passes[:-1])
 
     def test_terminal_block_is_free(self):
         state = block_state(8)
         *anchored, terminal = state.block_passes(3)
-        assert (terminal.seg.shape[0], terminal.length, terminal.anchored) == (1, 3, False)
+        assert (len(terminal.frac), terminal.length, terminal.anchored) == (1, 3, False)
         assert terminal.rows == slice(5, 8)
         # anchored blocks from intervals 0, 2, 4, run as two parity classes
-        assert [(b.seg[:, 0] // 3).tolist() for b in anchored] == [[0, 4], [2]]
+        assert [(block_knots(state, b)[:, 0] // 3).tolist() for b in anchored] == [[0, 4], [2]]
 
     @pytest.mark.parametrize("n,block_len", [(3, 4), (5, 9), (1, 2)])
     def test_block_longer_than_data_gives_whole_data_blocks(self, n, block_len):
@@ -467,7 +515,7 @@ class TestBlockPlan:
         assert len(long) == len(whole)
         for a, b in zip(long, whole):
             assert (a.length, a.anchored, a.rows) == (b.length, b.anchored, b.rows)
-            for name in ("seg", "sqrt_steps", "frac", "windows"):
+            for name in ("sqrt_steps", "frac"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -491,7 +539,7 @@ class TestDriftUpdate:
         snap = snapshot(state)
         drift_moves(state, rng, {n: 0.5 for n in state.free_names})
         now = arrays(state)
-        for name in ("z", "z_times", "u", "U", "gamma_flat"):
+        for name in ("z", "z_times", "u", "U", "gamma"):
             assert np.array_equal(now[name], snap[name]), name
         state.validate_cache()
 
@@ -627,6 +675,8 @@ class TestRunChain:
                 for f in fields(fresh):
                     assert np.array_equal(getattr(state.cache, f.name),
                                           getattr(fresh, f.name)), f.name
+        # neighbouring latent windows still share their observation knot
+        assert np.array_equal(state.cache.gamma[1:, 0], state.cache.gamma[:-1, -1])
         assert all(state.params[p] != start[p] for p in state.free_names)
 
     def test_nonfinite_initial_posterior_rejected(self):
@@ -690,6 +740,29 @@ class TestRunChain:
             SamplerConfig(m=3, n_iter=10, n_burn=10)
         with pytest.raises(ValidationError):
             SamplerConfig(m=3, n_iter=10, n_burn=1, block_len=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # a string is a sequence of one-letter names: "unknown fixed
+        # parameters ... ['a', 'g', 'i', 'm', 's']" came only later
+        ({"fixed": "sigma"}, "fixed must be a list or tuple of names, got 'sigma'"),
+        ({"fixed": ("sigma", 3)}, "fixed must be a list or tuple of names"),
+        # numpy rejected it only when the chain made its RandomStream
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["fixed-string", "fixed-number", "negative-seed"])
+    def test_bad_value_rejected_by_the_config(self, kwargs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SamplerConfig(m=3, n_iter=10, n_burn=1, **kwargs)
+
+    def test_start_outside_the_prior_names_each_parameter(self):
+        model = get_model("ou-sv-leverage")
+        prior = PriorSpec.from_model(model, {"sigma": (0.5, 2.0), "rho": (-0.5, 0.5),
+                                             "mu_x": (-1.0, 1.0)})
+        cfg = SamplerConfig(m=2, n_iter=5, n_burn=1, seed=1)
+        with pytest.raises(ValidationError) as err:
+            run_chain(cfg, self._data(3), model, prior,
+                      init_params={"sigma": 3.0, "rho": -0.5, "mu_x": 0.0})
+        assert str(err.value) == ("initial parameters violate the prior support: "
+                                  "sigma = 3.0 not in (0.5, 2.0); rho = -0.5 not in (-0.5, 0.5)")
 
     def test_prior_midpoint_init(self):
         # the midpoints of the named parameters only, so a parameter left
