@@ -207,19 +207,27 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def read_trace_csv(path):
-    """Trace file back as (param_names, iters, draws, logliks)."""
+    """Trace file back as (param_names, iters, draws, logliks): nonempty,
+    distinct names and whole iters that increase from 0 or later."""
     path = FilePath(path)
     rows = _read_csv(path, "trace")
     header = next(rows)
     if len(header) < 3 or header[0] != "iter" or header[-1] != "loglik":
         raise ValidationError(f"{path}: malformed trace header")
+    if not all(p.strip() for p in header[1:-1]):
+        raise ValidationError(f"{path}:1: empty parameter name")
     if repeated := sorted({p for p in header[1:-1] if header[1:-1].count(p) > 1}):
         raise ValidationError(f"{path}:1: repeated parameter names {repeated}")
     numbered = list(rows)  # (line, row) of each draw
     if not numbered:
         raise ValidationError(f"{path}: trace has no draws")
-    if bad := next(((line, row[0]) for line, row in numbered if not row[0].is_integer()), None):
-        raise ValidationError(f"{path}:{bad[0]}: iter {bad[1]} is not a whole number")
+    last = -1.0
+    for line, (it, *_) in numbered:
+        if not (it.is_integer() and it > last):
+            what = ("is not a whole number" if not it.is_integer() else "is negative" if it < 0
+                    else f"is not greater than the previous {last:.17g}")
+            raise ValidationError(f"{path}:{line}: iter {it:.17g} {what}")
+        last = it
     arr = np.asarray([row for _, row in numbered])
     return tuple(header[1:-1]), arr[:, 0].astype(int), arr[:, 1:-1], arr[:, -1]
 
@@ -302,7 +310,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     prior = config.prior_spec()
     init = config.params
     if config.init == "prior-midpoint":  # a fixed parameter stays at its params value
-        init = {**init, **prior.midpoint(p for p in model.param_names if p not in config.fixed)}
+        init = {**init, **prior.midpoint(model.free_names(config.fixed))}
     n_chains = sampler.chains
     out = _out_dir(out_dir)
 

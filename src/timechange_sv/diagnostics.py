@@ -3,22 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .mcmc import (
-    DEFAULT_RW_SCALE,
-    AugmentedState,
-    PriorSpec,
-    SamplerConfig,
-    Trace,
-    _flat_knots,
-    _windows,
-    run_jobs,
-    sweep,
-)
+from .mcmc import (AugmentedState, PriorSpec, SamplerConfig, Trace, _flat_knots, _run_state,
+                   _windows, run_jobs)
 from .models import ModelSpec, euler_simulate
 from .paths import RandomStream, TimeGrid
 
@@ -125,43 +115,40 @@ def prior_recovery_test(
     prior: PriorSpec,
     config: SamplerConfig,
     replications: int,
-    seed: int,
-    sweeps: int = 50,
-    transition: Optional[Callable] = None,
     *,
     x0: float,
     spacing: float,
 ) -> dict[str, float]:
     """Joint-distribution validation of the Gibbs kernels.
 
-    Each replication draws parameters from the (proper) prior, simulates
-    data and latents by Euler on the sampler's knots, ``GATE_N_OBS``
-    intervals of length ``spacing`` from ``x = x0`` (the scale of the data
-    the model is fitted to), runs ``sweeps`` full sweeps, and retains the
-    final parameters. If every kernel preserves the augmented posterior,
-    the retained parameters are prior draws; returned are per-parameter
-    Kolmogorov-Smirnov p-values against the prior. Replication k draws from
-    ``RandomStream(seed, stream=k)`` and the replications run through
-    ``run_jobs``, so the p-values do not depend on the number of processes.
+    Each replication draws the free parameters from the (proper) prior,
+    simulates data and latents by Euler on the sampler's knots,
+    ``GATE_N_OBS`` intervals of length ``spacing`` from ``x = x0`` (the
+    scale of the data the model is fitted to), runs ``run_chain``'s chain
+    from there, and retains the final parameters. If every kernel preserves
+    the augmented posterior, these are prior draws; returned are
+    per-parameter Kolmogorov-Smirnov p-values against the prior.
 
-    ``transition`` overrides the sweep (signature ``(state, rng)``) and
-    exists so the harness itself can be calibrated: a transition that does
-    not preserve the posterior must give small p-values.
+    The chain reads ``m``, ``n_iter``, ``seed``, ``block_len``,
+    ``rw_scales``, ``fixed`` and ``validate_every`` of ``config``, with
+    ``run_chain``'s checks; ``n_burn`` must be 0, as scales adapted from the
+    chain's past would break the exactness tested. Replication k draws from
+    ``RandomStream(config.seed, stream=k)`` and the replications run through
+    ``run_jobs``, so the p-values do not depend on the number of processes.
     """
+    if config.n_burn:
+        raise ValidationError(f"prior recovery runs without burn-in, got n_burn={config.n_burn}")
     from scipy import stats  # slow to import, and only this harness needs it
 
-    free = [p for p in model.param_names if p not in config.fixed]
+    free = model.free_names(config.fixed)
     obs_times = spacing * np.arange(GATE_N_OBS + 1)
-    scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in free}
-    step = transition or (lambda state, rng: sweep(state, rng, scales, block_len=config.block_len))
 
     def replicate(k: int) -> list[float]:
-        rng = RandomStream(seed, stream=k)
+        rng = RandomStream(config.seed, stream=k)
         theta = model.make_params(prior.sample(rng, free))
         x_values, gamma = simulate_discrete_skeleton(model, theta, obs_times, config.m, x0, rng)
         state = AugmentedState(model, theta, obs_times, x_values, gamma, prior, config.fixed)
-        for _ in range(sweeps):
-            step(state, rng)
+        _run_state(state, config, rng)
         return [state.params[name] for name in free]
 
     outcomes = run_jobs(replicate, replications)

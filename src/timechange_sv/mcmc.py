@@ -134,6 +134,9 @@ class SamplerConfig:
     ``block_len`` is the number of observation intervals per latent block;
     it is at least 2, so that every interior observation knot lies inside
     some block. A ``block_len`` past the data gives blocks of the whole data.
+
+    The prior-recovery gate reads ``m``, ``n_iter``, ``seed``, ``block_len``,
+    ``rw_scales``, ``fixed`` and ``validate_every``, and needs ``n_burn`` = 0.
     """
 
     m: int
@@ -225,10 +228,7 @@ class AugmentedState:
         self.model = model
         self.params = params
         self.prior = prior
-        self.fixed = frozenset(fixed)
-        unknown = sorted(self.fixed - set(model.param_names))
-        if unknown:
-            raise ValidationError(f"unknown fixed parameters for {model.name}: {unknown}")
+        self.free_names = model.free_names(fixed)
         if n < 1:
             raise ValidationError("need at least two observations")
         if gamma[0, 0] != 0.0:
@@ -250,10 +250,6 @@ class AugmentedState:
             raise ValidationError("initial augmented posterior is non-finite")
 
     # -- views ------------------------------------------------------------
-
-    @property
-    def free_names(self) -> tuple[str, ...]:
-        return tuple(p for p in self.model.param_names if p not in self.fixed)
 
     def block_passes(self, block_len: int) -> tuple["LatentBlocks", ...]:
         """The latent-block passes of a sweep: each nonempty parity class of
@@ -608,30 +604,32 @@ def run_chain(
     """
     prior = prior if prior is not None else PriorSpec.from_model(model)
     data = Path.from_arrays(data.times, data.values)
-    if len(data) < 2:
-        raise ValidationError("need at least two observations")
 
     params = model.make_params(init_params)
     if outside := prior.outside(params):
         raise ValidationError(f"initial parameters violate the prior support: {'; '.join(outside)}")
 
-    rng = RandomStream(config.seed)
     state = init_state(model, params, data.times, data.values, config.m, prior, config.fixed)
+    return _run_state(state, config, RandomStream(config.seed))
 
+
+def _run_state(state: AugmentedState, config: SamplerConfig, rng: RandomStream) -> Trace:
+    """``run_chain``'s chain from ``state``, which it moves, drawing from
+    ``rng``. It calls ``sweep`` through this module, so that a wrapper on
+    ``mcmc.sweep`` sees every sweep."""
     if not state.free_names:
-        raise ValidationError(f"every parameter of {model.name} is fixed: there is nothing to draw")
+        raise ValidationError(
+            f"every parameter of {state.model.name} is fixed: there is nothing to draw")
     unknown = sorted(set(config.rw_scales) - set(state.free_names))
     if unknown:
-        raise ValidationError(f"rw_scales names no free parameter of {model.name}: {unknown}")
+        raise ValidationError(f"rw_scales names no free parameter of {state.model.name}: {unknown}")
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in state.free_names}
     counts: dict[str, tuple[int, int]] = {}  # kernel -> (accepted, attempted) after burn-in
 
-    n_rows = len(range(config.n_burn, config.n_iter, config.thin))
-    draws = np.empty((n_rows, len(state.free_names)))
-    logliks = np.empty(n_rows)
-    iters = np.empty(n_rows, dtype=int)
+    iters = np.arange(config.n_burn, config.n_iter, config.thin)
+    draws = np.empty((iters.size, len(state.free_names)))
+    logliks = np.empty(iters.size)
 
-    row = 0
     for it in range(config.n_iter):
         moves = sweep(state, rng, scales, config.block_len)
         if it < config.n_burn:  # Robbins-Monro steps of each log scale
@@ -643,11 +641,10 @@ def run_chain(
             for name, (acc, att) in moves.items():
                 total = counts.get(name, (0, 0))
                 counts[name] = (total[0] + acc, total[1] + att)
-            if (it - config.n_burn) % config.thin == 0:
+            row, skip = divmod(it - config.n_burn, config.thin)
+            if not skip:
                 draws[row] = [state.params[p] for p in state.free_names]
                 logliks[row] = state.log_likelihood()
-                iters[row] = it
-                row += 1
         if config.validate_every and (it + 1) % config.validate_every == 0:
             state.validate_cache()
 

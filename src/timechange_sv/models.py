@@ -106,6 +106,13 @@ class ModelSpec:
             raise ValidationError(f"unknown parameters for {self.name}: {sorted(unknown)}")
         return {k: float(vals[k]) for k in self.param_names}
 
+    def free_names(self, fixed) -> tuple[str, ...]:
+        """``param_names`` without the ``fixed`` ones, each of which must be a parameter."""
+        unknown = sorted(set(fixed) - set(self.param_names))
+        if unknown:
+            raise ValidationError(f"unknown fixed parameters for {self.name}: {unknown}")
+        return tuple(p for p in self.param_names if p not in fixed)
+
     def validate(self, params: dict[str, float]) -> None:
         for k in self.param_names:
             if not self.supports[k].contains(params[k]):

@@ -286,10 +286,16 @@ class TestExitCodes:
         # a trace of no parameter would be one its own diagnose rejects
         ({"model": "const-vol-scalar", "fixed": ["theta", "sigma"]},
          "every parameter of const-vol-scalar is fixed"),
-    ], ids=["rw-scales", "fixed", "start", "all-fixed"])
+        # the midpoint start named the free parameters itself and blamed the
+        # prior: "the prior of ['sigma'] is improper"
+        ({"model": "const-vol-scalar", "fixed": ["sigmaa"], "init": "prior-midpoint",
+          "prior": {"theta": [-1, 1]}},
+         "unknown fixed parameters for const-vol-scalar: ['sigmaa']"),
+    ], ids=["rw-scales", "fixed", "start", "all-fixed", "fixed-midpoint"])
     def test_chain_config_error_leaves_no_output(self, tmp_path, capsys, doc, message):
-        # these are raised by the chain itself; the output directory is made
-        # only once the first chain has its trace
+        # these are raised by the chain, or for the midpoint start just
+        # before it; the output directory is made only once the first chain
+        # has its trace
         doc = {**doc, "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, **doc.get("sampler", {})}}
         argv = ["fit", "--config", write_config(tmp_path / "config.json", doc),
                 "--data", tiny_data(tmp_path / "obs.csv"), "--out", str(tmp_path / "out")]
@@ -379,8 +385,14 @@ class TestExitCodes:
         ("iter,a,a,loglik\n0,0.5,0.6,-1.0\n", ":1: repeated parameter names ['a']"),
         # read as iter 1
         ("iter,theta,loglik\n0,0.5,-1.0\n1.7,0.4,-1.0\n", ":3: iter 1.7 is not a whole number"),
+        # read as one parameter called ''
+        ("iter,,loglik\n0,0.5,-1.0\n", ":1: empty parameter name"),
+        # read as iters 5 and 1, and as iter -3
+        ("iter,theta,loglik\n5,0.5,-1.0\n1,0.4,-1.0\n",
+         ":3: iter 1 is not greater than the previous 5"),
+        ("iter,theta,loglik\n-3,0.5,-1.0\n", ":2: iter -3 is negative"),
     ], ids=["empty", "no-draws", "header", "width", "unparseable", "repeated-name",
-            "fractional-iter"])
+            "fractional-iter", "empty-name", "decreasing-iter", "negative-iter"])
     def test_malformed_trace_rejected(self, tmp_path, capsys, text, message):
         trace = tmp_path / "trace.csv"
         trace.write_text(text)

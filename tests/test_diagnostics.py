@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,28 +75,31 @@ def test_summarize_matches_numpy():
 
 class TestPriorRecovery:
     """The joint-distribution harness on const-vol-scalar passes the real
-    sweep and catches a transition that does not preserve the posterior."""
+    sweep, catches a sweep that does not preserve the posterior, and rejects
+    what ``run_chain`` rejects."""
 
     MODEL = get_model("const-vol-scalar")
     PRIOR = PriorSpec.from_model(MODEL, {"theta": (-1, 1), "sigma": (0.3, 2)})
-    CONFIG = SamplerConfig(m=3, n_iter=2, n_burn=1, rw_scales={"theta": 0.5, "sigma": 0.5})
+    CONFIG = SamplerConfig(m=3, n_iter=30, n_burn=0, seed=1,
+                           rw_scales={"theta": 0.5, "sigma": 0.5})
     SCALE = {"x0": 0.0, "spacing": 1.0}
 
     def test_sweep_recovers_the_prior(self):
-        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 300, 1, sweeps=30,
-                                **self.SCALE)
+        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 300, **self.SCALE)
         assert min(p.values()) > 0.01, p
 
-    def test_broken_transition_is_caught(self):
-        def inflate_sigma(state, rng):
+    def test_broken_transition_is_caught(self, monkeypatch):
+        def inflate_sigma(state, rng, scales, block_len):
             # a sweep, then a deterministic push of sigma up, capped in the box
-            sweep(state, rng, self.CONFIG.rw_scales)
+            moves = sweep(state, rng, scales, block_len)
             sigma = min(1.05 * state.params["sigma"], 1.999)
             state.params = {**state.params, "sigma": sigma}
             state.cache = state.quantities()
+            return moves
 
-        p = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 100, 2,
-                                sweeps=10, transition=inflate_sigma, **self.SCALE)
+        monkeypatch.setattr(mcmc, "sweep", inflate_sigma)
+        p = prior_recovery_test(self.MODEL, self.PRIOR, replace(self.CONFIG, n_iter=10, seed=2),
+                                100, **self.SCALE)
         assert p["sigma"] < 1e-3, p
 
     def test_p_values_do_not_depend_on_the_cpu_count(self, monkeypatch):
@@ -103,9 +107,24 @@ class TestPriorRecovery:
         p = {}
         for n_cpu in (1, 2):
             set_cpus(monkeypatch, n_cpu)
-            p[n_cpu] = prior_recovery_test(self.MODEL, self.PRIOR, self.CONFIG, 40, 3, sweeps=5,
+            p[n_cpu] = prior_recovery_test(self.MODEL, self.PRIOR,
+                                           replace(self.CONFIG, n_iter=5, seed=3), 40,
                                            **self.SCALE)
         assert p[1] == p[2]
+        # the Euler skeleton, the state built on it and one stream per
+        # replication: a change of the gate's random numbers changes these
+        assert p[1] == pytest.approx({"theta": 0.5186395615854529, "sigma": 0.5948264872283433},
+                                     rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"rw_scales": {"theta": 0.5, "sigmaa": 0.5}}, "rw_scales names no free parameter"),
+        ({"fixed": ("theta", "sigma")}, "nothing to draw"),
+        ({"n_burn": 1}, "without burn-in"),
+    ], ids=["rw-scales", "all-fixed", "burn-in"])
+    def test_rejects_what_the_chain_rejects(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            prior_recovery_test(self.MODEL, self.PRIOR, replace(self.CONFIG, n_iter=2, **kwargs),
+                                2, **self.SCALE)
 
     def test_improper_prior_rejected(self):
         prior = PriorSpec.from_model(self.MODEL, {"theta": (-1, 1)})
@@ -137,17 +156,37 @@ class TestPriorRecoveryLatent:
             "alpha0": (-2.0, 1.5),
         }, 0.0, 1.0),
     }
-    CONFIG = SamplerConfig(m=3, n_iter=2, n_burn=1, block_len=2)
+    CONFIG = SamplerConfig(m=3, n_iter=30, n_burn=0, seed=7, block_len=2)
 
-    def p_values(self, name):
+    def p_values(self, name, config=CONFIG, replications=300):
         box, x0, spacing = self.CASES[name]
         model = get_model(name)
-        return prior_recovery_test(model, PriorSpec.from_model(model, box), self.CONFIG, 300, 7,
-                                   sweeps=30, x0=x0, spacing=spacing)
+        return prior_recovery_test(model, PriorSpec.from_model(model, box), config,
+                                   replications, x0=x0, spacing=spacing)
+
+    # 20 replications of 5 sweeps: the Euler skeleton on the knots, the state
+    # built on it and one stream per replication; a change of the gate's
+    # random numbers changes these
+    PINNED = {
+        "tbill-logsv": {
+            "theta0": 0.8192472867399847, "theta1": 0.7636817056514609,
+            "kappa": 0.6295807092481163, "mu": 0.6574788111724883,
+            "sigma": 0.6826844595633033, "alpha0": 0.892911365801993,
+        },
+        "ou-sv-leverage": {
+            "kappa_x": 0.037518729195435196, "mu_x": 0.14736110384964207,
+            "kappa_alpha": 0.39410307937262723, "mu_alpha": 0.5576577754103423,
+            "sigma": 0.7719330171580365, "rho": 0.7258517011627332, "alpha0": 0.5505216988232176,
+        },
+    }
 
     def test_sweep_recovers_the_prior(self, name):
         p = self.p_values(name)
         assert min(p.values()) > 0.01 / len(p), p
+
+    def test_p_values_pinned(self, name):
+        p = self.p_values(name, replace(self.CONFIG, n_iter=5), 20)
+        assert p == pytest.approx(self.PINNED[name], rel=1e-9, abs=0.0)
 
     def test_ratio_without_the_latent_term_is_caught(self, monkeypatch, name):
         metropolis = mcmc._metropolis
