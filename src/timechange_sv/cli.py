@@ -208,7 +208,8 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 def read_trace_csv(path):
     """Trace file back as (param_names, iters, draws, logliks): nonempty,
-    distinct names and whole iters that increase from 0 or later."""
+    distinct names and whole iters that increase from 0 or later and stay
+    below 2**63, the int64 range they are returned in."""
     path = FilePath(path)
     rows = _read_csv(path, "trace")
     header = next(rows)
@@ -223,8 +224,9 @@ def read_trace_csv(path):
         raise ValidationError(f"{path}: trace has no draws")
     last = -1.0
     for line, (it, *_) in numbered:
-        if not (it.is_integer() and it > last):
+        if not (it.is_integer() and last < it < 2.0**63):
             what = ("is not a whole number" if not it.is_integer() else "is negative" if it < 0
+                    else "is too large" if it >= 2.0**63
                     else f"is not greater than the previous {last:.17g}")
             raise ValidationError(f"{path}:{line}: iter {it:.17g} {what}")
         last = it

@@ -136,6 +136,9 @@ def prior_recovery_test(
     ``RandomStream(config.seed, stream=k)`` and the replications run through
     ``run_jobs``, so the p-values do not depend on the number of processes.
     """
+    if replications < 1:
+        raise ValidationError(f"prior recovery needs a replication, "
+                              f"got replications={replications}")
     if config.n_burn:
         raise ValidationError(f"prior recovery runs without burn-in, got n_burn={config.n_burn}")
     from scipy import stats  # slow to import, and only this harness needs it

@@ -72,12 +72,11 @@ class ModelSpec:
     raw data into that coordinate and ``obs_log_jacobian`` supplies the
     density correction per observation.
 
-    Coefficients read parameters by name and take float arrays. The
-    simulator reads the drifts two ways. On a window of consecutive states
-    it passes arrays, and each element of the result must depend only on the
-    same element of the inputs: numpy's ufuncs give an element the same bits
-    whatever the array's length. On its float steps it passes Python floats,
-    and a float input must give a real float output.
+    Coefficients read parameters by name and take float arrays or numpy
+    scalars: the simulator passes a window of consecutive states as an
+    array, and a single step's state as a numpy scalar. Each element of the
+    result must depend only on the same element of the inputs: numpy's
+    ufuncs give an element the same bits whatever the array's length.
     """
 
     name: str
@@ -250,30 +249,15 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
-def _euler_rows(rows, drift, incs, dts, start=0) -> None:
-    """rows[i + 1] = rows[i] + drift(i, rows[i]) * dt + incs[i] from step ``start`` on. Where
-    Python floats raise (numpy gives inf or nan), the path goes on on numpy scalars."""
-    try:
-        for i in range(start, len(dts)):
-            rows[i + 1] = rows[i] + drift(i, rows[i]) * dts[i] + incs[i]
-    except (OverflowError, ZeroDivisionError):
-        if type(rows[i]) is not float:
-            raise
-        rows[i] = np.float64(rows[i])
-        _euler_rows(rows, drift, incs, dts, i)
-
-
 # Fixed-point sweeps, sized on 2-core x86-64 with numpy 2.4. On tbill-logsv's
-# bench step (1/2520), 256 steps took 0.73 ms in float steps and 0.82 ms by
-# sweeps, 512 steps 1.41 and 1.07 ms. A sweep of a full window costs about
-# 35 float steps of tbill-logsv (45 us against 1.3 us).
-_SWEEP_MIN_STEPS = 512
+# bench step (1/2520) a sweep of a full window costs about 30 single steps on
+# numpy scalars (33 us against 1.1 us).
 _WINDOW_START, _WINDOW_MAX = 64, 2048  # the window doubles after each sweep
 _POOR_SWEEP = 32  # steps a sweep must keep to pay for itself
 # |d(drift * dt) / dx| per step above which sweeps keep few steps for long:
 # 1e-3 for tbill-logsv's latent path on the bench grid, 2.4e-3 on the CLI's
 # default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25, whose
-# 2000 steps took 148 ms if they swept on and 2.7 ms in float steps
+# 2000 steps took 85 ms if they swept on and 2.5 ms in single steps
 _SLOW_CONTRACTION = 3e-3
 
 
@@ -320,28 +304,17 @@ def _euler_sweeps(x, drift, incs, dts) -> int:
     return n
 
 
-def _euler_path(x0, incs, dts, drift, float_drift) -> np.ndarray:
-    """The Euler recursion x[i + 1] = x[i] + drift * dts[i] + incs[i] from x0 as an
-    array: by sweeps (``drift`` as in ``_euler_sweeps``) while they pay, then
-    by ``_euler_rows`` on the float drift ``float_drift(k)`` of steps k on."""
-    n = len(dts)
-    if n < _SWEEP_MIN_STEPS:
-        rows = [x0] * (n + 1)
-        _euler_rows(rows, float_drift(0), incs.tolist(), dts.tolist())
-        return np.array(rows)
-    x = np.empty(n + 1)
+def _euler_path(x0, incs, dts, drift) -> np.ndarray:
+    """The Euler recursion x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i] from x0
+    as an array: by sweeps while they pay (``_euler_sweeps``), then step by step
+    on numpy scalars. ``drift(s, xs)`` takes a slice of steps and their states,
+    or one step and its state."""
+    x = np.empty(len(dts) + 1)
     x[0] = x0
     k = _euler_sweeps(x, drift, incs, dts)
-    if k < n:
-        rows = x[k:].tolist()
-        _euler_rows(rows, float_drift(k), incs[k:].tolist(), dts[k:].tolist())
-        x[k:] = rows
+    for i in range(k, len(dts)):
+        x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i]
     return x
-
-
-def _float_drift_x(model, params, a_rows):
-    """The observed drift on Python floats, with alpha from ``a_rows``."""
-    return lambda i, xi: float(model.drift_x(xi, a_rows[i], params))
 
 
 def euler_simulate(
@@ -372,11 +345,11 @@ def euler_simulate(
     runs by fixed-point sweeps (``_euler_sweeps``): a sweep reads the drift
     of a window of steps as one array and adds the window up with one
     ``cumsum``, and keeps only the steps whose inputs were already final, so
-    every path carries the bits of the step-by-step recursion. A path of
-    fewer than ``_SWEEP_MIN_STEPS`` steps, or one whose drift moves with the
-    state too fast for sweeps to pay, steps on Python floats (each drift
-    made one). A non-finite value persists along the path, so one check at
-    the end raises ``ExplosionError`` at its first non-finite time.
+    every path carries the bits of the step-by-step recursion. Where the
+    drift moves with the state too fast for sweeps to pay, the rest of the
+    path steps one state at a time on numpy scalars. A non-finite value
+    persists along the path, so one check at the end raises
+    ``ExplosionError`` at its first non-finite time.
     """
     x0, alpha0 = float(x0), float(alpha0)
     if not all(math.isfinite(v) for v in params.values()):
@@ -402,15 +375,13 @@ def euler_simulate(
             db *= math.sqrt(1.0 - rho * rho) * sq
             db += rho * dw
             dw *= model.vol_alpha(params)
-            a = _euler_path(alpha0, dw, dts, lambda s, ai: model.drift_alpha(ai, params),
-                            lambda k: lambda i, ai: float(model.drift_alpha(ai, params)))
+            a = _euler_path(alpha0, dw, dts, lambda s, ai: model.drift_alpha(ai, params))
         else:
             a = np.full(n, alpha0)  # the latent path of a model without one
             db *= sq
         # db becomes vol_x(alpha) * dB_total, with alpha left of each step
         db *= model.vol_x(a[:-1], params)
-        x = _euler_path(x0, db, dts, lambda s, xs: model.drift_x(xs, a[s], params),
-                        lambda k: _float_drift_x(model, params, a[k:].tolist()))
+        x = _euler_path(x0, db, dts, lambda s, xs: model.drift_x(xs, a[s], params))
 
     finite = np.isfinite(x) & np.isfinite(a)
     if not finite[-1]:

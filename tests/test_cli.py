@@ -391,8 +391,13 @@ class TestExitCodes:
         ("iter,theta,loglik\n5,0.5,-1.0\n1,0.4,-1.0\n",
          ":3: iter 1 is not greater than the previous 5"),
         ("iter,theta,loglik\n-3,0.5,-1.0\n", ":2: iter -3 is negative"),
+        # read as iter -2**63, with a RuntimeWarning from the cast to int64
+        ("iter,theta,loglik\n1e300,0.5,-1.0\n", ":2: iter 1.0000000000000001e+300 is too large"),
+        ("iter,theta,loglik\n9223372036854775808,0.5,-1.0\n",
+         ":2: iter 9.2233720368547758e+18 is too large"),
     ], ids=["empty", "no-draws", "header", "width", "unparseable", "repeated-name",
-            "fractional-iter", "empty-name", "decreasing-iter", "negative-iter"])
+            "fractional-iter", "empty-name", "decreasing-iter", "negative-iter",
+            "huge-iter", "iter-2**63"])
     def test_malformed_trace_rejected(self, tmp_path, capsys, text, message):
         trace = tmp_path / "trace.csv"
         trace.write_text(text)

@@ -116,15 +116,18 @@ class TestPriorRecovery:
         assert p[1] == pytest.approx({"theta": 0.5186395615854529, "sigma": 0.5948264872283433},
                                      rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"rw_scales": {"theta": 0.5, "sigmaa": 0.5}}, "rw_scales names no free parameter"),
-        ({"fixed": ("theta", "sigma")}, "nothing to draw"),
-        ({"n_burn": 1}, "without burn-in"),
-    ], ids=["rw-scales", "all-fixed", "burn-in"])
-    def test_rejects_what_the_chain_rejects(self, kwargs, message):
+    @pytest.mark.parametrize("kwargs,replications,message", [
+        ({"rw_scales": {"theta": 0.5, "sigmaa": 0.5}}, 2, "rw_scales names no free parameter"),
+        ({"fixed": ("theta", "sigma")}, 2, "nothing to draw"),
+        ({"n_burn": 1}, 2, "without burn-in"),
+        # an IndexError from the KS step at 0 replications
+        ({}, 0, "needs a replication, got replications=0"),
+        ({}, -3, "needs a replication, got replications=-3"),
+    ], ids=["rw-scales", "all-fixed", "burn-in", "no-replications", "negative-replications"])
+    def test_rejects_what_the_chain_rejects(self, kwargs, replications, message):
         with pytest.raises(ValidationError, match=message):
             prior_recovery_test(self.MODEL, self.PRIOR, replace(self.CONFIG, n_iter=2, **kwargs),
-                                2, **self.SCALE)
+                                replications, **self.SCALE)
 
     def test_improper_prior_rejected(self):
         prior = PriorSpec.from_model(self.MODEL, {"theta": (-1, 1)})

@@ -47,8 +47,8 @@ def blowup_model(drift_x=None, vol_x=None, drift_alpha=None):
 
 def assert_explodes_as_step_loop(model, x0, alpha0):
     """The simulator raises ExplosionError at exactly the grid time where the
-    per-step loop does, a step strictly inside the grid. The simulator steps
-    on Python floats; the loop takes the float starts as a batch of one."""
+    per-step loop does, a step strictly inside the grid. The loop takes the
+    float starts as a batch of one."""
     grid = TimeGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(ExplosionError) as ref:
         euler_paths_reference(model, model.make_params(), x0, alpha0, grid, RandomStream(0))
@@ -189,7 +189,7 @@ class TestEulerSimulate:
 
     def test_explosion_time_of_a_piecewise_drift(self):
         # the drift explodes above 2 only, through np.where, which gives a
-        # 0-d array on a float; the path from 3 starts where it does
+        # 0-d array on a numpy scalar; the path from 3 starts where it does
         model = blowup_model(
             drift_x=lambda x, a, p: np.where(x > 2.0, np.asarray(x, dtype=float) ** 3, 0.0),
             vol_x=lambda a, p: np.full(np.shape(a), 0.1),
@@ -277,13 +277,13 @@ def assert_simulates_as_step_loop(model, params, x0, alpha0, grid, seed, simulat
 def counting_drifts(model):
     """``model`` with drifts that count their calls by kind and coordinate:
     ``calls["x", "sweep"]`` counts the observed drift's calls on arrays (one
-    per fixed-point sweep), ``calls["x", "float"]`` those on scalars (one
-    per float step); likewise ``"alpha"`` for the latent drift."""
+    per fixed-point sweep), ``calls["x", "step"]`` those on scalars (one per
+    single step); likewise ``"alpha"`` for the latent drift."""
     calls = collections.Counter()
 
     def counted(name, f):
         def g(x, *rest):
-            calls[name, "sweep" if np.ndim(x) else "float"] += 1
+            calls[name, "sweep" if np.ndim(x) else "step"] += 1
             return f(x, *rest)
         return g
 
@@ -293,8 +293,10 @@ def counting_drifts(model):
     ), calls
 
 
-# the bench's tbill grid: weekly observations, 50 steps each
+# the bench's tbill grids: weekly observations, 50 steps each for the sampler's
+# workload, 100 each for the CLI's simulate
 BENCH_TBILL_GRID = TimeGrid(5.0 / 252.0 / 50 * np.arange(24_951))
+CLI_TBILL_GRID = TimeGrid(5.0 / 252.0 / 100 * np.arange(25_001))
 # ou-sv-leverage whose drifts change by half the state's change per step
 STIFF_UPDATES = {"kappa_x": 2.0, "kappa_alpha": 3.0}
 STIFF_GRID = TimeGrid(0.25 * np.arange(2001))
@@ -320,7 +322,7 @@ class TestEulerOracle:
     @pytest.mark.parametrize("n_points", [300, 1], ids=["scalar", "scalar-one-point"])
     @pytest.mark.parametrize("model,updates", simulated_models())
     def test_bit_identical(self, model, updates, n_points):
-        # float starts step on Python floats; the loop takes them as a batch of one
+        # the loop takes the float starts as a batch of one
         params = {**model.make_params(), **updates}  # rho = +-1 bypasses support
         x0 = np.log(10.0) if model.obs_transform else 0.1
         a0 = params["alpha0"] if "alpha0" in params else 0.0
@@ -329,9 +331,9 @@ class TestEulerOracle:
 
     def test_numpy_properties_the_sweeps_rest_on(self):
         # a sweep reads the drifts on whole windows and adds the steps by
-        # cumsum: a ufunc gives an element the bits it gives it alone or as
-        # a float, whatever the array's length and alignment, and cumsum
-        # adds left to right as the float loop does
+        # cumsum: a ufunc gives an element the bits it gives it alone, as in
+        # a single step, whatever the array's length and alignment, and
+        # cumsum adds left to right as the step loop does
         v = 5.0 * RandomStream(4).normal(2100)
         for f in (np.exp, np.expm1, np.tanh, lambda u: np.log(np.abs(u))):
             alone = [float(f(u)) for u in v.tolist()]
@@ -350,7 +352,7 @@ class TestEulerOracle:
             "const-vol-scalar-short-last-window"])
     def test_long_one_path(self, name, updates, x0, grid):
         # over grids as long as the bench's, which sweep, and a stiff one,
-        # which takes float steps
+        # which takes single steps
         model = get_model(name)
         params = model.make_params(updates)
         a0 = params["alpha0"] if "alpha0" in params else 0.0
@@ -358,13 +360,13 @@ class TestEulerOracle:
 
     def test_sweeps_hand_off_to_float_steps(self):
         # the observed drift stiffens as alpha rises: its path sweeps for
-        # thousands of steps, then goes on in float steps
+        # thousands of steps, then goes on in single steps on numpy scalars
         model = stiffening_model()
         counted, calls = counting_drifts(model)
         grid = TimeGrid(1e-3 * np.arange(6001))
         assert assert_simulates_as_step_loop(model, model.make_params(), 1.0, 0.0, grid, 3,
                                              counted) is None
-        assert calls["x", "sweep"] > 0 and 1000 < calls["x", "float"] < 5000
+        assert calls["x", "sweep"] > 0 and 1000 < calls["x", "step"] < 5000
 
     @pytest.mark.parametrize("coefs,coord", [
         # a drift of 1 below 5, nan above: the path crosses 5 some 5000 steps in
@@ -379,7 +381,7 @@ class TestEulerOracle:
         time = assert_simulates_as_step_loop(model, model.make_params(), 0.0, 0.0, grid, 5,
                                              counted)
         assert time is not None and 2.0 < time < 6.0
-        assert calls["x", "float"] + calls["alpha", "float"] == 0
+        assert calls["x", "step"] + calls["alpha", "step"] == 0
         # the sweeps stop there: about 10 of them reach it, and the 15 000
         # steps after it would take 15 more
         assert calls[coord, "sweep"] <= 12
@@ -409,20 +411,10 @@ class TestEulerOracle:
         ({"drift_alpha": lambda a, p: a ** 3 * 1e4}, 0.0, 1.0, True),
     ], ids=["cube-overflow", "reciprocal-at-zero", "inverse-cube", "latent-cube-overflow"])
     def test_coefficients_that_raise_on_floats(self, coefs, x0, alpha0, explodes):
-        # where Python floats raise and numpy gives inf or nan, the one path
-        # goes on as the loop's arrays do: the same bits or the same explosion
-        raised = []
-
-        def recording(f):
-            def g(*args):
-                try:
-                    return f(*args)
-                except (OverflowError, ZeroDivisionError) as exc:
-                    raised.append(exc)
-                    raise
-            return g
-
-        model = blowup_model(**{k: recording(f) for k, f in coefs.items()})
+        # where Python floats would raise, numpy scalars give inf or nan: the
+        # path goes on as the loop's arrays do, to the same bits or the same
+        # explosion
+        model = blowup_model(**coefs)
         grid = TimeGrid(np.linspace(0.0, 5.0, 501))
         params = model.make_params()
         ref_rng, rng = RandomStream(0), RandomStream(0)
@@ -440,20 +432,21 @@ class TestEulerOracle:
             for g, w in zip(got, want):
                 assert g.values.tobytes() == w[0].tobytes()
             assert rng.normal() == ref_rng.normal()
-        assert raised
 
 
 class TestEulerRegimes:
-    """Which paths ``euler_simulate`` sweeps and which it steps on floats,
-    counted by the drift calls rather than timed."""
+    """Which paths ``euler_simulate`` sweeps and which it takes step by
+    step, counted by the drift calls rather than timed."""
 
-    def test_bench_grid_sweeps(self):
+    @pytest.mark.parametrize("grid", [BENCH_TBILL_GRID, CLI_TBILL_GRID],
+                             ids=["tbill-n500-m16", "cli-tbill"])
+    def test_bench_grid_sweeps(self, grid):
+        # the benchmark's simulated paths are swept to the end
         model, calls = counting_drifts(get_model("tbill-logsv"))
         params = model.make_params()
-        euler_simulate(model, params, np.log(10.0), params["alpha0"], BENCH_TBILL_GRID,
-                       RandomStream(1))
+        euler_simulate(model, params, np.log(10.0), params["alpha0"], grid, RandomStream(1))
         for coord in ("x", "alpha"):
-            assert calls[coord, "float"] < 0.01 * (len(BENCH_TBILL_GRID) - 1)
+            assert calls[coord, "step"] == 0
             assert 0 < calls[coord, "sweep"] < 400
 
     def test_stiff_grid_stops_sweeping(self):
@@ -462,18 +455,7 @@ class TestEulerRegimes:
         euler_simulate(model, params, 0.1, params["alpha0"], STIFF_GRID, RandomStream(1))
         for coord in ("x", "alpha"):
             assert calls[coord, "sweep"] <= 3
-            assert calls[coord, "float"] > 0.99 * (len(STIFF_GRID) - 1)
-
-    @pytest.mark.parametrize("name", model_names())
-    def test_gate_skeleton_takes_no_sweep(self, name):
-        # the exactness gates' skeletons: 25 points
-        model, calls = counting_drifts(get_model(name))
-        params = model.make_params()
-        a0 = params["alpha0"] if "alpha0" in params else 0.0
-        euler_simulate(model, params, 0.1, a0, TimeGrid(np.linspace(0.0, 2.0, 25)),
-                       RandomStream(1))
-        assert calls["x", "sweep"] == calls["alpha", "sweep"] == 0
-        assert calls["x", "float"] == 24
+            assert calls[coord, "step"] > 0.99 * (len(STIFF_GRID) - 1)
 
 
 class TestLatentTransforms:
