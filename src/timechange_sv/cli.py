@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import SUMMARY_COLUMNS, acf, iact, kde_export, summarize
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, allocating
 from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
 from .paths import Path, RandomStream, TimeGrid
@@ -156,7 +156,8 @@ class RunConfig:
                 f"{path}: 'data_schema' spacing must be a finite positive number, got {spacing!r}"
             )
         if cfg.init not in ("config", "prior-midpoint"):
-            raise ValidationError("init must be 'config' or 'prior-midpoint'")
+            raise ValidationError(
+                f"{path}: init must be 'config' or 'prior-midpoint', got {cfg.init!r}")
         return cfg
 
     def model_spec(self) -> ModelSpec:
@@ -253,15 +254,12 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
         raise ValidationError(f"simulate needs delta > 0 and 1 <= thin_stride <= n_steps; "
                               f"got delta={delta}, n_steps={n_steps}, thin_stride={stride}")
     params = model.make_params(config.params)
-    model.validate(params)
+    if outside := PriorSpec.from_model(model).outside(params):
+        raise ValidationError(f"parameter outside its support: {'; '.join(outside)}")
     alpha0 = params["alpha0"] if "alpha0" in params else 0.0
     out = _out_dir(out_dir)
-    try:
+    with allocating(f"a simulation grid of n_steps={n_steps} steps"):
         steps = np.arange(n_steps + 1)
-    except (MemoryError, ValueError):  # numpy's "too big" and "maximum size exceeded"
-        raise ValidationError(f"simulate cannot allocate a grid of n_steps={n_steps} "
-                              "steps") from None
-
     grid = TimeGrid(delta * steps)
     x_path, a_path = euler_simulate(model, params, x0, alpha0, grid, RandomStream(seed))
 
@@ -306,7 +304,7 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
                       require_positive=model.obs_transform is not None)
     sampler = config.sampler_config()
     # a bad sampler or prior section fails before any output
-    if len(range(sampler.n_burn, sampler.n_iter, sampler.thin)) < 2:
+    if sampler.n_burn + sampler.thin >= sampler.n_iter:
         raise ValidationError("fit must keep at least two draws per chain for its summaries; "
                               "lower n_burn or thin, or raise n_iter")
     prior = config.prior_spec()
@@ -397,11 +395,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             out = cmd_simulate(RunConfig.load(args.config), args.out)
             print(f"wrote {out['n_obs']} observations to {out['obs']}")
-        elif args.command == "fit":
-            out = cmd_fit(RunConfig.load(args.config), args.data, args.out)
-            print("wrote " + ", ".join(str(v) for v in out.values()))
         else:
-            out = cmd_diagnose(args.trace, args.max_lag, args.out)
+            out = (cmd_fit(RunConfig.load(args.config), args.data, args.out)
+                   if args.command == "fit" else cmd_diagnose(args.trace, args.max_lag, args.out))
             print("wrote " + ", ".join(str(v) for v in out.values()))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,19 +34,23 @@ def summarize(trace: Trace) -> dict[str, tuple[float, ...]]:
 
 
 def acf(series, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation at lags 0..max_lag, acf[0] = 1."""
+    """Biased sample autocorrelation at lags 0..max_lag, acf[0] = 1; values
+    too large for it to be finite raise ``ValidationError``."""
     x = np.asarray(series, dtype=float)
     n = x.size
     if n <= max_lag:
         raise ValidationError("series must be longer than max_lag")
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom == 0.0:
-        raise ValidationError("series has zero variance")
-    size = 1 << int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x, size)
-    corr = np.fft.irfft(f * np.conjugate(f))[: max_lag + 1]
-    return corr / denom
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        x = x - x.mean()
+        denom = float(x @ x)
+        if denom == 0.0:
+            raise ValidationError("series has zero variance")
+        size = 1 << int(np.ceil(np.log2(2 * n)))
+        f = np.fft.rfft(x, size)
+        rho = np.fft.irfft(f * np.conjugate(f))[: max_lag + 1] / denom
+    if not (math.isfinite(denom) and np.isfinite(rho).all()):
+        raise ValidationError(f"autocorrelations are not finite: centred sum of squares {denom}")
+    return rho
 
 
 def iact(series) -> float:
@@ -68,24 +72,29 @@ def iact(series) -> float:
 
 def kde_export(series, grid_points: int = 256) -> np.ndarray:
     """Gaussian-kernel density on an evenly spaced grid, as (x, density)
-    rows; bandwidth by Silverman's rule, sd * (3n/4)^(-1/5)."""
+    rows; bandwidth by Silverman's rule, sd * (3n/4)^(-1/5). Values too large
+    or too close for it to be finite raise ``ValidationError``."""
     x = np.asarray(series, dtype=float)
     if not x.max() > x.min():  # also false with a NaN
         raise ValidationError("density estimate needs at least two distinct values")
     if grid_points < 8:
         raise ValidationError("need at least 8 grid points")
-    bw = float(np.std(x, ddof=1)) * (0.75 * x.size) ** -0.2
-    grid = np.linspace(x.min() - 5.0 * bw, x.max() + 5.0 * bw, grid_points)
-    xs, gs = x / bw, grid / bw
-    density = np.empty(grid_points)
-    # grid points per pass, so that no pass holds more than _KDE_CELLS kernels
-    step = max(1, _KDE_CELLS // x.size)
-    for lo in range(0, grid_points, step):
-        d = gs[lo: lo + step, None] - xs
-        d *= d
-        d *= -0.5
-        density[lo: lo + step] = np.exp(d, out=d).sum(axis=1)
-    return np.column_stack((grid, density / (x.size * bw * math.sqrt(2.0 * math.pi))))
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        bw = float(np.std(x, ddof=1)) * (0.75 * x.size) ** -0.2
+        grid = np.linspace(x.min() - 5.0 * bw, x.max() + 5.0 * bw, grid_points)
+        xs, gs = x / bw, grid / bw
+        density = np.empty(grid_points)
+        # grid points per pass, so that no pass holds more than _KDE_CELLS kernels
+        step = max(1, _KDE_CELLS // x.size)
+        for lo in range(0, grid_points, step):
+            d = gs[lo: lo + step, None] - xs
+            d *= d
+            d *= -0.5
+            density[lo: lo + step] = np.exp(d, out=d).sum(axis=1)
+        out = np.column_stack((grid, density / (x.size * bw * math.sqrt(2.0 * math.pi))))
+    if not (math.isfinite(bw) and np.isfinite(out).all()):
+        raise ValidationError(f"density estimate is not finite: bandwidth {bw}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,19 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ValidationError(ValueError):
     """A configuration, data file or argument violates its contract."""
+
+
+@contextmanager
+def allocating(what: str):
+    """Numpy's failure to allocate an array, as a ``ValidationError`` naming ``what``."""
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError):
+        raise ValidationError(f"cannot allocate {what}") from None
 
 
 class NumericsError(RuntimeError):

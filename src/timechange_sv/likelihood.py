@@ -5,16 +5,16 @@ are formed as exp of log differences so that products over hundreds of
 observation intervals never underflow.
 
 The per-interval quantities are produced by one vectorised engine on
-(n_intervals, m+2) arrays, which ``interval_quantities`` runs:
+(n_intervals, m+2) arrays:
 
 * ``warp_stage`` maps (params, gamma) to six warp fields: gamma itself, the
   latent values, the squared volatility, the warped times (the last is the
   warped length), the leverage adjustment and the doubly-warped times;
-* ``path_stage`` maps the doubly-warped path values z, on those warps, to
-  the path U on the warped scale (the observation coordinate is U + adj);
-* then the three density terms: the Girsanov term of the path
-  (``log_g_term``), the endpoint term and the latent term
-  (``log_gamma_term``).
+* ``interval_quantities`` runs the rest on those warps: ``path_stage``
+  maps the doubly-warped path values z to the path U on the warped scale
+  (the observation coordinate is U + adj), then the three density terms
+  follow: the Girsanov term of the path (``log_g_term``), the endpoint
+  term and the latent term (``log_gamma_term``).
 
 The models are time-homogeneous, so the knot grid enters only through its
 steps, which a sampler state computes once. The sampler runs only the
@@ -77,9 +77,6 @@ class IntervalQuantities:
     def terms(self) -> dict[str, np.ndarray]:
         """The three density terms by field name."""
         return {"log_g": self.log_g, "log_f": self.log_f, "log_gamma": self.log_gamma}
-
-    def finite(self) -> bool:
-        return all(bool(np.all(np.isfinite(t))) for t in self.terms().values())
 
 
 def girsanov_sum(b, dv, dt):
@@ -160,23 +157,19 @@ def interval_quantities(
     model: ModelSpec,
     params: dict[str, float],
     steps: np.ndarray,
-    gamma: np.ndarray,
+    warps: IntervalQuantities,
     y_left: np.ndarray,
     y_right: np.ndarray,
     z_values: np.ndarray,
-    warps: Optional[IntervalQuantities] = None,
 ) -> IntervalQuantities:
     """Evaluate all warped-scale quantities for a batch of intervals with knot
-    steps ``steps`` (n, m+1): the warp and path stages, then the three log
-    densities. The path is given by its doubly-warped values ``z_values``
-    (n, m+1). ``warps``, the output of ``warp_stage`` on the same (params,
-    steps, gamma), skips that stage. The endpoint term reads only the path's
-    last value, which no path move changes. Non-finite results are not
-    raised here; callers inspect ``finite()`` and treat failures as
-    zero-density.
+    steps ``steps`` (n, m+1) on ``warps``, the output of ``warp_stage`` on
+    the same (params, steps): the path stage, then the three log densities.
+    The path is given by its doubly-warped values ``z_values`` (n, m+1). The
+    endpoint term reads only the path's last value, which no path move
+    changes. Non-finite results are not raised here; the sampler treats
+    them as zero density.
     """
-    if warps is None:
-        warps = warp_stage(model, params, steps, gamma)
     q = path_stage(warps, z_values, y_left, y_right)
     with np.errstate(all="ignore"):
         q.log_f = log_end_gaussian(q.U[:, -1], np.asarray(y_left, dtype=float), q.u[:, -1])

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, allocating
 from .likelihood import (
     IntervalQuantities, interval_quantities, log_g_term, log_gamma_term, path_stage, warp_stage,
 )
@@ -215,7 +215,9 @@ class AugmentedState:
 
     def __init__(self, model, params, obs_times, x_values, gamma, prior, fixed=(),
                  log_jac=None):
-        model.validate(params)
+        if outside := prior.outside(params):
+            raise ValidationError(
+                f"initial parameters violate the prior support: {'; '.join(outside)}")
         x_values = np.asarray(x_values, dtype=float)
         gamma = np.array(gamma, dtype=float)
         n, cols = x_values.shape
@@ -245,8 +247,8 @@ class AugmentedState:
             u1 = (y[1:] - w.adj[:, -1])[:, None]
             z = centre_on_chord(x_values[:, :-1] - w.adj[:, :-1], w.u[:, :-1], w.u[:, -1:],
                                 y[:-1, None], u1)
-        self.cache = self.quantities(z=z, warps=w)
-        if not self.cache.finite():
+        self.cache = self.quantities(w, z=z)
+        if not all(np.isfinite(t).all() for t in self.cache.terms().values()):
             raise ValidationError("initial augmented posterior is non-finite")
 
     # -- views ------------------------------------------------------------
@@ -282,20 +284,19 @@ class AugmentedState:
 
     # -- engine and cache management ----------------------------------------
 
-    def quantities(self, params=None, z=None, rows=slice(None), warps=None):
-        """Engine outputs for ``rows``; ``params`` and the path values ``z``
-        default to the state's own. ``warps``, the output of ``self.warps``
-        for the same params and rows, skips the warp stage and gives the
-        latent windows, which are otherwise the state's own."""
+    def quantities(self, warps, params=None, z=None, rows=slice(None)):
+        """Engine outputs for ``rows`` on ``warps``, the output of
+        ``self.warps`` for the same params and rows, which holds the latent
+        windows; ``params`` and the path values ``z`` default to the
+        state's own."""
         return interval_quantities(
             self.model,
             self.params if params is None else params,
             self.x_steps[rows],
-            self.cache.gamma[rows] if warps is None else warps.gamma,
+            warps,
             self.y[:-1][rows],
             self.y[1:][rows],
-            z_values=self.cache.z[rows] if z is None else z,
-            warps=warps,
+            self.cache.z[rows] if z is None else z,
         )
 
     def warps(self, params=None, gamma=None, rows=slice(None)) -> IntervalQuantities:
@@ -316,7 +317,7 @@ class AugmentedState:
 
     def validate_cache(self, tol: float = 1e-8) -> None:
         cached = self.log_likelihood()
-        fresh = self.log_likelihood(self.quantities())
+        fresh = self.log_likelihood(self.quantities(self.warps()))
         if abs(cached - fresh) > tol * max(1.0, abs(fresh)):
             raise NumericsError(
                 f"cached log likelihood {cached} drifted from recomputation {fresh}"
@@ -356,7 +357,8 @@ def init_state(
 ) -> AugmentedState:
     """Fresh state: latent path at zero, observed path on the data chords."""
     y, log_jac = _transform_observations(model, obs_values)
-    x_values = y[:-1, None] + np.linspace(0.0, 1.0, m + 2) * (y[1:] - y[:-1])[:, None]
+    with allocating(f"a state of m={m} imputed points per interval"):
+        x_values = y[:-1, None] + np.linspace(0.0, 1.0, m + 2) * (y[1:] - y[:-1])[:, None]
     x_values[:, -1] = y[1:]
     return AugmentedState(model, params, obs_times, x_values, np.zeros_like(x_values), prior,
                           fixed, log_jac)
@@ -374,9 +376,10 @@ def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(
     the accept flag of each run of ``group`` rows, or of the whole move. A
     row's log ratio is its change of the density terms in ``new``, summed in
     ``terms()`` order, -inf where not finite and without a warning; a whole
-    move adds ``log_jac`` and once accepted sets ``params``, if given. A
-    slice of rows is written with a mask, other rows by index, and an
-    accepted move over every row adopts the arrays of ``new``.
+    move adds ``log_jac`` and once accepted sets ``params``, if given. The
+    accepted rows are written by index, except that a move accepted on every
+    interval adopts the arrays of ``new``: ``rows`` that cover every
+    interval are in ascending order.
     """
     cache = state.cache
     with np.errstate(invalid="ignore", over="ignore"):
@@ -395,16 +398,14 @@ def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(
         return acc
     if params is not None:
         state.params = params
-    if not isinstance(rows, slice):
-        for name, value in new.items():
-            getattr(cache, name)[rows[keep]] = value[keep]
-    elif rows == slice(None) and keep.all():
+    if keep.size == state.n_intervals and keep.all():
         for name, value in new.items():
             setattr(cache, name, value)
     else:
+        kept = np.flatnonzero(keep)  # take() on these beats a boolean mask on 2-d rows
+        written = np.arange(state.n_intervals)[rows][kept]
         for name, value in new.items():
-            np.copyto(getattr(cache, name)[rows], value,
-                      where=keep.reshape(keep.shape + (1,) * (value.ndim - 1)))
+            getattr(cache, name)[written] = value.take(kept, axis=0)
     return acc
 
 
@@ -423,7 +424,7 @@ def _warped_proposal(state: AugmentedState, rng: RandomStream, rows, params=None
     bad = ~np.isfinite(w.z_times).all(axis=1)
     new_times = np.where(bad[:, None], cache.z_times[rows], w.z_times) if bad.any() else w.z_times
     z_new = refine_rows(cache.z_times[rows], cache.z[rows], new_times, rng)
-    new = vars(state.quantities(params=params, z=z_new, rows=rows, warps=w))
+    new = vars(state.quantities(w, params=params, z=z_new, rows=rows))
     new["log_f"][bad] = -np.inf
     return new
 
@@ -502,7 +503,7 @@ class LatentBlocks:
     anchored: bool  # keeps its right knot (a bridge), or has a free end
     sqrt_steps: np.ndarray  # (blocks, length (m+1)) square roots of each block's knot steps
     frac: np.ndarray  # each knot's fraction of its block's time span
-    rows: "slice | np.ndarray"  # the blocks' intervals, block-major; a slice if contiguous
+    rows: np.ndarray  # the blocks' intervals, block-major
 
 
 def latent_blocks(state: AugmentedState, firsts: np.ndarray, length: int,
@@ -512,8 +513,6 @@ def latent_blocks(state: AugmentedState, firsts: np.ndarray, length: int,
     seg_t = state.x_flat[(firsts * (m + 1))[:, None] + np.arange(length * (m + 1) + 1)]
     frac = (seg_t - seg_t[:, :1]) / (seg_t[:, -1:] - seg_t[:, :1])
     rows = (firsts[:, None] + np.arange(length)[None, :]).ravel()
-    if np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
-        rows = slice(int(rows[0]), int(rows[-1]) + 1)
     return LatentBlocks(length, anchored, np.sqrt(seg_t[:, 1:] - seg_t[:, :-1]), frac, rows)
 
 
@@ -537,7 +536,8 @@ def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream
         seg_prop += blocks.frac * (seg_g[:, -1:] - seg_g[:, :1])
         seg_prop[:, -1] = seg_g[:, -1]
 
-    gamma = _windows(seg_prop, state.m).reshape(-1, state.m + 2)
+    # a copy of the read-only windows: the cache may adopt it
+    gamma = _windows(seg_prop, state.m).reshape(-1, state.m + 2).copy()
     new = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
     return _metropolis(state, rng, new, blocks.rows, blocks.length if blocks.anchored else None)
 
@@ -606,9 +606,6 @@ def run_chain(
     data = Path.from_arrays(data.times, data.values)
 
     params = model.make_params(init_params)
-    if outside := prior.outside(params):
-        raise ValidationError(f"initial parameters violate the prior support: {'; '.join(outside)}")
-
     state = init_state(model, params, data.times, data.values, config.m, prior, config.fixed)
     return _run_state(state, config, RandomStream(config.seed))
 
@@ -626,9 +623,10 @@ def _run_state(state: AugmentedState, config: SamplerConfig, rng: RandomStream) 
     scales = {name: config.rw_scales.get(name, DEFAULT_RW_SCALE) for name in state.free_names}
     counts: dict[str, tuple[int, int]] = {}  # kernel -> (accepted, attempted) after burn-in
 
-    iters = np.arange(config.n_burn, config.n_iter, config.thin)
-    draws = np.empty((iters.size, len(state.free_names)))
-    logliks = np.empty(iters.size)
+    with allocating(f"a trace of n_iter={config.n_iter} sweeps"):
+        iters = np.arange(config.n_burn, config.n_iter, config.thin)
+        draws = np.empty((iters.size, len(state.free_names)))
+        logliks = np.empty(iters.size)
 
     for it in range(config.n_iter):
         moves = sweep(state, rng, scales, config.block_len)

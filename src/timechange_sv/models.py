@@ -37,9 +37,6 @@ class ParamSupport:
             raise ValidationError(f"support ({self.lo}, {self.hi}) must be nonempty and "
                                   "bounded below if bounded above")
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def to_unconstrained(self, x: float) -> float:
         if self.hi < math.inf:
             return math.atanh(2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0)
@@ -111,11 +108,6 @@ class ModelSpec:
         if unknown:
             raise ValidationError(f"unknown fixed parameters for {self.name}: {unknown}")
         return tuple(p for p in self.param_names if p not in fixed)
-
-    def validate(self, params: dict[str, float]) -> None:
-        for k in self.param_names:
-            if not self.supports[k].contains(params[k]):
-                raise ValidationError(f"parameter {k}={params[k]} outside its support")
 
     @property
     def has_latent(self) -> bool:

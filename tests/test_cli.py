@@ -134,6 +134,24 @@ class TestExitCodes:
         assert err.startswith("error:") and "n_steps" in err and err.count("\n") == 1
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("sampler,message", [
+        ({"m": 10**15, "n_iter": 10}, "a state of m=10"),
+        ({"m": 10**30, "n_iter": 10}, "a state of m=10"),
+        ({"m": 2, "n_iter": 10**20}, "a trace of n_iter=10"),
+    ], ids=["state-memory", "state-numpy-limit", "trace-int64"])
+    def test_fit_too_large_to_allocate(self, tmp_path, capsys, sampler, message):
+        # sizes no 64-bit address space holds, so the allocation fails at
+        # once; they ended in a MemoryError, a ValueError and an OverflowError
+        cfg = write_config(tmp_path / "config.json",
+                           {"model": "const-vol-scalar", "sampler": sampler})
+        argv = ["fit", "--config", cfg, "--data", tiny_data(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_exploding_simulation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", {
             "model": "const-vol-scalar",
@@ -314,7 +332,11 @@ class TestExitCodes:
         # the header is line 1, so draw i is on line i + 2
         ([math.nan if i == 60 else 0.1 * (i % 7) for i in range(150)],
          "trace.csv:62: non-finite"),
-    ], ids=["short", "constant", "nan-draw"])
+        # finite draws whose mean and variance overflow: the tables were
+        # written full of nan, after RuntimeWarnings
+        ([(-1.0) ** i * 1e308 for i in range(200)],
+         "trace.csv: parameter sigma: autocorrelations are not finite"),
+    ], ids=["short", "constant", "nan-draw", "overflow"])
     def test_diagnose_failure_leaves_no_output(self, tmp_path, capsys, column, message):
         trace = tmp_path / "trace.csv"
         trace.write_text("iter,theta,sigma,loglik\n" + "".join(
@@ -453,8 +475,12 @@ class TestExitCodes:
         {"model": "const-vol-scalar", "data_schema": {"spacing": True}},
         {"model": "const-vol-scalar", "data_schema": {"spacing": -1}},
         {"model": "const-vol-scalar", "data_schema": {"spacing": 0}},
+        # the one error of the config file that did not name it
+        {"model": "const-vol-scalar", "init": "midpoint"},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
+        # a document without its own sampler section fails as the file loads
+        loading = not (isinstance(doc, dict) and "sampler" in doc)
         if isinstance(doc, dict):
             doc = {"sampler": {"m": 2, "n_iter": 10, "n_burn": 2}, **doc}
         cfg = write_config(tmp_path / "config.json", doc)
@@ -462,7 +488,9 @@ class TestExitCodes:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}: " if loading else "error: ") and err.count("\n") == 1
+        if isinstance(doc, dict) and "init" in doc:
+            assert "init must be 'config' or 'prior-midpoint', got 'midpoint'" in err
         sampler = doc.get("sampler", {}) if isinstance(doc, dict) else {}
         unknown = set(sampler) - {f.name for f in fields(SamplerConfig)}
         assert all(repr(key) in err for key in unknown), err

@@ -38,6 +38,16 @@ class TestAutocorrelation:
         with pytest.raises(ValidationError):
             iact(ar1(99))
 
+    @pytest.mark.parametrize("x", [
+        np.resize([1e308, -1e308], 300),  # the mean overflows
+        np.resize([1e154, -1e154], 300),  # the sum of squares overflows
+        np.resize([4e151, -4e151], 1000),  # the sum of squares is finite, the transform is not
+    ], ids=["mean", "sum-of-squares", "transform"])
+    def test_overflowing_series_rejected(self, x):
+        # finite values used to give nan autocorrelations after RuntimeWarnings
+        with pytest.raises(ValidationError, match="autocorrelations are not finite"):
+            acf(x, 10)
+
 
 class TestKde:
     def test_integrates_to_one(self):
@@ -57,6 +67,15 @@ class TestKde:
     def test_constant_series_rejected(self):
         with pytest.raises(ValidationError):
             kde_export(np.full(50, 2.0))
+
+    @pytest.mark.parametrize("x", [
+        np.resize([1e308, -1e308], 300),  # the mean overflows
+        np.resize([1e200, -1e200], 300),  # the variance overflows
+        np.resize([5e-324, 0.0], 100),  # the bandwidth underflows to zero
+    ], ids=["mean", "variance", "zero-bandwidth"])
+    def test_non_finite_density_rejected(self, x):
+        with pytest.raises(ValidationError, match="density estimate is not finite"):
+            kde_export(x)
 
 
 def test_summarize_matches_numpy():
@@ -94,7 +113,7 @@ class TestPriorRecovery:
             moves = sweep(state, rng, scales, block_len)
             sigma = min(1.05 * state.params["sigma"], 1.999)
             state.params = {**state.params, "sigma": sigma}
-            state.cache = state.quantities()
+            state.cache = state.quantities(state.warps())
             return moves
 
         monkeypatch.setattr(mcmc, "sweep", inflate_sigma)

@@ -42,8 +42,9 @@ def engine_log_g(model, params, path):
 
 def engine_log_gamma(model, params, times, gamma):
     """The engine's latent-marginal term for one interval with knots ``times``."""
+    steps = np.diff(times)[None, :]
     q = interval_quantities(
-        model, params, np.diff(times)[None, :], gamma[None, :], [0.0], [0.0],
+        model, params, steps, warp_stage(model, params, steps, gamma[None, :]), [0.0], [0.0],
         np.zeros((1, times.size - 1)),
     )
     return float(q.log_gamma[0])
@@ -277,7 +278,7 @@ class TestAugmentedPosterior:
             {"kappa_x": 1e-300, "kappa_alpha": 1e-300, "rho": 0.0}
         )
         state, _ = self._state(model, params)
-        q = state.quantities()
+        q = state.quantities(state.warps())
         assert state.log_likelihood(q) == pytest.approx(
             float(np.sum(q.log_f + state.log_jac)), abs=1e-12
         )
@@ -292,11 +293,10 @@ class TestAugmentedPosterior:
 
         # rebuild each interval as its own one-interval state: same pieces
         for k in range(2):
+            steps = state.x_steps[k: k + 1]
             q = interval_quantities(
-                model, params, state.x_steps[k: k + 1],
-                state.cache.gamma[k: k + 1],
-                state.y[k: k + 1], state.y[k + 1: k + 2],
-                z_values=cache.z[k: k + 1],
+                model, params, steps, warp_stage(model, params, steps, cache.gamma[k: k + 1]),
+                state.y[k: k + 1], state.y[k + 1: k + 2], cache.z[k: k + 1],
             )
             assert q.log_g[0] == pytest.approx(cache.log_g[k], abs=1e-12)
             assert q.log_f[0] == pytest.approx(cache.log_f[k], abs=1e-12)
@@ -385,18 +385,18 @@ def _skeleton_state(name, seed=8):
 class TestEngineStages:
     def test_stages_compose_to_the_engine(self, name):
         # the engine is the warp stage, the path stage, then the densities;
-        # warps handed in give the same bits as warps it computes
+        # run on warp_stage's output it gives the bits of the state's pass
         model, params, state = _skeleton_state(name)
         steps, gamma, y0, y1 = state.x_steps, state.cache.gamma, state.y[:-1], state.y[1:]
         w = warp_stage(model, params, steps, gamma)
         z = state.cache.z
         q = path_stage(w, z, y0, y1)
-        full = interval_quantities(model, params, steps, gamma, y0, y1, z_values=z)
-        given = interval_quantities(model, params, steps, gamma, y0, y1, z_values=z, warps=w)
+        full = interval_quantities(model, params, steps, w, y0, y1, z)
+        own = state.quantities(state.warps())
         for f in fields(full):
             if f.name not in full.terms():
                 assert np.array_equal(getattr(q, f.name), getattr(full, f.name)), f.name
-            assert np.array_equal(getattr(given, f.name), getattr(full, f.name)), f.name
+            assert np.array_equal(getattr(own, f.name), getattr(full, f.name)), f.name
 
     def test_drift_parameters_move_only_their_term(self, name):
         # a drift move recomputes only the density terms it moves and keeps
@@ -405,9 +405,10 @@ class TestEngineStages:
         # leverage log_g too (U's drift holds the latent drift); every other
         # drift parameter moves log_g alone
         model, params, state = _skeleton_state(name)
-        before = state.quantities()
+        before = state.quantities(state.warps())
         for p in drift_params(model):
-            after = state.quantities(params=moved_params(model, params, p))
+            moved = moved_params(model, params, p)
+            after = state.quantities(state.warps(params=moved), params=moved)
             declared = {"log_g"}
             if p in model.latent_drift_params:
                 declared = {"log_gamma"} | ({"log_g"} if model.rho(params) != 0.0 else set())
@@ -442,7 +443,7 @@ def test_drift_moves_match_the_euler_oracle(name, p):
     gamma = np.append(state.cache.gamma[:, :-1].ravel(), state.cache.gamma[-1, -1])
     alpha = Path(grid, model.latent_values(gamma, params) if model.has_latent
                  else np.zeros(len(grid)))
-    moved_q = state.quantities(params=moved)
+    moved_q = state.quantities(state.warps(params=moved), params=moved)
     engine = state.log_likelihood(moved_q) - state.log_likelihood()
     euler = euler_loglik(x, alpha, moved, model) - euler_loglik(x, alpha, params, model)
     assert engine != 0.0

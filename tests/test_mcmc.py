@@ -234,6 +234,19 @@ class TestGammaBlockUpdate:
         assert moved
         state.validate_cache()
 
+    def test_whole_data_block_leaves_the_latent_cache_writeable(self):
+        # a terminal block over every interval is accepted whole, so the
+        # cache adopts its latent windows; a later anchored pass still
+        # writes single rows of them
+        state = sv_state(seed=3)
+        rng = RandomStream(23)
+        assert any(terminal_block(state, 0, state.n_intervals, rng) for _ in range(100))
+        assert state.cache.gamma.flags.writeable
+        for _ in range(20):
+            anchored_block(state, 1, 2, rng)
+        assert np.array_equal(state.cache.gamma[1:, 0], state.cache.gamma[:-1, -1])
+        state.validate_cache()
+
 
 def capped_vol_state(n_obs=4, m=3, cap=1.0):
     """A state of ``decoupled_sv_model`` whose observed volatility is 1 while
@@ -294,9 +307,9 @@ class TestNonFiniteWarps:
 
 
 def terms_state(n):
-    """A state whose cache holds only the three density terms of ``n``
-    rows, all zero."""
-    return SimpleNamespace(cache=IntervalQuantities(
+    """A state of ``n`` intervals whose cache holds only the three density
+    terms, all zero."""
+    return SimpleNamespace(n_intervals=n, cache=IntervalQuantities(
         *[None] * 6, log_g=np.zeros(n), log_f=np.zeros(n), log_gamma=np.zeros(n)))
 
 
@@ -368,6 +381,31 @@ class TestMetropolis:
         log_g = state.cache.log_g + 1.0
         assert _metropolis(state, RandomStream(6), {"log_g": log_g})[0]
         assert state.cache.log_g is log_g
+
+    @pytest.mark.parametrize("rows", [slice(None), np.array([1, 2, 4])],
+                             ids=["slice", "index-rows"])
+    def test_partial_accept_writes_only_the_accepted_rows(self, rows):
+        state = terms_state(5)
+        cached = state.cache.log_g
+        chosen = np.arange(5)[rows]
+        sign = np.where(np.arange(chosen.size) % 2 == 0, 1.0, -np.inf)
+        acc = _metropolis(state, RandomStream(7), {"log_g": sign}, rows, group=1)
+        assert acc.tolist() == (sign > 0.0).tolist()
+        expected = np.zeros(5)
+        expected[chosen[acc]] = 1.0
+        assert state.cache.log_g is cached and state.cache.log_g.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("rows,group", [(slice(None), 1), (slice(None), None),
+                                            (np.arange(4), 2), (np.arange(4), None)],
+                             ids=["every-row", "whole", "index-groups", "index-whole"])
+    def test_move_accepted_on_every_interval_adopts_the_proposal(self, rows, group):
+        # rows that cover every interval are in ascending order, so the
+        # accepted proposal's arrays become the cache's own
+        state = terms_state(4)
+        new = {"log_g": np.full(4, 1.0), "log_f": np.full(4, 2.0)}
+        assert _metropolis(state, RandomStream(8), new, rows, group).all()
+        assert state.cache.log_g is new["log_g"] and state.cache.log_f is new["log_f"]
+        assert state.cache.log_gamma.tolist() == [0.0] * 4
 
 
 def test_sweep_calls_metropolis_once_per_kernel_call(monkeypatch):
@@ -505,7 +543,7 @@ class TestBlockPlan:
         state = block_state(8)
         *anchored, terminal = state.block_passes(3)
         assert (len(terminal.frac), terminal.length, terminal.anchored) == (1, 3, False)
-        assert terminal.rows == slice(5, 8)
+        assert terminal.rows.tolist() == [5, 6, 7]
         # anchored blocks from intervals 0, 2, 4, run as two parity classes
         assert [(block_knots(state, b)[:, 0] // 3).tolist() for b in anchored] == [[0, 4], [2]]
 
@@ -514,8 +552,8 @@ class TestBlockPlan:
         long, whole = block_state(n).block_passes(block_len), block_state(n).block_passes(n)
         assert len(long) == len(whole)
         for a, b in zip(long, whole):
-            assert (a.length, a.anchored, a.rows) == (b.length, b.anchored, b.rows)
-            for name in ("sqrt_steps", "frac"):
+            assert (a.length, a.anchored) == (b.length, b.anchored)
+            for name in ("rows", "sqrt_steps", "frac"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -671,7 +709,7 @@ class TestRunChain:
         for _ in range(30):
             for kernel in kernels:  # one sweep
                 kernel()
-                fresh = state.quantities()
+                fresh = state.quantities(state.warps())
                 for f in fields(fresh):
                     assert np.array_equal(getattr(state.cache, f.name),
                                           getattr(fresh, f.name)), f.name
@@ -763,6 +801,19 @@ class TestRunChain:
                       init_params={"sigma": 3.0, "rho": -0.5, "mu_x": 0.0})
         assert str(err.value) == ("initial parameters violate the prior support: "
                                   "sigma = 3.0 not in (0.5, 2.0); rho = -0.5 not in (-0.5, 0.5)")
+
+    def test_state_as_the_gate_builds_it_rejects_a_start_outside_the_prior(self):
+        # the exactness gate builds its states from simulated skeletons, not
+        # through run_chain; the state makes the same check of its start
+        model = get_model("ou-sv-leverage")
+        prior = PriorSpec.from_model(model, {"sigma": (0.5, 2.0)})
+        theta = model.make_params({"sigma": 3.0})
+        obs_times = np.arange(4.0)
+        xv, gam = simulate_discrete_skeleton(model, theta, obs_times, 2, 0.0, RandomStream(1))
+        with pytest.raises(ValidationError) as err:
+            AugmentedState(model, theta, obs_times, xv, gam, prior)
+        assert str(err.value) == ("initial parameters violate the prior support: "
+                                  "sigma = 3.0 not in (0.5, 2.0)")
 
     def test_prior_midpoint_init(self):
         # the midpoints of the named parameters only, so a parameter left
