@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path as FilePath
 from typing import Optional
@@ -108,6 +109,8 @@ class RunConfig:
     simulate: dict = field(default_factory=dict)
     data_schema: dict = field(default_factory=dict)
     init: str = "config"
+    # the file the document was read from; not a config key
+    source: str = field(default="config", init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -121,13 +124,15 @@ class RunConfig:
                 raise ValidationError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        unknown = set(doc) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
         if not isinstance(doc.get("model"), str):
             raise ValidationError(f"{path}: config needs a 'model' name")
         cfg = cls(**{k: doc[k] for k in doc})
-        get_model(cfg.model)  # validates the name
+        cfg.source = str(path)
+        with cfg.blame():
+            get_model(cfg.model)  # validates the name
         for key in ("params", "prior", "sampler", "simulate", "data_schema"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ValidationError(f"{path}: '{key}' must be a JSON object")
@@ -159,6 +164,15 @@ class RunConfig:
             raise ValidationError(
                 f"{path}: init must be 'config' or 'prior-midpoint', got {cfg.init!r}")
         return cfg
+
+    @contextmanager
+    def blame(self):
+        """Re-raise a ``ValidationError`` of a check of the config made after
+        loading with the config file in front, as ``load``'s own errors have it."""
+        try:
+            yield
+        except ValidationError as exc:
+            raise ValidationError(f"{self.source}: {exc}") from None
 
     def model_spec(self) -> ModelSpec:
         return get_model(self.model)
@@ -242,26 +256,27 @@ def cmd_simulate(config: RunConfig, out_dir) -> dict:
     model's working coordinate; obs.csv holds the thinned observations on
     the raw observation scale.
     """
-    sim = dict(config.simulate)
-    _reject_unknown("simulate", sim, ("delta", "n_steps", "thin_stride", "seed", "x0"))
-    model = config.model_spec()
-    delta = float(sim.get("delta", 0.001))
-    n_steps = int(sim.get("n_steps", 500_000))
-    stride = int(sim.get("thin_stride", 1000))
-    seed = int(sim.get("seed", 0))
-    x0 = float(sim.get("x0", 0.0))
-    if not (delta > 0 and 1 <= stride <= n_steps):  # fit needs two observations
-        raise ValidationError(f"simulate needs delta > 0 and 1 <= thin_stride <= n_steps; "
-                              f"got delta={delta}, n_steps={n_steps}, thin_stride={stride}")
-    params = model.make_params(config.params)
-    if outside := PriorSpec.from_model(model).outside(params):
-        raise ValidationError(f"parameter outside its support: {'; '.join(outside)}")
-    alpha0 = params["alpha0"] if "alpha0" in params else 0.0
-    out = _out_dir(out_dir)
-    with allocating(f"a simulation grid of n_steps={n_steps} steps"):
-        steps = np.arange(n_steps + 1)
-    grid = TimeGrid(delta * steps)
-    x_path, a_path = euler_simulate(model, params, x0, alpha0, grid, RandomStream(seed))
+    with config.blame():
+        sim = dict(config.simulate)
+        _reject_unknown("simulate", sim, ("delta", "n_steps", "thin_stride", "seed", "x0"))
+        model = config.model_spec()
+        delta = float(sim.get("delta", 0.001))
+        n_steps = int(sim.get("n_steps", 500_000))
+        stride = int(sim.get("thin_stride", 1000))
+        seed = int(sim.get("seed", 0))
+        x0 = float(sim.get("x0", 0.0))
+        if not (delta > 0 and 1 <= stride <= n_steps):  # fit needs two observations
+            raise ValidationError(f"simulate needs delta > 0 and 1 <= thin_stride <= n_steps; "
+                                  f"got delta={delta}, n_steps={n_steps}, thin_stride={stride}")
+        params = model.make_params(config.params)
+        if outside := PriorSpec.from_model(model).outside(params):
+            raise ValidationError(f"parameter outside its support: {'; '.join(outside)}")
+        alpha0 = params["alpha0"] if "alpha0" in params else 0.0
+        out = _out_dir(out_dir)
+        with allocating(f"a simulation grid of n_steps={n_steps} steps"):
+            steps = np.arange(n_steps + 1)
+        grid = TimeGrid(delta * steps)
+        x_path, a_path = euler_simulate(model, params, x0, alpha0, grid, RandomStream(seed))
 
     obs_t = grid.times[::stride]
     obs_x = x_path.values[::stride]
@@ -302,15 +317,15 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     spacing = config.data_schema.get("spacing")
     data = ingest_csv(data_path, None if spacing is None else float(spacing),
                       require_positive=model.obs_transform is not None)
-    sampler = config.sampler_config()
-    # a bad sampler or prior section fails before any output
-    if sampler.n_burn + sampler.thin >= sampler.n_iter:
-        raise ValidationError("fit must keep at least two draws per chain for its summaries; "
-                              "lower n_burn or thin, or raise n_iter")
-    prior = config.prior_spec()
-    init = config.params
-    if config.init == "prior-midpoint":  # a fixed parameter stays at its params value
-        init = {**init, **prior.midpoint(model.free_names(config.fixed))}
+    with config.blame():  # a bad sampler or prior section fails before any output
+        sampler = config.sampler_config()
+        if sampler.n_burn + sampler.thin >= sampler.n_iter:
+            raise ValidationError("fit must keep at least two draws per chain for its "
+                                  "summaries; lower n_burn or thin, or raise n_iter")
+        prior = config.prior_spec()
+        init = config.params
+        if config.init == "prior-midpoint":  # a fixed parameter stays at its params value
+            init = {**init, **prior.midpoint(model.free_names(config.fixed))}
     n_chains = sampler.chains
     out = _out_dir(out_dir)
 
@@ -322,7 +337,8 @@ def cmd_fit(config: RunConfig, data_path, out_dir) -> dict:
     produced = {}
     for chain, trace in enumerate(run_jobs(fit_chain, n_chains)):
         if isinstance(trace, Exception):
-            raise trace
+            with config.blame():  # the chain's checks are checks of the config
+                raise trace
         out.mkdir(parents=True, exist_ok=True)  # so a failing chain 0 leaves no directory
         suffix = "" if n_chains == 1 else f"_chain{chain}"
         trace_file = out / f"trace{suffix}.csv"

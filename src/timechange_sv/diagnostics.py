@@ -33,10 +33,26 @@ def summarize(trace: Trace) -> dict[str, tuple[float, ...]]:
     return rows
 
 
-def acf(series, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation at lags 0..max_lag, acf[0] = 1; values
-    too large for it to be finite raise ``ValidationError``."""
+def _series(series) -> np.ndarray:
+    """``series`` as a 1-D float array; any other shape raises ``ValidationError``."""
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"series must be one-dimensional, got shape {x.shape}")
+    return x
+
+
+def _whole(value) -> bool:
+    """A Python or numpy integer that is not a bool (``True`` is an ``int`` too)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def acf(series, max_lag: int) -> np.ndarray:
+    """Biased sample autocorrelation at lags 0..max_lag, acf[0] = 1, of a 1-D
+    series; a ``max_lag`` that is not a non-negative integer, and values too
+    large for it to be finite, raise ``ValidationError``."""
+    x = _series(series)
+    if not (_whole(max_lag) and max_lag >= 0):
+        raise ValidationError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     n = x.size
     if n <= max_lag:
         raise ValidationError("series must be longer than max_lag")
@@ -55,42 +71,52 @@ def acf(series, max_lag: int) -> np.ndarray:
 
 def iact(series) -> float:
     """Integrated autocorrelation time, 1 + 2 sum rho(k), truncated at the
-    initial positive sequence of paired autocorrelations."""
-    x = np.asarray(series, dtype=float)
+    initial positive sequence of paired autocorrelations: the pairs before
+    the first one that is not positive, added left to right."""
+    x = _series(series)
     if x.size < 100:
         raise ValidationError("integrated autocorrelation needs at least 100 points")
     rho = acf(x, x.size - 1)
-    n_pairs = rho.size // 2
-    pair = rho[: 2 * n_pairs].reshape(n_pairs, 2).sum(axis=1)
-    total = 0.0
-    for g in pair:
-        if g <= 0.0:
-            break
-        total += g
-    return float(2.0 * total - 1.0)
+    n = rho.size - rho.size % 2
+    pair = rho[0:n:2] + rho[1:n:2]
+    k = int(np.argmin(pair > 0.0))  # the first pair that is not positive,
+    if pair[k] > 0.0:  # or none
+        k = pair.size
+    total = np.cumsum(pair[:k])  # left to right, as a loop adds
+    return float(2.0 * (total[-1] if k else 0.0) - 1.0)
 
 
 def kde_export(series, grid_points: int = 256) -> np.ndarray:
-    """Gaussian-kernel density on an evenly spaced grid, as (x, density)
-    rows; bandwidth by Silverman's rule, sd * (3n/4)^(-1/5). Values too large
-    or too close for it to be finite raise ``ValidationError``."""
-    x = np.asarray(series, dtype=float)
-    if not x.max() > x.min():  # also false with a NaN
+    """Gaussian-kernel density of a 1-D series on an evenly spaced grid, as
+    (x, density) rows; bandwidth by Silverman's rule, sd * (3n/4)^(-1/5).
+    A Metropolis chain repeats its last draw at every rejection, so one
+    kernel per run of equal consecutive draws, weighted by the run's length,
+    gives the density of one kernel per draw at a cost that grows with the
+    accepted moves. A ``grid_points`` that is not an integer, and values too
+    large or too close for the density to be finite, raise
+    ``ValidationError``."""
+    x = _series(series)
+    if not (x.size and x.max() > x.min()):  # also false with a NaN
         raise ValidationError("density estimate needs at least two distinct values")
+    if not _whole(grid_points):
+        raise ValidationError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 8:
         raise ValidationError("need at least 8 grid points")
+    # the starts of the runs of equal consecutive draws, then the end of the series
+    bounds = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [x.size]))
+    lengths = np.diff(bounds).astype(float)
     with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
         bw = float(np.std(x, ddof=1)) * (0.75 * x.size) ** -0.2
         grid = np.linspace(x.min() - 5.0 * bw, x.max() + 5.0 * bw, grid_points)
-        xs, gs = x / bw, grid / bw
+        xs, gs = x[bounds[:-1]] / bw, grid / bw
         density = np.empty(grid_points)
         # grid points per pass, so that no pass holds more than _KDE_CELLS kernels
-        step = max(1, _KDE_CELLS // x.size)
+        step = max(1, _KDE_CELLS // xs.size)
         for lo in range(0, grid_points, step):
             d = gs[lo: lo + step, None] - xs
             d *= d
             d *= -0.5
-            density[lo: lo + step] = np.exp(d, out=d).sum(axis=1)
+            density[lo: lo + step] = np.exp(d, out=d) @ lengths
         out = np.column_stack((grid, density / (x.size * bw * math.sqrt(2.0 * math.pi))))
     if not (math.isfinite(bw) and np.isfinite(out).all()):
         raise ValidationError(f"density estimate is not finite: bandwidth {bw}")

@@ -148,7 +148,7 @@ class TestExitCodes:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot allocate ") and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}: cannot allocate ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "out").exists()
 
@@ -477,10 +477,15 @@ class TestExitCodes:
         {"model": "const-vol-scalar", "data_schema": {"spacing": 0}},
         # the one error of the config file that did not name it
         {"model": "const-vol-scalar", "init": "midpoint"},
+        # the loaded config remembers its file, which is no config key
+        {"model": "const-vol-scalar", "source": "other.json"},
+        {"model": "const-vol-scalar", "path": "other.json"},
+        # an unknown model name, the last load-time error without the file
+        {"model": "const-vol-scalr"},
     ])
     def test_malformed_config(self, tmp_path, capsys, doc):
-        # a document without its own sampler section fails as the file loads
-        loading = not (isinstance(doc, dict) and "sampler" in doc)
+        # a document without its own sampler section fails as the file
+        # loads, one with it when fit reads the section: both name the file
         if isinstance(doc, dict):
             doc = {"sampler": {"m": 2, "n_iter": 10, "n_burn": 2}, **doc}
         cfg = write_config(tmp_path / "config.json", doc)
@@ -488,12 +493,43 @@ class TestExitCodes:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: " if loading else "error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
         if isinstance(doc, dict) and "init" in doc:
             assert "init must be 'config' or 'prior-midpoint', got 'midpoint'" in err
         sampler = doc.get("sampler", {}) if isinstance(doc, dict) else {}
         unknown = set(sampler) - {f.name for f in fields(SamplerConfig)}
         assert all(repr(key) in err for key in unknown), err
+
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("fit", {"sampler": {"m": 2.5}}, "m must be an integer, got 2.5"),
+        ("fit", {"sampler": {"n_burn": 20}}, "need 0 <= n_burn < n_iter"),
+        ("fit", {"prior": {"kappa": [3, 1]}}, "prior bounds for kappa must be"),
+        ("fit", {"fixed": ["kapa"]}, "unknown fixed parameters for tbill-logsv: ['kapa']"),
+        # raised inside the chain
+        ("fit", {"sampler": {"rw_scales": {"kapa": 0.1}}},
+         "rw_scales names no free parameter of tbill-logsv: ['kapa']"),
+        ("simulate", {"simulate": {"n_step": 20}}, "unknown keys in 'simulate': ['n_step']"),
+        ("simulate", {"params": {"sigma": -1}}, "sigma = -1.0 not in (0.0, inf)"),
+    ], ids=["m", "n-burn", "prior", "fixed", "rw-scales", "simulate-key", "simulate-param"])
+    def test_config_error_after_loading_names_the_file(self, tmp_path, capsys, command, doc,
+                                                       message):
+        # checks that the commands make after RunConfig.load: each printed
+        # a bare "error: <message>"
+        doc = {"model": "tbill-logsv", **doc,
+               "sampler": {"m": 2, "n_iter": 10, "n_burn": 2, **doc.get("sampler", {})},
+               "simulate": {"n_steps": 20, "thin_stride": 5, **doc.get("simulate", {})}}
+        cfg = write_config(tmp_path / "config.json", doc)
+        data = tmp_path / "obs.csv"
+        data.write_text("time,value\n0,0.05\n0.02,0.06\n0.04,0.055\n")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        if command == "fit":
+            argv += ["--data", str(data)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+        assert err.count(cfg) == 1 and message in err, err
+        assert not (tmp_path / "out").exists()
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -594,7 +630,8 @@ class TestParallelFit:
         out = tmp_path / "fit"
         assert main(["fit", "--config", cfg, "--data", obs, "--out", str(out)]) == code
         err = capsys.readouterr().err
-        label = "error" if code == 1 else "numerical failure"
+        # a chain's ValidationError is a check of the config, which it names
+        label = f"error: {cfg}" if code == 1 else "numerical failure"
         assert err.startswith(f"{label}: chain {first} failed in process ")
         assert err.count("\n") == 1 and "Traceback" not in err
         pid = int(err.split()[-1])

@@ -1,14 +1,16 @@
+import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, signal, stats
 
-from timechange_sv import mcmc
+from timechange_sv import diagnostics, mcmc
 from timechange_sv.diagnostics import acf, iact, kde_export, prior_recovery_test, summarize
 from timechange_sv.errors import ValidationError
-from timechange_sv.mcmc import PriorSpec, SamplerConfig, Trace, sweep
+from timechange_sv.mcmc import PriorSpec, SamplerConfig, Trace, run_chain, sweep
 from timechange_sv.models import get_model
 from timechange_sv.paths import RandomStream
 
@@ -76,6 +78,123 @@ class TestKde:
     def test_non_finite_density_rejected(self, x):
         with pytest.raises(ValidationError, match="density estimate is not finite"):
             kde_export(x)
+
+
+def repeated_normals(seed, n_runs=120, longest=8):
+    """Normal draws, each repeated 1 to ``longest`` times, as a Metropolis
+    chain repeats its last draw at each rejection."""
+    rng = RandomStream(seed)
+    lengths = 1 + (longest * rng.uniform(n_runs)).astype(int)
+    return np.repeat(rng.normal(n_runs), lengths)
+
+
+@functools.cache
+def chain_draws() -> np.ndarray:
+    """The (300, 2) draws of theta and sigma of a short const-vol-scalar chain."""
+    data = type("D", (), {"times": np.arange(21.0),
+                          "values": np.cumsum(RandomStream(5).normal(21))})()
+    config = SamplerConfig(m=2, n_iter=350, n_burn=50, seed=3)
+    draws = run_chain(config, data, get_model("const-vol-scalar")).draws
+    draws.setflags(write=False)  # one array for every test that asks
+    return draws
+
+
+RUN_SERIES = {
+    "repeat-1": lambda: repeated_normals(1),
+    "repeat-2": lambda: 3e-3 * repeated_normals(2, n_runs=40, longest=30) ** 2,
+    "chain-theta": lambda: chain_draws()[:, 0],
+    "chain-sigma": lambda: chain_draws()[:, 1],
+}
+
+
+class TestKdeOfRuns:
+    """``kde_export`` sums one kernel per run of equal consecutive draws,
+    weighted by its length: the density of one kernel per draw."""
+
+    @pytest.mark.parametrize("name", RUN_SERIES)
+    def test_matches_scipy_silverman(self, name):
+        x = RUN_SERIES[name]()
+        runs = 1 + np.count_nonzero(x[1:] != x[:-1])
+        assert runs < 0.7 * x.size  # the series has runs to collapse
+        grid = kde_export(x)
+        kde = stats.gaussian_kde(x, bw_method="silverman")
+        bw = np.sqrt(kde.covariance[0, 0])
+        expected = np.linspace(x.min() - 5.0 * bw, x.max() + 5.0 * bw, 256)
+        assert np.allclose(grid[:, 0], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        assert np.allclose(grid[:, 1], kde(grid[:, 0]), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", RUN_SERIES)
+    def test_matches_one_kernel_per_draw(self, name):
+        x = RUN_SERIES[name]()
+        grid = kde_export(x)
+        bw = np.std(x, ddof=1) * (0.75 * x.size) ** -0.2
+        kernels = np.exp(-0.5 * (grid[:, :1] / bw - x / bw) ** 2)
+        expected = kernels.sum(axis=1) / (x.size * bw * math.sqrt(2.0 * math.pi))
+        assert np.allclose(grid[:, 1], expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", RUN_SERIES)
+    def test_integrates_to_one(self, name):
+        # one kernel per run without its length would integrate to runs/draws
+        grid = kde_export(RUN_SERIES[name]())
+        assert integrate.trapezoid(grid[:, 1], grid[:, 0]) == pytest.approx(1.0, abs=1e-3)
+
+
+def iact_oracle(rho) -> float:
+    """``iact`` from the autocorrelations, as the loop over the pairs that
+    it was before it summed them with one ``cumsum``."""
+    n_pairs = rho.size // 2
+    pair = rho[: 2 * n_pairs].reshape(n_pairs, 2).sum(axis=1)
+    total = 0.0
+    for g in pair:
+        if g <= 0.0:
+            break
+        total += g
+    return float(2.0 * total - 1.0)
+
+
+class TestIactSum:
+    @pytest.mark.parametrize("column", [0, 1], ids=["theta", "sigma"])
+    def test_chain_column_bit_for_bit(self, column):
+        x = chain_draws()[:, column]
+        assert iact(x) == iact_oracle(acf(x, x.size - 1))
+
+    @pytest.mark.parametrize("rho", [
+        # a biased sample acf always has rho(0) + rho(1) > 0, so these are
+        # handed to iact in place of acf's
+        np.r_[1.0, -1.0, 0.5 * RandomStream(6).uniform(198)],
+        np.r_[1.0, -1.5, 0.5 * RandomStream(6).uniform(198)],
+        # every pair positive, of many magnitudes: a pairwise sum would
+        # differ in the last bits
+        np.r_[1.0, RandomStream(7).uniform(999) * np.logspace(0, -12, 999)],
+        # an odd count: the last lag has no pair
+        0.97 ** np.arange(301),
+    ], ids=["first-pair-zero", "first-pair-negative", "all-positive", "odd-length"])
+    def test_pairs_bit_for_bit(self, monkeypatch, rho):
+        monkeypatch.setattr(diagnostics, "acf", lambda x, max_lag: rho)
+        tau = iact(np.zeros(rho.size))
+        assert tau == iact_oracle(rho)
+        if rho[1] <= -1.0:
+            assert tau == -1.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda x: acf(x, -3), "max_lag must be a non-negative integer, got -3"),
+    (lambda x: acf(x, 2.5), "max_lag must be a non-negative integer, got 2.5"),
+    (lambda x: acf(x, True), "max_lag must be a non-negative integer, got True"),
+    (lambda x: acf(x.reshape(20, 10), 3), "series must be one-dimensional, got shape (20, 10)"),
+    (lambda x: acf(x[0], 0), "series must be one-dimensional, got shape ()"),
+    (lambda x: iact(x.reshape(20, 10)), "series must be one-dimensional, got shape (20, 10)"),
+    (lambda x: kde_export(x.reshape(2, 100)), "series must be one-dimensional, got shape (2, 100)"),
+    (lambda x: kde_export(x, 8.5), "grid_points must be an integer, got 8.5"),
+    (lambda x: kde_export(x, "256"), "grid_points must be an integer, got '256'"),
+    (lambda x: kde_export(x[:0]), "density estimate needs at least two distinct values"),
+], ids=["acf-negative-lag", "acf-fractional-lag", "acf-bool-lag", "acf-2d", "acf-0d", "iact-2d",
+        "kde-2d", "kde-fractional-points", "kde-string-points", "kde-empty"])
+def test_bad_arguments_rejected(call, message):
+    # acf(x, -3) returned 510 values; the others raised a raw ValueError,
+    # TypeError or IndexError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(ar1(200))
 
 
 def test_summarize_matches_numpy():
