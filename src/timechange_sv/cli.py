@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import SUMMARY_COLUMNS, acf, iact, kde_export, summarize
+from .diagnostics import SUMMARY_COLUMNS, _iact, acf, kde_export, summarize
 from .errors import NumericsError, ValidationError, allocating
 from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
@@ -206,13 +207,15 @@ def _out_dir(path) -> FilePath:
 
 
 def _write_csv(path, header, fmt: str, rows) -> None:
-    """``header``, then the line ``fmt % row`` for each tuple of ``rows``;
-    every line ends in ``\r\n``. These are the bytes ``csv.writer`` writes
-    when no field needs quoting."""
+    """``header``, then the line ``fmt % row`` for each tuple of ``rows``, one
+    ``%`` per 4096 rows; every line ends in ``\r\n``. These are the bytes
+    ``csv.writer`` writes when no field needs quoting."""
     line = fmt + "\r\n"
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+        while block := list(itertools.islice(rows, 4096)):
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -372,8 +375,9 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
               "kde": (["parameter", "x", "density"], "%s,%.12g,%.12g", [])}
     for name, column in zip(names, draws.T):
         try:
-            tables["acf"][2].extend((name, lag, r) for lag, r in enumerate(acf(column, max_lag)))
-            tables["iact"][2].append((name, iact(column)))
+            rho = acf(column, n - 1)  # its lags up to max_lag are acf(column, max_lag)
+            tables["acf"][2].extend((name, lag, r) for lag, r in enumerate(rho[:max_lag + 1]))
+            tables["iact"][2].append((name, _iact(column, rho)))
             tables["kde"][2].extend((name, x, d) for x, d in kde_export(column).tolist())
         except ValidationError as exc:
             raise ValidationError(f"{trace_path}: parameter {name}: {exc}") from None

@@ -73,10 +73,14 @@ def iact(series) -> float:
     """Integrated autocorrelation time, 1 + 2 sum rho(k), truncated at the
     initial positive sequence of paired autocorrelations: the pairs before
     the first one that is not positive, added left to right."""
-    x = _series(series)
+    return _iact(_series(series))
+
+
+def _iact(x, rho=None) -> float:
+    """``iact`` of the 1-D series ``x``, given ``rho = acf(x, x.size - 1)`` or not."""
     if x.size < 100:
         raise ValidationError("integrated autocorrelation needs at least 100 points")
-    rho = acf(x, x.size - 1)
+    rho = acf(x, x.size - 1) if rho is None else rho
     n = rho.size - rho.size % 2
     pair = rho[0:n:2] + rho[1:n:2]
     k = int(np.argmin(pair > 0.0))  # the first pair that is not positive,

@@ -241,9 +241,9 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
-# Fixed-point sweeps, sized on 2-core x86-64 with numpy 2.4. On tbill-logsv's
-# bench step (1/2520) a sweep of a full window costs about 30 single steps on
-# numpy scalars (33 us against 1.1 us).
+# Fixed-point sweeps, sized on 2-core x86-64 with numpy 2.4 from the drift-free
+# start; from the Newton start no window of 32-256 growing to 1024-4096 was
+# clearly faster. On tbill-logsv's bench step a full window's sweep costs 30 single steps.
 _WINDOW_START, _WINDOW_MAX = 64, 2048  # the window doubles after each sweep
 _POOR_SWEEP = 32  # steps a sweep must keep to pay for itself
 # |d(drift * dt) / dx| per step above which sweeps keep few steps for long:
@@ -251,6 +251,29 @@ _POOR_SWEEP = 32  # steps a sweep must keep to pay for itself
 # default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25, whose
 # 2000 steps took 85 ms if they swept on and 2.5 ms in single steps
 _SLOW_CONTRACTION = 3e-3
+_NEWTON_CHUNK = 4096  # steps per Newton solve of the sweeps' start
+
+
+def _newton_start(x, drift, incs, dts) -> None:
+    """Move the drift-free path in ``x`` toward the recursion chunk by chunk,
+    each shifted by the corrections before it, by up to two Newton steps on
+    the linearised recursion (one ``cumprod``, one ``cumsum``); stop at the
+    first non-finite correction (a stiff path's slope product underflows)."""
+    shift = 0.0
+    for lo in range(0, len(dts), _NEWTON_CHUNK):
+        s = slice(lo, min(lo + _NEWTON_CHUNK, len(dts)))
+        xs, nxt, dt = x[s], x[lo + 1:s.stop + 1], dts[s]
+        nxt += shift
+        for _ in range(2):
+            f, h = drift(s, xs), 1e-7 * (1.0 + np.abs(xs))
+            g = np.cumprod(1.0 + (drift(s, xs + h) - f) / h * dt)
+            c = g * np.cumsum((xs + f * dt + incs[s] - nxt) / g)
+            if not np.isfinite(c).all():
+                return
+            nxt += c
+            shift += c[-1]
+            if np.abs(c).max() <= 1e-13 * (1.0 + np.abs(nxt).max()):
+                break  # below rounding
 
 
 def _euler_sweeps(x, drift, incs, dts) -> int:
@@ -258,16 +281,17 @@ def _euler_sweeps(x, drift, incs, dts) -> int:
     x[0] by fixed-point sweeps over a sliding window; returns the k such that
     x[:k + 1] holds the recursion's bits (k = len(dts) when the path is done).
 
-    ``drift`` takes a slice s of steps and the states at them. A sweep reads
-    the drift once at the window's current states and rebuilds the window
-    with one left-to-right ``cumsum``; the states up to the first one that
-    changed had exact inputs, so they are final. The sweeps stop when a
-    sweep keeps few steps and the drift moves with the state faster than
+    ``drift`` takes a slice s of steps and the states at them. From a Newton
+    start (``_newton_start``), a sweep reads the drift at the window's states
+    and rebuilds it by one left-to-right ``cumsum``; the states up to the first
+    changed one had exact inputs, so they are final. Sweeps stop when one keeps
+    few steps and the drift moves with the state faster than
     ``_SLOW_CONTRACTION``, or at a final non-finite state, after which x is nan.
     """
     n = len(dts)
     x[1:] = incs
     np.cumsum(x, out=x)  # the first guess: the drift-free path, as the sweeps round it
+    _newton_start(x, drift, incs, dts)
     buf = np.empty(2 * _WINDOW_MAX + 1)
     lo, w, prev = 0, _WINDOW_START, None
     while lo < n:
@@ -334,12 +358,10 @@ def euler_simulate(
     first, then the observed path on the finished latent path. The
     increments, ``vol_alpha * dW`` and ``vol_x * dB_total``, are whole-array
     stages. Each state recursion x[i + 1] = (x[i] + drift * dt) + increment
-    runs by fixed-point sweeps (``_euler_sweeps``): a sweep reads the drift
-    of a window of steps as one array and adds the window up with one
-    ``cumsum``, and keeps only the steps whose inputs were already final, so
-    every path carries the bits of the step-by-step recursion. Where the
-    drift moves with the state too fast for sweeps to pay, the rest of the
-    path steps one state at a time on numpy scalars. A non-finite value
+    runs by fixed-point sweeps from a chunked Newton solve (``_euler_sweeps``),
+    which carry the bits of the step-by-step recursion; where the drift moves
+    with the state too fast for sweeps to pay, the rest of the path steps one
+    state at a time on numpy scalars. A non-finite value
     persists along the path, so one check at the end raises
     ``ExplosionError`` at its first non-finite time.
     """

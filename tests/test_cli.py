@@ -8,12 +8,13 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import timechange_sv
 from timechange_sv import cli
 from timechange_sv.cli import main
-from timechange_sv.diagnostics import SUMMARY_COLUMNS
+from timechange_sv.diagnostics import SUMMARY_COLUMNS, acf, iact
 from timechange_sv.errors import NumericsError, ValidationError
 from timechange_sv.mcmc import PriorSpec, SamplerConfig
 from timechange_sv.models import get_model
@@ -643,3 +644,58 @@ class TestParallelFit:
                 f"{stem}_chain{c}.{ext}" for c in range(first)
                 for stem, ext in (("trace", "csv"), ("summary", "csv"), ("acceptance", "json"))
             )
+
+
+def test_csv_bytes_are_csv_writers(tmp_path, monkeypatch):
+    # every CSV file simulate, fit and diagnose write, truth.csv's 5001 rows
+    # in two blocks of one % each, has the bytes csv.writer gives the same
+    # fields formatted one at a time
+    written = []
+    write_csv = cli._write_csv
+
+    def recording(path, header, fmt, rows):
+        rows = list(rows)
+        write_csv(path, header, fmt, rows)
+        written.append((Path(path), header, fmt, rows))
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    doc = {**OU_CONFIG, "simulate": {**OU_CONFIG["simulate"], "n_steps": 5000},
+           "sampler": {**OU_CONFIG["sampler"], "chains": 1}}
+    cfg = write_config(tmp_path / "config.json", doc)
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    assert main(["fit", "--config", cfg, "--data", str(sim / "obs.csv"), "--out", str(fit)]) == 0
+    assert main(["diagnose", "--trace", str(fit / "trace.csv"), "--max-lag", "20",
+                 "--out", str(tmp_path / "diag")]) == 0
+    assert {p.stem: len(rows) for p, _, _, rows in written} == {
+        "obs": 51, "truth": 5001, "trace": 120, "summary": 7, "acf": 7 * 21, "iact": 7,
+        "kde": 7 * 256}
+    for path, header, fmt, rows in written:
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            out.writerows([f % v for f, v in zip(fmt.split(","), row)] for row in rows)
+        assert path.read_bytes() == expected.read_bytes(), path.name
+
+
+def test_diagnose_takes_one_fft_per_column(tmp_path, monkeypatch):
+    # acf.csv and iact.csv both come from one autocorrelation FFT of each
+    # column, and hold acf(column, max_lag) and iact(column)
+    draws = np.cumsum(np.random.default_rng(4).normal(size=(150, 3)), axis=0)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iter,a,b,c,loglik\n" + "".join(
+        f"{i},{a!r},{b!r},{c!r},-1.0\n" for i, (a, b, c) in enumerate(draws.tolist())))
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(args) or rfft(*args))
+    diag = tmp_path / "diag"
+    assert main(["diagnose", "--trace", str(trace), "--max-lag", "30", "--out", str(diag)]) == 0
+    assert len(calls) == 3
+    with open(diag / "acf.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            [name, str(lag), "%.12g" % r] for name, column in zip("abc", draws.T)
+            for lag, r in enumerate(acf(column, 30))]
+    with open(diag / "iact.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            [name, "%.12g" % iact(column)] for name, column in zip("abc", draws.T)]

@@ -3,12 +3,14 @@ import collections
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timechange_sv import models
 from timechange_sv.cli import ingest_csv
 from timechange_sv.errors import ExplosionError, ValidationError
 from timechange_sv.likelihood import path_stage, warp_stage
@@ -279,19 +281,31 @@ def assert_simulates_as_step_loop(model, params, x0, alpha0, grid, seed, simulat
     return None
 
 
-def counting_drifts(model):
+def counting_drifts(model, monkeypatch):
     """``model`` with drifts that count their calls by kind and coordinate:
-    ``calls["x", "sweep"]`` counts the observed drift's calls on arrays (one
-    per fixed-point sweep), ``calls["x", "step"]`` those on scalars (one per
-    single step); likewise ``"alpha"`` for the latent drift."""
+    ``calls["x", "newton"]`` counts the observed drift's calls on arrays
+    made by the Newton start (``models._newton_start``), ``calls["x",
+    "sweep"]`` its other calls on arrays (one per fixed-point sweep),
+    ``calls["x", "step"]`` those on scalars (one per single step); likewise
+    ``"alpha"`` for the latent drift."""
     calls = collections.Counter()
+    stage = ["sweep"]
+    newton_start = models._newton_start
+
+    def counted_newton(*args):
+        stage[0] = "newton"
+        try:
+            newton_start(*args)
+        finally:
+            stage[0] = "sweep"
 
     def counted(name, f):
         def g(x, *rest):
-            calls[name, "sweep" if np.ndim(x) else "step"] += 1
+            calls[name, stage[0] if np.ndim(x) else "step"] += 1
             return f(x, *rest)
         return g
 
+    monkeypatch.setattr(models, "_newton_start", counted_newton)
     return dataclasses.replace(
         model, drift_x=counted("x", model.drift_x),
         drift_alpha=model.drift_alpha and counted("alpha", model.drift_alpha),
@@ -363,11 +377,11 @@ class TestEulerOracle:
         a0 = params["alpha0"] if "alpha0" in params else 0.0
         assert assert_simulates_as_step_loop(model, params, x0, a0, grid, 21) is None
 
-    def test_sweeps_hand_off_to_float_steps(self):
+    def test_sweeps_hand_off_to_float_steps(self, monkeypatch):
         # the observed drift stiffens as alpha rises: its path sweeps for
         # thousands of steps, then goes on in single steps on numpy scalars
         model = stiffening_model()
-        counted, calls = counting_drifts(model)
+        counted, calls = counting_drifts(model, monkeypatch)
         grid = TimeGrid(1e-3 * np.arange(6001))
         assert assert_simulates_as_step_loop(model, model.make_params(), 1.0, 0.0, grid, 3,
                                              counted) is None
@@ -378,10 +392,10 @@ class TestEulerOracle:
         ({"drift_x": lambda x, a, p: np.where(x < 5.0, 1.0, np.nan)}, "x"),
         ({"drift_alpha": lambda a, p: np.where(a < 5.0, 1.0, np.inf)}, "alpha"),
     ], ids=["observed", "latent"])
-    def test_late_explosion(self, coefs, coord):
+    def test_late_explosion(self, coefs, coord, monkeypatch):
         # a path that turns non-finite in the middle of a sweep's window
         model = blowup_model(**coefs)
-        counted, calls = counting_drifts(model)
+        counted, calls = counting_drifts(model, monkeypatch)
         grid = TimeGrid(1e-3 * np.arange(20_001))
         time = assert_simulates_as_step_loop(model, model.make_params(), 0.0, 0.0, grid, 5,
                                              counted)
@@ -390,6 +404,40 @@ class TestEulerOracle:
         # the sweeps stop there: about 10 of them reach it, and the 15 000
         # steps after it would take 15 more
         assert calls[coord, "sweep"] <= 12
+        # the Newton start gives up in the chunk where the path turns
+        # non-finite: at most two steps of two calls in each chunk up to it
+        chunks = round(time / 1e-3) // models._NEWTON_CHUNK + 1
+        assert calls[coord, "newton"] <= 4 * chunks
+
+    @given(
+        st.sampled_from(simulated_cases()),
+        st.floats(1e-4, 0.3),
+        # across the boundaries of the Newton start's chunks too
+        st.one_of(st.integers(1, 3000), st.sampled_from([4096, 4097, 4098, 8193])),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_newton_start_decides_no_bit(self, case, dt, n_steps, seed):
+        # the sweeps carry the step loop's bits from any start: with a Newton
+        # start that gives up at once, the paths, the stream after them and
+        # the explosion time are the same
+        _, model, updates = case
+        params = {**model.make_params(), **updates}
+        x0 = np.log(10.0) if model.obs_transform else 0.1
+        a0 = params["alpha0"] if "alpha0" in params else 0.0
+        grid = TimeGrid(dt * np.arange(n_steps + 1))
+
+        def simulate():
+            rng = RandomStream(seed)
+            try:
+                paths = euler_simulate(model, params, x0, a0, grid, rng)
+            except ExplosionError as exc:
+                return exc.time, rng.normal()
+            return [p.values.tobytes() for p in paths], rng.normal()
+
+        shipped = simulate()
+        with mock.patch.object(models, "_newton_start", lambda *args: None):
+            assert simulate() == shipped
 
     @given(
         st.sampled_from(simulated_cases()),
@@ -445,22 +493,34 @@ class TestEulerRegimes:
 
     @pytest.mark.parametrize("grid", [BENCH_TBILL_GRID, CLI_TBILL_GRID],
                              ids=["tbill-n500-m16", "cli-tbill"])
-    def test_bench_grid_sweeps(self, grid):
-        # the benchmark's simulated paths are swept to the end
-        model, calls = counting_drifts(get_model("tbill-logsv"))
-        params = model.make_params()
-        euler_simulate(model, params, np.log(10.0), params["alpha0"], grid, RandomStream(1))
+    def test_bench_grid_sweeps(self, grid, monkeypatch):
+        # the benchmark's simulated paths are swept to the end, and the
+        # Newton start saves more sweeps than it makes drift calls
+        def count():
+            model, calls = counting_drifts(get_model("tbill-logsv"), monkeypatch)
+            params = model.make_params()
+            euler_simulate(model, params, np.log(10.0), params["alpha0"], grid, RandomStream(1))
+            return calls
+
+        calls = count()
+        monkeypatch.setattr(models, "_newton_start", lambda *args: None)
+        drift_free = count()
+        chunks = -(-(len(grid) - 1) // models._NEWTON_CHUNK)
         for coord in ("x", "alpha"):
             assert calls[coord, "step"] == 0
             assert 0 < calls[coord, "sweep"] < 400
+            assert 0 < calls[coord, "newton"] <= 4 * chunks
+            assert calls[coord, "newton"] + calls[coord, "sweep"] < drift_free[coord, "sweep"]
 
-    def test_stiff_grid_stops_sweeping(self):
-        model, calls = counting_drifts(get_model("ou-sv-leverage"))
+    def test_stiff_grid_stops_sweeping(self, monkeypatch):
+        model, calls = counting_drifts(get_model("ou-sv-leverage"), monkeypatch)
         params = model.make_params(STIFF_UPDATES)
         euler_simulate(model, params, 0.1, params["alpha0"], STIFF_GRID, RandomStream(1))
         for coord in ("x", "alpha"):
             assert calls[coord, "sweep"] <= 3
             assert calls[coord, "step"] > 0.99 * (len(STIFF_GRID) - 1)
+            # the slope product underflows: the Newton start gives up at once
+            assert calls[coord, "newton"] <= 2
 
 
 class TestLatentTransforms:
