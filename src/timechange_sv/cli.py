@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import SUMMARY_COLUMNS, _iact, acf, kde_export, summarize
-from .errors import NumericsError, ValidationError, allocating
-from .mcmc import PriorSpec, SamplerConfig, Trace, is_number, run_chain, run_jobs
+from .errors import NumericsError, ValidationError, allocating, is_integer, is_number
+from .mcmc import PriorSpec, SamplerConfig, Trace, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
 from .paths import Path, RandomStream, TimeGrid
 
@@ -140,7 +140,7 @@ class RunConfig:
         for key in ("params", "simulate"):
             for name, value in getattr(cfg, key).items():
                 whole = key == "simulate" and name in ("n_steps", "thin_stride", "seed")
-                if not is_number(value) or (whole and not isinstance(value, int)):
+                if not is_number(value) or (whole and not is_integer(value)):
                     kind = "an integer" if whole else "a finite number"
                     raise ValidationError(
                         f"{path}: '{key}' value for {name!r} must be {kind}, got {value!r}"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .mcmc import (AugmentedState, PriorSpec, SamplerConfig, Trace, _flat_knots, _run_state,
                    _windows, run_jobs)
 from .models import ModelSpec, euler_simulate
@@ -41,17 +41,12 @@ def _series(series) -> np.ndarray:
     return x
 
 
-def _whole(value) -> bool:
-    """A Python or numpy integer that is not a bool (``True`` is an ``int`` too)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def acf(series, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation at lags 0..max_lag, acf[0] = 1, of a 1-D
     series; a ``max_lag`` that is not a non-negative integer, and values too
     large for it to be finite, raise ``ValidationError``."""
     x = _series(series)
-    if not (_whole(max_lag) and max_lag >= 0):
+    if not (is_integer(max_lag) and max_lag >= 0):
         raise ValidationError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     n = x.size
     if n <= max_lag:
@@ -102,7 +97,7 @@ def kde_export(series, grid_points: int = 256) -> np.ndarray:
     x = _series(series)
     if not (x.size and x.max() > x.min()):  # also false with a NaN
         raise ValidationError("density estimate needs at least two distinct values")
-    if not _whole(grid_points):
+    if not is_integer(grid_points):
         raise ValidationError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 8:
         raise ValidationError("need at least 8 grid points")
@@ -175,9 +170,9 @@ def prior_recovery_test(
     ``RandomStream(config.seed, stream=k)`` and the replications run through
     ``run_jobs``, so the p-values do not depend on the number of processes.
     """
-    if replications < 1:
+    if not (is_integer(replications) and replications >= 1):
         raise ValidationError(f"prior recovery needs a replication, "
-                              f"got replications={replications}")
+                              f"got replications={replications!r}")
     if config.n_burn:
         raise ValidationError(f"prior recovery runs without burn-in, got n_burn={config.n_burn}")
     from scipy import stats  # slow to import, and only this harness needs it

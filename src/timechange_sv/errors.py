@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument tests behind them, shared across the package."""
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -14,6 +16,22 @@ def allocating(what: str):
         yield
     except (MemoryError, OverflowError, ValueError):
         raise ValidationError(f"cannot allocate {what}") from None
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool (JSON ``true`` loads as a bool) and
+    converts to a finite float (JSON integers have no size limit)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool (``True`` is an ``int`` too)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class NumericsError(RuntimeError):

@@ -42,14 +42,13 @@ themselves), and for each block length the ``LatentBlocks`` of every pass
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError, allocating
+from .errors import NumericsError, ValidationError, allocating, is_integer, is_number
 from .likelihood import (
     IntervalQuantities, interval_quantities, log_g_term, log_gamma_term, path_stage, warp_stage,
 )
@@ -115,17 +114,6 @@ class PriorSpec:
         return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
-def is_number(value) -> bool:
-    """A real number that is not a bool (JSON ``true`` loads as a bool) and
-    converts to a finite float (JSON integers have no size limit)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
 @dataclass
 class SamplerConfig:
     """Settings of one chain. Burn-in steers each random-walk scale, from
@@ -155,7 +143,7 @@ class SamplerConfig:
     def __post_init__(self):
         for name in self._INTEGERS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not (isinstance(self.rw_scales, dict) and all(
                 is_number(v) and v > 0.0 for v in self.rw_scales.values())):

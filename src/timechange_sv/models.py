@@ -241,94 +241,77 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
-# Fixed-point sweeps, sized on 2-core x86-64 with numpy 2.4 from the drift-free
-# start; from the Newton start no window of 32-256 growing to 1024-4096 was
-# clearly faster. On tbill-logsv's bench step a full window's sweep costs 30 single steps.
-_WINDOW_START, _WINDOW_MAX = 64, 2048  # the window doubles after each sweep
-_POOR_SWEEP = 32  # steps a sweep must keep to pay for itself
+# Steps per window: a Newton solve, then fixed-point sweeps. On the bench's
+# tbill-logsv grids (2-core x86-64, numpy 2.4) 4096-5632 ran within noise,
+# 2048 and 8192 some 10 % slower; a full window's sweep costs 60 single steps.
+_WINDOW = 5120
 # |d(drift * dt) / dx| per step above which sweeps keep few steps for long:
 # 1e-3 for tbill-logsv's latent path on the bench grid, 2.4e-3 on the CLI's
 # default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25, whose
 # 2000 steps took 85 ms if they swept on and 2.5 ms in single steps
 _SLOW_CONTRACTION = 3e-3
-_NEWTON_CHUNK = 4096  # steps per Newton solve of the sweeps' start
 
 
-def _newton_start(x, drift, incs, dts) -> None:
-    """Move the drift-free path in ``x`` toward the recursion chunk by chunk,
-    each shifted by the corrections before it, by up to two Newton steps on
-    the linearised recursion (one ``cumprod``, one ``cumsum``); stop at the
-    first non-finite correction (a stiff path's slope product underflows)."""
-    shift = 0.0
-    for lo in range(0, len(dts), _NEWTON_CHUNK):
-        s = slice(lo, min(lo + _NEWTON_CHUNK, len(dts)))
-        xs, nxt, dt = x[s], x[lo + 1:s.stop + 1], dts[s]
-        nxt += shift
-        for _ in range(2):
-            f, h = drift(s, xs), 1e-7 * (1.0 + np.abs(xs))
-            g = np.cumprod(1.0 + (drift(s, xs + h) - f) / h * dt)
-            c = g * np.cumsum((xs + f * dt + incs[s] - nxt) / g)
-            if not np.isfinite(c).all():
-                return
-            nxt += c
-            shift += c[-1]
-            if np.abs(c).max() <= 1e-13 * (1.0 + np.abs(nxt).max()):
-                break  # below rounding
-
-
-def _euler_sweeps(x, drift, incs, dts) -> int:
-    """Fill ``x`` with x[i + 1] = (x[i] + drift(s, x[s])[i] * dts[i]) + incs[i] from
-    x[0] by fixed-point sweeps over a sliding window; returns the k such that
-    x[:k + 1] holds the recursion's bits (k = len(dts) when the path is done).
-
-    ``drift`` takes a slice s of steps and the states at them. From a Newton
-    start (``_newton_start``), a sweep reads the drift at the window's states
-    and rebuilds it by one left-to-right ``cumsum``; the states up to the first
-    changed one had exact inputs, so they are final. Sweeps stop when one keeps
-    few steps and the drift moves with the state faster than
-    ``_SLOW_CONTRACTION``, or at a final non-finite state, after which x is nan.
-    """
-    n = len(dts)
-    x[1:] = incs
-    np.cumsum(x, out=x)  # the first guess: the drift-free path, as the sweeps round it
-    _newton_start(x, drift, incs, dts)
-    buf = np.empty(2 * _WINDOW_MAX + 1)
-    lo, w, prev = 0, _WINDOW_START, None
-    while lo < n:
-        hi = min(lo + w, n)
-        xs = x[lo:hi]
-        p = drift(slice(lo, hi), xs) * dts[lo:hi]
-        b = buf[:2 * (hi - lo) + 1]  # [x_lo, p_lo, q_lo, p_lo+1, q_lo+1, ...]
-        b[0], b[1::2], b[2::2] = x[lo], p, incs[lo:hi]
-        np.cumsum(b, out=b)
-        new, old = b[2::2], x[lo + 1:hi + 1]
-        changed = new.view(np.int64) != old.view(np.int64)
-        kept = int(changed.argmax()) + 1 if changed.any() else hi - lo
-        if kept < _POOR_SWEEP and prev is not None:
-            # the sweep before started d steps earlier: compare the steps both read
-            d, pxs, pp = prev
-            dx = np.abs(xs[:len(pxs) - d] - pxs[d:]).sum()
-            if np.abs(p[:len(pxs) - d] - pp[d:]).sum() > _SLOW_CONTRACTION * dx:
-                return lo
-        prev = kept, xs.copy(), p
-        old[:] = new
-        lo += kept
-        if not math.isfinite(x[lo]):  # non-finite states stay so along the path
-            x[lo + 1:] = np.nan
-            return n
-        w = min(2 * w, _WINDOW_MAX)
-    return n
+def _newton(x, drift, incs, dts, lo, hi) -> int:
+    """Move the guess x[lo + 1:hi + 1] toward the recursion from x[lo] by up to
+    two Newton steps on the linearised recursion (one ``cumprod``, one
+    ``cumsum``), stopping below rounding or at a non-finite correction (a
+    stiff path's slope product underflows); returns the first step whose
+    slope |d(drift * dt) / dx| exceeds ``_SLOW_CONTRACTION``, or ``hi``."""
+    s = slice(lo, hi)
+    xs, nxt, dt = x[s], x[lo + 1:hi + 1], dts[s]
+    for _ in range(2):
+        f, h = drift(s, xs), 1e-7 * (1.0 + np.abs(xs))
+        slope = (drift(s, xs + h) - f) / h * dt
+        g = np.cumprod(1.0 + slope)
+        c = g * np.cumsum((xs + f * dt + incs[s] - nxt) / g)
+        if not np.isfinite(c).all():
+            break
+        nxt += c
+        if np.abs(c).max() <= 1e-13 * (1.0 + np.abs(nxt).max()):
+            break  # below rounding
+    steep = np.abs(slope) > _SLOW_CONTRACTION
+    return lo + int(steep.argmax()) if steep.any() else hi
 
 
 def _euler_path(x0, incs, dts, drift) -> np.ndarray:
-    """The Euler recursion x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i] from x0
-    as an array: by sweeps while they pay (``_euler_sweeps``), then step by step
-    on numpy scalars. ``drift(s, xs)`` takes a slice of steps and their states,
-    or one step and its state."""
-    x = np.empty(len(dts) + 1)
+    """The Euler recursion x[i + 1] = (x[i] + drift(s, x[s])[i] * dts[i]) + incs[i]
+    from x0 as an array. ``drift(s, xs)`` takes a slice of steps and their
+    states, or one step and its state.
+
+    Window by window of ``_WINDOW`` steps from its final first state: the
+    drift-free guess, a Newton solve (``_newton``), then fixed-point sweeps
+    up to the first steep step. A sweep reads the drift at the states and
+    rebuilds them by one left-to-right ``cumsum``; the states up to the first
+    changed one had exact inputs, so they are final. From the first steep
+    step on the path steps one state at a time on numpy scalars. After a
+    non-finite state the path is nan.
+    """
+    n = len(dts)
+    x = np.empty(n + 1)
     x[0] = x0
-    k = _euler_sweeps(x, drift, incs, dts)
-    for i in range(k, len(dts)):
+    buf = np.empty(2 * _WINDOW + 1)
+    lo = 0
+    while lo < n:
+        hi = min(lo + _WINDOW, n)
+        x[lo + 1:hi + 1] = incs[lo:hi]
+        np.cumsum(x[lo:hi + 1], out=x[lo:hi + 1])  # the drift-free guess, rounded as a sweep
+        stop = _newton(x, drift, incs, dts, lo, hi)
+        while lo < stop:
+            b = buf[:2 * (stop - lo) + 1]  # [x_lo, p_lo, q_lo, p_lo+1, q_lo+1, ...]
+            b[0], b[2::2] = x[lo], incs[lo:stop]
+            b[1::2] = drift(slice(lo, stop), x[lo:stop]) * dts[lo:stop]
+            np.cumsum(b, out=b)
+            new, old = b[2::2], x[lo + 1:stop + 1]
+            changed = new.view(np.int64) != old.view(np.int64)
+            old[:] = new
+            lo += int(changed.argmax()) + 1 if changed.any() else len(new)
+            if not math.isfinite(x[lo]):  # non-finite states stay so along the path
+                x[lo + 1:] = np.nan
+                return x
+        if stop < hi:
+            break
+    for i in range(lo, n):
         x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i]
     return x
 
@@ -358,10 +341,11 @@ def euler_simulate(
     first, then the observed path on the finished latent path. The
     increments, ``vol_alpha * dW`` and ``vol_x * dB_total``, are whole-array
     stages. Each state recursion x[i + 1] = (x[i] + drift * dt) + increment
-    runs by fixed-point sweeps from a chunked Newton solve (``_euler_sweeps``),
-    which carry the bits of the step-by-step recursion; where the drift moves
-    with the state too fast for sweeps to pay, the rest of the path steps one
-    state at a time on numpy scalars. A non-finite value
+    runs window by window (``_euler_path``): a Newton solve from the window's
+    final first state, then fixed-point sweeps, which carry the bits of the
+    step-by-step recursion. From the first step whose Newton slope says the
+    drift moves with the state too fast for sweeps to pay, the rest of the
+    path steps one state at a time on numpy scalars. A non-finite value
     persists along the path, so one check at the end raises
     ``ExplosionError`` at its first non-finite time.
     """

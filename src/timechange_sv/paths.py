@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 
 
 class RandomStream:
@@ -27,10 +27,11 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
+        if not (is_integer(seed) and is_integer(stream) and seed >= 0 and stream >= 0):
+            raise ValidationError(f"seed and stream must be non-negative integers, "
+                                  f"got {seed!r}, {stream!r}")
         self.seed = int(seed)
         self.stream = int(stream)
-        if self.seed < 0 or self.stream < 0:
-            raise ValidationError(f"seed and stream must be non-negative, got {seed}, {stream}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 

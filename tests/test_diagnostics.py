@@ -261,7 +261,11 @@ class TestPriorRecovery:
         # an IndexError from the KS step at 0 replications
         ({}, 0, "needs a replication, got replications=0"),
         ({}, -3, "needs a replication, got replications=-3"),
-    ], ids=["rw-scales", "all-fixed", "burn-in", "no-replications", "negative-replications"])
+        # True ran one replication, and 2.5 ended in a TypeError from run_jobs
+        ({}, True, "needs a replication, got replications=True"),
+        ({}, 2.5, "needs a replication, got replications=2.5"),
+    ], ids=["rw-scales", "all-fixed", "burn-in", "no-replications", "negative-replications",
+            "bool-replications", "float-replications"])
     def test_rejects_what_the_chain_rejects(self, kwargs, replications, message):
         with pytest.raises(ValidationError, match=message):
             prior_recovery_test(self.MODEL, self.PRIOR, replace(self.CONFIG, n_iter=2, **kwargs),

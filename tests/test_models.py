@@ -284,18 +284,18 @@ def assert_simulates_as_step_loop(model, params, x0, alpha0, grid, seed, simulat
 def counting_drifts(model, monkeypatch):
     """``model`` with drifts that count their calls by kind and coordinate:
     ``calls["x", "newton"]`` counts the observed drift's calls on arrays
-    made by the Newton start (``models._newton_start``), ``calls["x",
+    made by the windows' Newton solves (``models._newton``), ``calls["x",
     "sweep"]`` its other calls on arrays (one per fixed-point sweep),
     ``calls["x", "step"]`` those on scalars (one per single step); likewise
     ``"alpha"`` for the latent drift."""
     calls = collections.Counter()
     stage = ["sweep"]
-    newton_start = models._newton_start
+    newton = models._newton
 
     def counted_newton(*args):
         stage[0] = "newton"
         try:
-            newton_start(*args)
+            return newton(*args)
         finally:
             stage[0] = "sweep"
 
@@ -305,7 +305,7 @@ def counting_drifts(model, monkeypatch):
             return f(x, *rest)
         return g
 
-    monkeypatch.setattr(models, "_newton_start", counted_newton)
+    monkeypatch.setattr(models, "_newton", counted_newton)
     return dataclasses.replace(
         model, drift_x=counted("x", model.drift_x),
         drift_alpha=model.drift_alpha and counted("alpha", model.drift_alpha),
@@ -353,10 +353,12 @@ class TestEulerOracle:
         # cumsum: a ufunc gives an element the bits it gives it alone, as in
         # a single step, whatever the array's length and alignment, and
         # cumsum adds left to right as the step loop does
-        v = 5.0 * RandomStream(4).normal(2100)
+        w = models._WINDOW
+        v = 5.0 * RandomStream(4).normal(2 * w + 8)
         for f in (np.exp, np.expm1, np.tanh, lambda u: np.log(np.abs(u))):
             alone = [float(f(u)) for u in v.tolist()]
-            for lo, hi in ((0, 1), (1, 8), (3, 67), (0, 2048), (5, 2100)):
+            for lo, hi in ((0, 1), (1, 8), (3, 67), (0, w - 1), (5, w + 5), (1, w + 2),
+                           (7, 2 * w + 8)):
                 assert f(v[lo:hi]).tolist() == alone[lo:hi]
         assert np.cumsum(v).tolist() == list(itertools.accumulate(v.tolist()))
 
@@ -365,7 +367,7 @@ class TestEulerOracle:
         ("ou-sv-leverage", {"rho": -0.7}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
         ("const-vol-scalar", {"theta": 0.3}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
         ("ou-sv-leverage", STIFF_UPDATES, 0.1, STIFF_GRID),
-        # windows of 64, 128, ..., 1024 steps, then the last 16 steps
+        # one window, shorter than the others
         ("const-vol-scalar", {}, 0.1, TimeGrid(1e-3 * np.arange(2001))),
     ], ids=["tbill-bench-grid", "ou-sv-leverage", "const-vol-scalar", "stiff",
             "const-vol-scalar-short-last-window"])
@@ -380,12 +382,17 @@ class TestEulerOracle:
     def test_sweeps_hand_off_to_float_steps(self, monkeypatch):
         # the observed drift stiffens as alpha rises: its path sweeps for
         # thousands of steps, then goes on in single steps on numpy scalars
+        # from the first step whose slope exp(alpha) dt, which does not
+        # depend on x, exceeds _SLOW_CONTRACTION
         model = stiffening_model()
         counted, calls = counting_drifts(model, monkeypatch)
         grid = TimeGrid(1e-3 * np.arange(6001))
         assert assert_simulates_as_step_loop(model, model.make_params(), 1.0, 0.0, grid, 3,
                                              counted) is None
-        assert calls["x", "sweep"] > 0 and 1000 < calls["x", "step"] < 5000
+        _, alpha = euler_simulate(model, model.make_params(), 1.0, 0.0, grid, RandomStream(3))
+        steep = np.exp(alpha.values[:-1]) * grid.steps > models._SLOW_CONTRACTION
+        assert calls["x", "sweep"] > 0 and steep.any()
+        assert calls["x", "step"] == len(steep) - steep.argmax()
 
     @pytest.mark.parametrize("coefs,coord", [
         # a drift of 1 below 5, nan above: the path crosses 5 some 5000 steps in
@@ -401,26 +408,27 @@ class TestEulerOracle:
                                              counted)
         assert time is not None and 2.0 < time < 6.0
         assert calls["x", "step"] + calls["alpha", "step"] == 0
-        # the sweeps stop there: about 10 of them reach it, and the 15 000
-        # steps after it would take 15 more
+        # the sweeps stop there: a few reach it, and none runs on the 15 000
+        # steps after it
         assert calls[coord, "sweep"] <= 12
-        # the Newton start gives up in the chunk where the path turns
-        # non-finite: at most two steps of two calls in each chunk up to it
-        chunks = round(time / 1e-3) // models._NEWTON_CHUNK + 1
-        assert calls[coord, "newton"] <= 4 * chunks
+        # one Newton solve in each window up to the one where the path turns
+        # non-finite: at most two steps of two calls each
+        windows = round(time / 1e-3) // models._WINDOW + 1
+        assert calls[coord, "newton"] <= 4 * windows
 
     @given(
         st.sampled_from(simulated_cases()),
         st.floats(1e-4, 0.3),
-        # across the boundaries of the Newton start's chunks too
-        st.one_of(st.integers(1, 3000), st.sampled_from([4096, 4097, 4098, 8193])),
+        # across the boundaries of the windows too
+        st.one_of(st.integers(1, 3000), st.sampled_from(
+            [models._WINDOW - 1, models._WINDOW, models._WINDOW + 1, 2 * models._WINDOW + 1])),
         st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
     def test_newton_start_decides_no_bit(self, case, dt, n_steps, seed):
-        # the sweeps carry the step loop's bits from any start: with a Newton
-        # start that gives up at once, the paths, the stream after them and
-        # the explosion time are the same
+        # the sweeps carry the step loop's bits from any start: with Newton
+        # solves that leave the drift-free guess and never hand off, the
+        # paths, the stream after them and the explosion time are the same
         _, model, updates = case
         params = {**model.make_params(), **updates}
         x0 = np.log(10.0) if model.obs_transform else 0.1
@@ -436,13 +444,15 @@ class TestEulerOracle:
             return [p.values.tobytes() for p in paths], rng.normal()
 
         shipped = simulate()
-        with mock.patch.object(models, "_newton_start", lambda *args: None):
+        with mock.patch.object(models, "_newton", lambda x, drift, incs, dts, lo, hi: hi):
             assert simulate() == shipped
 
     @given(
         st.sampled_from(simulated_cases()),
         st.floats(1e-4, 0.3),
-        st.integers(1, 3000),
+        # n_points: steps across the boundaries of the windows too
+        st.one_of(st.integers(1, 3000), st.sampled_from(
+            [models._WINDOW, models._WINDOW + 1, models._WINDOW + 2, 2 * models._WINDOW + 2])),
         st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
@@ -495,7 +505,7 @@ class TestEulerRegimes:
                              ids=["tbill-n500-m16", "cli-tbill"])
     def test_bench_grid_sweeps(self, grid, monkeypatch):
         # the benchmark's simulated paths are swept to the end, and the
-        # Newton start saves more sweeps than it makes drift calls
+        # Newton solves save more sweeps than they make drift calls
         def count():
             model, calls = counting_drifts(get_model("tbill-logsv"), monkeypatch)
             params = model.make_params()
@@ -503,14 +513,28 @@ class TestEulerRegimes:
             return calls
 
         calls = count()
-        monkeypatch.setattr(models, "_newton_start", lambda *args: None)
+        monkeypatch.setattr(models, "_newton", lambda x, drift, incs, dts, lo, hi: hi)
         drift_free = count()
-        chunks = -(-(len(grid) - 1) // models._NEWTON_CHUNK)
+        windows = -(-(len(grid) - 1) // models._WINDOW)
         for coord in ("x", "alpha"):
             assert calls[coord, "step"] == 0
             assert 0 < calls[coord, "sweep"] < 400
-            assert 0 < calls[coord, "newton"] <= 4 * chunks
+            assert 0 < calls[coord, "newton"] <= 4 * windows
             assert calls[coord, "newton"] + calls[coord, "sweep"] < drift_free[coord, "sweep"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_start_far_from_equilibrium(self, seed, monkeypatch):
+        # simulate's default: tbill-logsv from x0 = 0, far below the observed
+        # drift's equilibrium near 1.75, where Newton's first corrections
+        # reach 0.35. Each window solves from its final first state, so no
+        # window inherits the error of the ones before it (with a correction
+        # carried from chunk to chunk instead, 87-90 calls)
+        model, calls = counting_drifts(get_model("tbill-logsv"), monkeypatch)
+        params = model.make_params()
+        grid = TimeGrid(1e-3 * np.arange(20_001))
+        euler_simulate(model, params, 0.0, params["alpha0"], grid, RandomStream(seed))
+        assert calls["x", "step"] == 0
+        assert calls["x", "newton"] + calls["x", "sweep"] <= 66
 
     def test_stiff_grid_stops_sweeping(self, monkeypatch):
         model, calls = counting_drifts(get_model("ou-sv-leverage"), monkeypatch)
@@ -519,7 +543,8 @@ class TestEulerRegimes:
         for coord in ("x", "alpha"):
             assert calls[coord, "sweep"] <= 3
             assert calls[coord, "step"] > 0.99 * (len(STIFF_GRID) - 1)
-            # the slope product underflows: the Newton start gives up at once
+            # the first window's Newton solve finds every step steep and
+            # hands off at once; its slope product underflows
             assert calls[coord, "newton"] <= 2
 
 

@@ -48,6 +48,18 @@ def test_random_stream_rejects_negative_ids(seed, stream):
         RandomStream(seed, stream)
 
 
+@pytest.mark.parametrize("seed,stream", [(2.7, 0), (0, 1.5), (True, 0), (0, False)],
+                         ids=["float-seed", "float-stream", "bool-seed", "bool-stream"])
+def test_random_stream_rejects_non_integer_ids(seed, stream):
+    # int() would have drawn from seed 2 for 2.7
+    with pytest.raises(ValidationError, match="must be non-negative integers"):
+        RandomStream(seed, stream)
+
+
+def test_random_stream_takes_numpy_integers():
+    assert RandomStream(np.int64(2), np.uint8(1)).normal() == RandomStream(2, 1).normal()
+
+
 class TestBrownianMotion:
     def test_degenerate_single_point(self):
         assert brownian([0.0], 0.0, RandomStream(1)).tolist() == [[0.0]]
