@@ -241,15 +241,15 @@ def get_model(name: str) -> ModelSpec:
 # Euler simulation
 
 
-# Steps per window: a Newton solve, then fixed-point sweeps. On the bench's
-# tbill-logsv grids (2-core x86-64, numpy 2.4) 4096-5632 ran within noise,
-# 2048 and 8192 some 10 % slower; a full window's sweep costs 60 single steps.
+# Steps per window. On the bench's tbill-logsv grids (2-core x86-64, numpy 2.4)
+# 4096-5632 ran within noise of each other, 2048 and 8192 some 10 % slower.
 _WINDOW = 5120
 # |d(drift * dt) / dx| per step above which sweeps keep few steps for long:
 # 1e-3 for tbill-logsv's latent path on the bench grid, 2.4e-3 on the CLI's
-# default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25, whose
-# 2000 steps took 85 ms if they swept on and 2.5 ms in single steps
-_SLOW_CONTRACTION = 3e-3
+# default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25 (85 ms swept,
+# 2.5 ms in single steps). Not a decimal, which a decimal rate times a decimal
+# step (0.3 * 0.01 on README's grid) may equal: Newton's slope would cross it by rounding.
+_SLOW_CONTRACTION = 2.0 ** -8
 
 
 def _newton(x, drift, incs, dts, lo, hi) -> int:
@@ -295,7 +295,7 @@ def _euler_path(x0, incs, dts, drift) -> np.ndarray:
     while lo < n:
         hi = min(lo + _WINDOW, n)
         x[lo + 1:hi + 1] = incs[lo:hi]
-        np.cumsum(x[lo:hi + 1], out=x[lo:hi + 1])  # the drift-free guess, rounded as a sweep
+        np.cumsum(x[lo:hi + 1], out=x[lo:hi + 1])  # the drift-free guess: final where drift is 0
         stop = _newton(x, drift, incs, dts, lo, hi)
         while lo < stop:
             b = buf[:2 * (stop - lo) + 1]  # [x_lo, p_lo, q_lo, p_lo+1, q_lo+1, ...]

@@ -367,7 +367,7 @@ class TestEulerOracle:
         ("ou-sv-leverage", {"rho": -0.7}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
         ("const-vol-scalar", {"theta": 0.3}, 0.1, TimeGrid(1e-3 * np.arange(20_001))),
         ("ou-sv-leverage", STIFF_UPDATES, 0.1, STIFF_GRID),
-        # one window, shorter than the others
+        # one window, shorter than _WINDOW
         ("const-vol-scalar", {}, 0.1, TimeGrid(1e-3 * np.arange(2001))),
     ], ids=["tbill-bench-grid", "ou-sv-leverage", "const-vol-scalar", "stiff",
             "const-vol-scalar-short-last-window"])
@@ -527,8 +527,7 @@ class TestEulerRegimes:
         # simulate's default: tbill-logsv from x0 = 0, far below the observed
         # drift's equilibrium near 1.75, where Newton's first corrections
         # reach 0.35. Each window solves from its final first state, so no
-        # window inherits the error of the ones before it (with a correction
-        # carried from chunk to chunk instead, 87-90 calls)
+        # window inherits the error of the ones before it
         model, calls = counting_drifts(get_model("tbill-logsv"), monkeypatch)
         params = model.make_params()
         grid = TimeGrid(1e-3 * np.arange(20_001))
