@@ -244,12 +244,13 @@ def get_model(name: str) -> ModelSpec:
 # Steps per window. On the bench's tbill-logsv grids (2-core x86-64, numpy 2.4)
 # 4096-5632 ran within noise of each other, 2048 and 8192 some 10 % slower.
 _WINDOW = 5120
-# |d(drift * dt) / dx| per step above which sweeps keep few steps for long:
-# 1e-3 for tbill-logsv's latent path on the bench grid, 2.4e-3 on the CLI's
-# default grid, 0.5 on ou-sv-leverage with kappa_x 2 and step 0.25 (85 ms swept,
-# 2.5 ms in single steps). Not a decimal, which a decimal rate times a decimal
-# step (0.3 * 0.01 on README's grid) may equal: Newton's slope would cross it by rounding.
-_SLOW_CONTRACTION = 2.0 ** -8
+# |d(drift * dt) / dx| per step above which single steps beat sweeps over a
+# window. On 20 000 steps of a linear drift (2-core x86-64, numpy 2.4) sweeps
+# ran 2.7 times faster than single steps at 2e-3, level at 6e-3 and 1.6 times
+# slower at 1e-2; two more exp per drift call move the break-even near 9e-3.
+# Not a decimal, which a decimal rate times a decimal step may equal: Newton's
+# slope would cross it by rounding.
+_SLOW_CONTRACTION = 2.0 ** -7
 
 
 def _newton(x, drift, incs, dts, lo, hi) -> int:
@@ -281,11 +282,11 @@ def _euler_path(x0, incs, dts, drift) -> np.ndarray:
 
     Window by window of ``_WINDOW`` steps from its final first state: the
     drift-free guess, a Newton solve (``_newton``), then fixed-point sweeps
-    up to the first steep step. A sweep reads the drift at the states and
-    rebuilds them by one left-to-right ``cumsum``; the states up to the first
-    changed one had exact inputs, so they are final. From the first steep
-    step on the path steps one state at a time on numpy scalars. After a
-    non-finite state the path is nan.
+    up to the window's first steep step. A sweep reads the drift at the
+    states and rebuilds them by one left-to-right ``cumsum``; the states up
+    to the first changed one had exact inputs, so they are final. From the
+    first steep step to the window's end the path steps one state at a time
+    on numpy scalars. After a non-finite state the path is nan.
     """
     n = len(dts)
     x = np.empty(n + 1)
@@ -309,10 +310,9 @@ def _euler_path(x0, incs, dts, drift) -> np.ndarray:
             if not math.isfinite(x[lo]):  # non-finite states stay so along the path
                 x[lo + 1:] = np.nan
                 return x
-        if stop < hi:
-            break
-    for i in range(lo, n):
-        x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i]
+        for i in range(lo, hi):
+            x[i + 1] = x[i] + drift(i, x[i]) * dts[i] + incs[i]
+        lo = hi
     return x
 
 
@@ -343,9 +343,9 @@ def euler_simulate(
     stages. Each state recursion x[i + 1] = (x[i] + drift * dt) + increment
     runs window by window (``_euler_path``): a Newton solve from the window's
     final first state, then fixed-point sweeps, which carry the bits of the
-    step-by-step recursion. From the first step whose Newton slope says the
-    drift moves with the state too fast for sweeps to pay, the rest of the
-    path steps one state at a time on numpy scalars. A non-finite value
+    step-by-step recursion. From a window's first step whose Newton slope
+    says the drift moves with the state too fast for sweeps to pay, the rest
+    of that window steps one state at a time on numpy scalars. A non-finite value
     persists along the path, so one check at the end raises
     ``ExplosionError`` at its first non-finite time.
     """

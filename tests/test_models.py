@@ -321,13 +321,13 @@ STIFF_UPDATES = {"kappa_x": 2.0, "kappa_alpha": 3.0}
 STIFF_GRID = TimeGrid(0.25 * np.arange(2001))
 
 
-def stiffening_model():
-    """Latent alpha rising at 0.3 per unit time, observed drift -exp(alpha) x:
-    on a step of 1e-3 the drift moves with x by 1e-3 per step at first and by
-    6e-3 after 6 time units."""
+def stiffening_model(rate=np.exp):
+    """Latent alpha rising at 0.3 per unit time, observed drift -rate(alpha) x:
+    with the default rate, on a step of 1e-3 the drift moves with x by 1e-3
+    per step at first and by 6e-3 after 6 time units."""
     return ModelSpec(
         name="stiffening", param_names=("c",), supports={"c": REAL}, defaults={"c": 0.3},
-        drift_x=lambda x, a, p: -np.exp(a) * x,
+        drift_x=lambda x, a, p: -rate(a) * x,
         vol_x=lambda a, p: np.ones(np.shape(a)),
         drift_alpha=lambda a, p: p["c"] + 0.0 * a,
         vol_alpha=lambda p: 0.1,
@@ -379,20 +379,37 @@ class TestEulerOracle:
         a0 = params["alpha0"] if "alpha0" in params else 0.0
         assert assert_simulates_as_step_loop(model, params, x0, a0, grid, 21) is None
 
-    def test_sweeps_hand_off_to_float_steps(self, monkeypatch):
-        # the observed drift stiffens as alpha rises: its path sweeps for
-        # thousands of steps, then goes on in single steps on numpy scalars
-        # from the first step whose slope exp(alpha) dt, which does not
-        # depend on x, exceeds _SLOW_CONTRACTION
-        model = stiffening_model()
+    @staticmethod
+    def assert_windows_hand_off(rate, dt, n_steps, monkeypatch):
+        # the observed drift -rate(alpha) x moves with x by rate(alpha) dt
+        # per step, which does not depend on x: each window sweeps up to its
+        # first step where that slope exceeds _SLOW_CONTRACTION, then goes on
+        # in single steps on numpy scalars to the window's end
+        model = stiffening_model(rate)
         counted, calls = counting_drifts(model, monkeypatch)
-        grid = TimeGrid(1e-3 * np.arange(6001))
+        grid = TimeGrid(dt * np.arange(n_steps + 1))
         assert assert_simulates_as_step_loop(model, model.make_params(), 1.0, 0.0, grid, 3,
                                              counted) is None
         _, alpha = euler_simulate(model, model.make_params(), 1.0, 0.0, grid, RandomStream(3))
-        steep = np.exp(alpha.values[:-1]) * grid.steps > models._SLOW_CONTRACTION
+        steep = rate(alpha.values[:-1]) * grid.steps > models._SLOW_CONTRACTION
+        windows = [steep[lo:lo + models._WINDOW] for lo in range(0, n_steps, models._WINDOW)]
         assert calls["x", "sweep"] > 0 and steep.any()
-        assert calls["x", "step"] == len(steep) - steep.argmax()
+        assert calls["x", "step"] == sum(len(w) - int(w.argmax()) for w in windows if w.any())
+
+    def test_sweeps_hand_off_to_float_steps(self, monkeypatch):
+        # steep from some 2700 steps in, to the end of the path: the second
+        # window hands off at its first step
+        self.assert_windows_hand_off(np.exp, 2e-3, 8000, monkeypatch)
+
+    @pytest.mark.parametrize("rate,dt,n_steps", [
+        # steep from some 6700 steps in, in the second window
+        (np.exp, 1e-3, 12_000),
+        # steep for some 900 steps in the first window only: the later
+        # windows sweep again
+        (lambda a: 20.0 * np.exp(-32.0 * (a - 1.0) ** 2), 1e-3, 12_000),
+    ], ids=["in-a-later-window", "spike"])
+    def test_each_window_hands_off_apart(self, rate, dt, n_steps, monkeypatch):
+        self.assert_windows_hand_off(rate, dt, n_steps, monkeypatch)
 
     @pytest.mark.parametrize("coefs,coord", [
         # a drift of 1 below 5, nan above: the path crosses 5 some 5000 steps in
