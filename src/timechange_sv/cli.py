@@ -2,7 +2,7 @@
 
 All exchange formats are plain CSV plus one JSON config document; outputs
 are deterministic functions of (config, seed, input files). Exit codes:
-0 success, 1 validation or file-system error, 2 numerical failure.
+0 success, 1 usage, validation or file-system error, 2 numerical failure.
 
 ``fit`` runs its chains in parallel, one process per usable CPU: the
 command's own process and forked workers. Its files are written only once
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import SUMMARY_COLUMNS, _iact, acf, kde_export, summarize
+from .diagnostics import SUMMARY_COLUMNS, acf, iact, kde_export, summarize
 from .errors import NumericsError, ValidationError, allocating, is_integer, is_number
 from .mcmc import PriorSpec, SamplerConfig, Trace, run_chain, run_jobs
 from .models import ModelSpec, euler_simulate, get_model
@@ -40,7 +40,7 @@ def _read_csv(path: FilePath, what: str):
     as ``<file>:<line>:``."""
     if not path.exists():
         raise ValidationError(f"{what} file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -377,7 +377,7 @@ def cmd_diagnose(trace_path, max_lag: int, out_dir) -> dict:
         try:
             rho = acf(column, n - 1)  # its lags up to max_lag are acf(column, max_lag)
             tables["acf"][2].extend((name, lag, r) for lag, r in enumerate(rho[:max_lag + 1]))
-            tables["iact"][2].append((name, _iact(column, rho)))
+            tables["iact"][2].append((name, iact(column, rho)))
             tables["kde"][2].extend((name, x, d) for x, d in kde_export(column).tolist())
         except ValidationError as exc:
             raise ValidationError(f"{trace_path}: parameter {name}: {exc}") from None
@@ -410,7 +410,10 @@ def main(argv=None) -> int:
     p_diag.add_argument("--max-lag", type=int, default=200)
     p_diag.add_argument("--out", required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # exit 2 is a numerical failure's: a usage error is 1
+        return 1 if exc.code else 0
     try:
         if args.command == "simulate":
             out = cmd_simulate(RunConfig.load(args.config), args.out)

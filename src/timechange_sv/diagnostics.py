@@ -64,15 +64,13 @@ def acf(series, max_lag: int) -> np.ndarray:
     return rho
 
 
-def iact(series) -> float:
+def iact(series, rho=None) -> float:
     """Integrated autocorrelation time, 1 + 2 sum rho(k), truncated at the
     initial positive sequence of paired autocorrelations: the pairs before
-    the first one that is not positive, added left to right."""
-    return _iact(_series(series))
-
-
-def _iact(x, rho=None) -> float:
-    """``iact`` of the 1-D series ``x``, given ``rho = acf(x, x.size - 1)`` or not."""
+    the first one that is not positive, added left to right. ``rho``, when
+    given, is ``acf(series, len(series) - 1)``, whose FFT is then not made
+    again."""
+    x = _series(series)
     if x.size < 100:
         raise ValidationError("integrated autocorrelation needs at least 100 points")
     rho = acf(x, x.size - 1) if rho is None else rho

@@ -26,12 +26,12 @@ interval are ever persisted; finer retrospective draws are transient.
 Every kernel ends in ``_metropolis``, the one place the state (the cache,
 latent path included, and the parameters) changes after construction. It
 forms each row's log ratio from the proposed density terms, accepts, and
-writes only the accepted rows of the proposed fields (and parameters), so
-rejected proposals leave the state bit-identical. It has two uniform rules:
-a move of independent groups of rows (the path move, one row each; an
-anchored pass, one block each) draws one uniform per group, and a move
-accepted as a whole (the terminal block, a parameter) draws one only when
-its ratio is finite and negative.
+copies the accepted rows of the proposed fields into the cache's own arrays
+(and sets the parameters), so rejected proposals leave the state
+bit-identical. It has two uniform rules: a move of independent groups of
+rows (the path move, one row each; an anchored pass, one block each) draws
+one uniform per group, and a move accepted as a whole (the terminal block,
+a parameter) draws one only when its ratio is finite and negative.
 
 What a sweep needs of the fixed knot grid is built once per state: the knot
 steps (the models are time-homogeneous, so no density reads the knot times
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -194,9 +194,9 @@ class AugmentedState:
     from them, so that later engine passes reproduce it bit for bit.
 
     ``cache`` holds the latent windows and the engine outputs of the current
-    state, one ``IntervalQuantities`` whose arrays the state owns; after
-    construction only ``_metropolis`` changes it, or ``params``. Other array
-    shapes (n = #intervals, m = imputed points per interval):
+    state, one ``IntervalQuantities`` whose arrays the state owns for its
+    whole life; only ``_metropolis`` writes into them, or sets ``params``.
+    Other array shapes (n = #intervals, m = imputed points per interval):
         x_flat, x_steps : (n (m+1) + 1,) knot times and (n, m+1) their steps
         y, log_jac      : (n + 1,) observations and (n,) their Jacobians
     """
@@ -296,20 +296,20 @@ class AugmentedState:
             self.cache.gamma[rows] if gamma is None else gamma,
         )
 
-    def log_likelihood(self, q=None) -> float:
-        """Augmented log likelihood of the cache, or of engine outputs ``q``:
-        Girsanov, endpoint (with the data Jacobian) and latent terms; flat
-        prior constants excluded. The trace column."""
-        q = self.cache if q is None else q
+    def log_likelihood(self) -> float:
+        """Augmented log likelihood of the cache: Girsanov, endpoint (with
+        the data Jacobian) and latent terms; flat prior constants excluded.
+        The trace column."""
+        q = self.cache
         return float(np.sum(q.log_g) + np.sum(q.log_f + self.log_jac) + np.sum(q.log_gamma))
 
-    def validate_cache(self, tol: float = 1e-8) -> None:
-        cached = self.log_likelihood()
-        fresh = self.log_likelihood(self.quantities(self.warps()))
-        if abs(cached - fresh) > tol * max(1.0, abs(fresh)):
-            raise NumericsError(
-                f"cached log likelihood {cached} drifted from recomputation {fresh}"
-            )
+    def validate_cache(self) -> None:
+        """Raise ``NumericsError`` naming the first cache field that is not
+        bit for bit that of a fresh engine pass on the state."""
+        fresh = self.quantities(self.warps())
+        for f in fields(fresh):
+            if not np.array_equal(getattr(self.cache, f.name), getattr(fresh, f.name)):
+                raise NumericsError(f"cached {f.name} differs from a fresh engine pass")
 
 
 def _flat_knots(obs_times: np.ndarray, m: int) -> np.ndarray:
@@ -360,14 +360,12 @@ def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(
                 group: Optional[int] = None, log_jac: float = 0.0, *,
                 params: Optional[dict] = None) -> np.ndarray:
     """Accept or reject the proposal ``new`` (cache field name to the values
-    of the cache ``rows``) and write its accepted rows into the cache; returns
-    the accept flag of each run of ``group`` rows, or of the whole move. A
-    row's log ratio is its change of the density terms in ``new``, summed in
-    ``terms()`` order, -inf where not finite and without a warning; a whole
-    move adds ``log_jac`` and once accepted sets ``params``, if given. The
-    accepted rows are written by index, except that a move accepted on every
-    interval adopts the arrays of ``new``: ``rows`` that cover every
-    interval are in ascending order.
+    of the cache ``rows``) and write its accepted rows by index into the
+    cache's own arrays; returns the accept flag of each run of ``group``
+    rows, or of the whole move. A row's log ratio is its change of the
+    density terms in ``new``, summed in ``terms()`` order, -inf where not
+    finite and without a warning; a whole move adds ``log_jac`` and once
+    accepted sets ``params``, if given.
     """
     cache = state.cache
     with np.errstate(invalid="ignore", over="ignore"):
@@ -386,14 +384,10 @@ def _metropolis(state: AugmentedState, rng: RandomStream, new: dict, rows=slice(
         return acc
     if params is not None:
         state.params = params
-    if keep.size == state.n_intervals and keep.all():
-        for name, value in new.items():
-            setattr(cache, name, value)
-    else:
-        kept = np.flatnonzero(keep)  # take() on these beats a boolean mask on 2-d rows
-        written = np.arange(state.n_intervals)[rows][kept]
-        for name, value in new.items():
-            getattr(cache, name)[written] = value.take(kept, axis=0)
+    kept = np.flatnonzero(keep)  # take() on these beats a boolean mask on 2-d rows
+    written = np.arange(state.n_intervals)[rows][kept]
+    for name, value in new.items():
+        getattr(cache, name)[written] = value.take(kept, axis=0)
     return acc
 
 
@@ -524,8 +518,7 @@ def _gamma_blocks(state: AugmentedState, blocks: LatentBlocks, rng: RandomStream
         seg_prop += blocks.frac * (seg_g[:, -1:] - seg_g[:, :1])
         seg_prop[:, -1] = seg_g[:, -1]
 
-    # a copy of the read-only windows: the cache may adopt it
-    gamma = _windows(seg_prop, state.m).reshape(-1, state.m + 2).copy()
+    gamma = _windows(seg_prop, state.m).reshape(-1, state.m + 2)
     new = _warped_proposal(state, rng, blocks.rows, gamma=gamma)
     return _metropolis(state, rng, new, blocks.rows, blocks.length if blocks.anchored else None)
 

@@ -73,6 +73,19 @@ class TestRoundTrip:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--trace", "trace.csv", "--max-lag", "abc", "--out", "diag"],
+        ["fit", "--config", "config.json", "--out", "out"],
+    ], ids=["bad-max-lag", "fit-without-data"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2, argparse's own, is a numerical failure's
+        assert main(argv) == 1
+        assert "usage: timechange-sv" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "simulate" in capsys.readouterr().out
+
     def test_missing_data_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", OU_CONFIG)
         argv = ["fit", "--config", cfg, "--data", str(tmp_path / "absent.csv"),
@@ -543,6 +556,20 @@ def test_blank_lines_are_skipped(tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("time,value\n0,0.1\n\n1,0.3\n")
     assert cli.ingest_csv(data).values.tolist() == [0.1, 0.3]
+
+
+def test_data_file_with_a_byte_order_mark(tmp_path):
+    # as Excel writes a UTF-8 CSV
+    data = tmp_path / "obs.csv"
+    data.write_text("time,value\n0,0.1\n1,0.3\n", encoding="utf-8-sig")
+    assert cli.ingest_csv(data).values.tolist() == [0.1, 0.3]
+
+
+def test_trace_file_with_a_byte_order_mark(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iter,theta,loglik\n0,0.5,-1.0\n", encoding="utf-8-sig")
+    names, iters, draws, logliks = cli.read_trace_csv(trace)
+    assert names == ("theta",) and iters.tolist() == [0] and draws.tolist() == [[0.5]]
 
 
 def test_prior_midpoint_init_starts_at_the_midpoint(tmp_path):

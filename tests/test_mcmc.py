@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import timechange_sv
-from timechange_sv.errors import ValidationError
+from timechange_sv.errors import NumericsError, ValidationError
 from timechange_sv.likelihood import IntervalQuantities, log_end_gaussian
 from timechange_sv.mcmc import (
     AugmentedState,
@@ -235,9 +235,9 @@ class TestGammaBlockUpdate:
         state.validate_cache()
 
     def test_whole_data_block_leaves_the_latent_cache_writeable(self):
-        # a terminal block over every interval is accepted whole, so the
-        # cache adopts its latent windows; a later anchored pass still
-        # writes single rows of them
+        # a terminal block over every interval is accepted whole, its latent
+        # windows a read-only view of the proposal; a later anchored pass
+        # still writes single rows of the cache's own windows
         state = sv_state(seed=3)
         rng = RandomStream(23)
         assert any(terminal_block(state, 0, state.n_intervals, rng) for _ in range(100))
@@ -377,10 +377,12 @@ class TestMetropolis:
             assert np.array_equal(now[name], snap[name]), name
 
     def test_accepted_whole_move_adopts_the_proposal(self):
+        # the proposal's values, written into the cache's own array
         state = sv_state()
-        log_g = state.cache.log_g + 1.0
+        cached = state.cache.log_g
+        log_g = cached + 1.0
         assert _metropolis(state, RandomStream(6), {"log_g": log_g})[0]
-        assert state.cache.log_g is log_g
+        assert state.cache.log_g is cached and np.array_equal(cached, log_g)
 
     @pytest.mark.parametrize("rows", [slice(None), np.array([1, 2, 4])],
                              ids=["slice", "index-rows"])
@@ -399,12 +401,14 @@ class TestMetropolis:
                                             (np.arange(4), 2), (np.arange(4), None)],
                              ids=["every-row", "whole", "index-groups", "index-whole"])
     def test_move_accepted_on_every_interval_adopts_the_proposal(self, rows, group):
-        # rows that cover every interval are in ascending order, so the
-        # accepted proposal's arrays become the cache's own
+        # every row of the proposal's values, written into the arrays the
+        # cache already holds, as a partial accept is
         state = terms_state(4)
+        cached = dict(vars(state.cache))
         new = {"log_g": np.full(4, 1.0), "log_f": np.full(4, 2.0)}
         assert _metropolis(state, RandomStream(8), new, rows, group).all()
-        assert state.cache.log_g is new["log_g"] and state.cache.log_f is new["log_f"]
+        assert all(getattr(state.cache, name) is arr for name, arr in cached.items())
+        assert state.cache.log_g.tolist() == [1.0] * 4 and state.cache.log_f.tolist() == [2.0] * 4
         assert state.cache.log_gamma.tolist() == [0.0] * 4
 
 
@@ -432,10 +436,11 @@ def test_sweep_calls_metropolis_once_per_kernel_call(monkeypatch):
 @pytest.mark.parametrize("name", ["tbill-logsv", "ou-sv-leverage"])
 def test_only_metropolis_writes_the_state(monkeypatch, name, block_len):
     # the cache's arrays are read-only except inside _metropolis, so any
-    # other write to them raises; between two _metropolis calls neither the
-    # cache, its arrays nor the parameters may be replaced or changed. A
-    # rejected move leaves the parameters as they were; an accepted move
-    # that carries parameters makes them the state's
+    # other write to them raises; the cache and its arrays are the objects
+    # that __init__ built, through every sweep, and between two _metropolis
+    # calls the parameters are neither replaced nor changed. A rejected move
+    # leaves the parameters as they were; an accepted move that carries
+    # parameters makes them the state's
     model = get_model(name)
     obs_times = (5.0 / 252.0) * np.arange(8)
     x0 = math.log(10.0) if model.obs_transform is not None else 0.0
@@ -444,21 +449,19 @@ def test_only_metropolis_writes_the_state(monkeypatch, name, block_len):
     state = AugmentedState(model, model.make_params(), obs_times, xv, gam,
                            PriorSpec.from_model(model))
     cache, metropolis = state.cache, timechange_sv.mcmc._metropolis
-    left = {}  # the arrays and parameters the last _metropolis left
-
-    def cached():
-        return {f.name: getattr(cache, f.name) for f in fields(cache)}
+    built = arrays(state)  # the arrays __init__ made
+    left = {}  # the parameters the last _metropolis left
 
     def lock(writeable):
-        for arr in cached().values():
+        for arr in built.values():
             arr.flags.writeable = writeable
 
     def remember():
-        left.update(arrays=cached(), params=state.params, values=dict(state.params))
+        left.update(params=state.params, values=dict(state.params))
 
     def untouched():
         assert state.cache is cache
-        assert all(arr is left["arrays"][k] for k, arr in cached().items())
+        assert all(arr is built[name] for name, arr in arrays(state).items())
         assert state.params is left["params"] and state.params == left["values"]
 
     def guarded(state_, rng, new, *args, params=None, **kwargs):
@@ -478,13 +481,30 @@ def test_only_metropolis_writes_the_state(monkeypatch, name, block_len):
     lock(False)
     remember()
     monkeypatch.setattr(timechange_sv.mcmc, "_metropolis", guarded)
-    start, rng, accepted = cached()["gamma"].copy(), RandomStream(block_len), {}
+    start, rng, accepted = built["gamma"].copy(), RandomStream(block_len), {}
     for _ in range(20):
         for kernel, (acc, _att) in sweep(state, rng, {}, block_len=block_len).items():
             accepted[kernel] = accepted.get(kernel, 0) + acc
         untouched()
     assert all(accepted.values()), accepted
     assert not np.array_equal(cache.gamma, start)
+
+
+def test_validate_cache_names_a_field_one_ulp_off():
+    # every warp, path and density the cache holds is checked bit for bit
+    # against a fresh engine pass. That pass reads the chain's coordinates,
+    # the latent windows and the path values z: moving one of them (by 0.5,
+    # so that it shows after rounding) leaves the latent values or U stale
+    stale = {"gamma": "alpha", "z": "U"}
+    state = sv_state()
+    for name, arr in arrays(state).items():
+        at = (1, 1) if arr.ndim == 2 else 1
+        old = arr[at]
+        arr[at] = old + 0.5 if name in stale else np.nextafter(old, np.inf)
+        with pytest.raises(NumericsError, match=f"^cached {stale.get(name, name)} differs"):
+            state.validate_cache()
+        arr[at] = old
+    state.validate_cache()
 
 
 @pytest.mark.parametrize("name,fixed", [
@@ -689,9 +709,9 @@ class TestRunChain:
     @pytest.mark.parametrize("block_len", [2, 3])
     @pytest.mark.parametrize("name", model_names())
     def test_cache_is_a_fresh_engine_pass_bit_for_bit(self, name, block_len):
-        # every move keeps the cached bits of what it leaves alone and adopts
-        # or writes what it changes: after each kernel of a sweep, with one
-        # parameter fixed, the cache equals a fresh engine pass exactly
+        # every move keeps the cached bits of what it leaves alone and writes
+        # what it changes: after each kernel of a sweep, with one parameter
+        # fixed, the cache equals a fresh engine pass exactly
         model = get_model(name)
         data = skeleton_data(model, 24, 4)
         prior = PriorSpec.from_model(model)
